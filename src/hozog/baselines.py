@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,29 +33,21 @@ class RandomSearchConfig:
         object.__setattr__(self, "box", box)
 
 
-def _evaluate_or_error(spec, lam):
-    try:
-        return evaluate(spec, lam)
-    except NonFiniteObjective as err:
-        return err
-
-
 def random_search(
     spec: ObjectiveSpec,
     cfg: RandomSearchConfig,
     recorder=None,
     max_workers: int = 1,
-    batch_size: int = 16,
 ) -> np.ndarray:
     """Uniform i.i.d. sampling over the box, tracking the incumbent.
 
     Consumes exactly ``budget`` oracle evaluations and returns the sampled
     point with the smallest objective.  All samples are pre-drawn from the
-    seeded stream; evaluation fans out in batches when the spec allows it,
-    and incumbent updates are applied in sample-index order, so the result
-    is deterministic for any worker count.  A sample whose evaluation
-    diverges is logged and skipped rather than killing the search, but it
-    still counts against the budget.
+    seeded stream and evaluated in sample-index order, so the result is
+    deterministic.  A sample whose evaluation diverges is logged and
+    skipped rather than killing the search, but it still counts against the
+    budget.  ``max_workers`` is accepted for compatibility and has no
+    effect.
     """
     if cfg.box.shape[0] != spec.p:
         raise InvalidConfig(
@@ -67,35 +58,25 @@ def random_search(
     samples = lo + (hi - lo) * rng.random((cfg.budget, spec.p))
     best_lam = None
     best_f = np.inf
-    calls = 0
-    for start in range(0, cfg.budget, batch_size):
-        chunk = samples[start : start + batch_size]
-        if max_workers > 1 and spec.parallel_safe and len(chunk) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                outcomes = list(pool.map(lambda lam: _evaluate_or_error(spec, lam), chunk))
-        else:
-            outcomes = [_evaluate_or_error(spec, lam) for lam in chunk]
-        for offset, outcome in enumerate(outcomes):
-            index = start + offset
-            calls += 1
-            if isinstance(outcome, NonFiniteObjective):
-                logger.warning(
-                    "random search: non-finite objective at sample %d, skipping", index
+    for index, lam in enumerate(samples):
+        try:
+            outcome = evaluate(spec, lam)
+        except NonFiniteObjective:
+            logger.warning("random search: non-finite objective at sample %d, skipping", index)
+            continue
+        if outcome.f_value < best_f:
+            best_f = outcome.f_value
+            best_lam = lam.copy()
+        if recorder is not None:
+            recorder(
+                IterationEvent(
+                    meta_iter=index,
+                    hyperparams=lam.copy(),
+                    evaluation=outcome,
+                    gradient=None,
+                    optimizer_calls=index + 1,
                 )
-                continue
-            if outcome.f_value < best_f:
-                best_f = outcome.f_value
-                best_lam = samples[index].copy()
-            if recorder is not None:
-                recorder(
-                    IterationEvent(
-                        meta_iter=index,
-                        hyperparams=samples[index].copy(),
-                        evaluation=outcome,
-                        gradient=None,
-                        optimizer_calls=calls,
-                    )
-                )
+            )
     if best_lam is None:
         raise NonFiniteObjective("every random-search sample diverged")
     return best_lam

@@ -132,6 +132,7 @@ def _cmd_lipschitz(args) -> int:
             "problem": raw["problem"],
             "inner": raw["inner"],
             "hozog": {"q": 1, "mu": 0.01, "gamma": 1.0, "iterations": 0},
+            "max_workers": raw.get("max_workers", 1),
         }
     )
     if cfg.problem["kind"] == "synthetic" and cfg.problem.get("mode", "exact") != "iterative":
@@ -140,9 +141,7 @@ def _cmd_lipschitz(args) -> int:
     box = np.asarray(raw["box"], dtype=float)
     n_pairs = raw.get("n_pairs", 1000)
     seed = raw.get("seed", 0)
-    report = empirical_lipschitz(
-        spec, box, n_pairs=n_pairs, seed=seed, max_workers=raw.get("max_workers", 1)
-    )
+    report = empirical_lipschitz(spec, box, n_pairs=n_pairs, seed=seed)
     bound = None
     if cfg.problem["kind"] == "synthetic":
         jacs = synthetic_step_jacobians(

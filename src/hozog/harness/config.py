@@ -3,7 +3,9 @@
 Unknown keys anywhere in the tree are errors (a typo silently ignored is a
 wrong experiment), every referenced path must exist at load time, and
 numeric ranges are checked by constructing the corresponding runtime
-config objects up front.
+config objects up front.  ``max_workers`` is still accepted and checked
+(an integer >= 1) so that existing configs load, but it has no effect:
+every evaluation runs in sequence.
 """
 
 from __future__ import annotations
@@ -15,9 +17,7 @@ from pathlib import Path
 
 from ..errors import ConfigError, InvalidConfig
 
-__all__ = ["ExperimentConfig", "load_config", "MAX_WORKERS_ENV"]
-
-MAX_WORKERS_ENV = "HOZOG_MAX_WORKERS"
+__all__ = ["ExperimentConfig", "load_config"]
 
 _TOP_KEYS = {
     "method",
@@ -29,7 +29,6 @@ _TOP_KEYS = {
     "output",
     "metric_every",
     "max_workers",
-    "parallel_safe",
 }
 _PROBLEM_KEYS = {
     "synthetic": {"kind", "c", "w_star", "mode"},
@@ -50,7 +49,7 @@ _RS_KEYS = {"budget", "box", "seed"}
 
 _INNER_DEFAULTS = {
     "synthetic": {"variant": "gd", "steps": 500, "lr": 0.1},
-    "logreg": {"variant": "gd", "steps": 200, "lr": 0.1},
+    "logreg": {"variant": "adam", "steps": 150, "lr": 0.1},
     "hyperclean": {"variant": "gd", "steps": 4000, "lr": 0.05},
 }
 
@@ -67,8 +66,6 @@ class ExperimentConfig:
     lambda0: object
     output: str
     metric_every: int
-    max_workers: int
-    parallel_safe: bool
     raw: dict = field(repr=False, default_factory=dict)
 
 
@@ -259,20 +256,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     max_workers = raw.get("max_workers", 1)
     if not isinstance(max_workers, int) or isinstance(max_workers, bool) or max_workers < 1:
         raise ConfigError("max_workers", f"must be an integer >= 1, got {max_workers!r}")
-    env_override = os.environ.get(MAX_WORKERS_ENV)
-    if env_override is not None:
-        try:
-            max_workers = int(env_override)
-        except ValueError:
-            raise ConfigError(
-                "max_workers", f"environment override {MAX_WORKERS_ENV}={env_override!r} is not an integer"
-            ) from None
-        if max_workers < 1:
-            raise ConfigError("max_workers", f"environment override must be >= 1, got {max_workers}")
-
-    parallel_safe = raw.get("parallel_safe", True)
-    if not isinstance(parallel_safe, bool):
-        raise ConfigError("parallel_safe", f"must be a boolean, got {parallel_safe!r}")
 
     return ExperimentConfig(
         method=method,
@@ -283,7 +266,5 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         lambda0=lambda0,
         output=output,
         metric_every=metric_every,
-        max_workers=max_workers,
-        parallel_safe=parallel_safe,
         raw=raw,
     )

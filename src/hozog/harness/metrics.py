@@ -2,7 +2,8 @@
 
 Every written record carries the objective value, suboptimality against
 the running minimum of explored iterates, a gradient-norm estimate from a
-fresh zeroth-order probe on a metrics-dedicated random stream, and the
+fresh zeroth-order probe on a metrics-dedicated random stream (its base
+value is the record's own f, so the probe adds q evaluations), and the
 problem's test metric.  Oracle calls spent on metrics are tallied apart
 from the optimizer's own calls so that cost comparisons between methods
 stay honest.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..oracle import Evaluation, ObjectiveSpec, evaluate
+from ..oracle import Evaluation, ObjectiveSpec, evaluate, evaluate_batch
 from ..zo_core import IterationEvent, ZoConfig, estimate_hyper_gradient, sample_directions
 
 __all__ = ["TraceRecord", "MetricSample", "compute_metrics", "TraceWriter", "TRACE_COLUMNS"]
@@ -77,19 +78,26 @@ def compute_metrics(
     ``history_min`` is the running minimum of f over previously explored
     iterates (+inf before the first); suboptimality is measured against the
     updated minimum, so the incumbent record scores exactly zero.  The
-    gradient-norm estimate consumes ``grad_q + 1`` metric-only oracle calls;
-    re-evaluating f when ``evaluation`` is absent adds one more.
+    gradient-norm estimate reuses f(lam) and consumes ``grad_q`` metric-only
+    oracle calls; evaluating f when ``evaluation`` is absent adds one more.
     """
-    calls = 0
+    calls = grad_q
     if evaluation is None:
         evaluation = evaluate(spec, lam)
         calls += 1
     f = evaluation.f_value
     new_min = min(history_min, f)
-    cfg = ZoConfig(q=grad_q, mu=grad_mu, gamma=1.0, iterations=0)
+    cfg = ZoConfig(
+        q=grad_q, mu=grad_mu, gamma=1.0, iterations=0, direction_scheme=direction_scheme
+    )
     directions = sample_directions(spec.p, grad_q, direction_scheme, metrics_rng)
-    estimate = estimate_hyper_gradient(lam, spec.value, cfg, directions)
-    calls += grad_q + 1
+    estimate = estimate_hyper_gradient(
+        lam,
+        lambda _: f,
+        cfg,
+        directions,
+        batch_oracle=lambda points: [e.f_value for e in evaluate_batch(spec, points)],
+    )
     test_err = spec.problem.test_metric(evaluation.model)
     return MetricSample(
         f_value=f,

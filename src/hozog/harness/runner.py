@@ -60,8 +60,8 @@ def build_objective(cfg: ExperimentConfig) -> ObjectiveSpec:
         inner = _build_inner(cfg, d=1) if cfg.problem["mode"] == "iterative" else None
         if cfg.problem["mode"] == "iterative" and inner is None:
             raise ConfigError("inner", "iterative synthetic mode needs an inner section")
-        spec = make_synthetic(cfg.problem["c"], cfg.problem["w_star"], inner=inner)
-    elif kind == "logreg":
+        return make_synthetic(cfg.problem["c"], cfg.problem["w_star"], inner=inner)
+    if kind == "logreg":
         ds = load_libsvm(cfg.problem["data"], n_features=cfg.problem.get("n_features"))
         labels = {label for label, _ in ds.rows}
         if "binarize_seed" in cfg.problem:
@@ -73,21 +73,17 @@ def build_objective(cfg: ExperimentConfig) -> ObjectiveSpec:
             )
         train, val, test = split_2_1_1(ds, cfg.problem["split_seed"])
         prob = LogRegProblem.from_datasets(train, val, test)
-        spec = logreg_objective(prob, _build_inner(cfg, d=prob.d))
-    else:
-        ds = load_libsvm(cfg.problem["data"])
-        prob = make_hyperclean(
-            ds,
-            n_train=cfg.problem["n_train"],
-            n_val=cfg.problem["n_val"],
-            n_test=cfg.problem["n_test"],
-            n_groups=cfg.problem["n_groups"],
-            corruption_seed=cfg.problem["corruption_seed"],
-        )
-        spec = hyperclean_objective(prob, _build_inner(cfg, d=prob.d))
-    if not cfg.parallel_safe:
-        spec = dataclasses.replace(spec, parallel_safe=False)
-    return spec
+        return logreg_objective(prob, _build_inner(cfg, d=prob.d))
+    ds = load_libsvm(cfg.problem["data"])
+    prob = make_hyperclean(
+        ds,
+        n_train=cfg.problem["n_train"],
+        n_val=cfg.problem["n_val"],
+        n_test=cfg.problem["n_test"],
+        n_groups=cfg.problem["n_groups"],
+        corruption_seed=cfg.problem["corruption_seed"],
+    )
+    return hyperclean_objective(prob, _build_inner(cfg, d=prob.d))
 
 
 def _resolve_lambda0(cfg: ExperimentConfig, p: int) -> np.ndarray:
@@ -159,7 +155,6 @@ def _write_manifest(path: Path, cfg: ExperimentConfig, result: dict) -> None:
             "scipy": scipy.__version__,
             "hozog": __version__,
         },
-        "max_workers": cfg.max_workers,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -193,9 +188,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         direction_scheme=scheme,
     ) as writer:
         if cfg.method == "hozog":
-            final = run_hozog(spec, lam0, zo, recorder=writer, max_workers=cfg.max_workers)
+            final = run_hozog(spec, lam0, zo, recorder=writer)
         else:
-            final = random_search(spec, rs, recorder=writer, max_workers=cfg.max_workers)
+            final = random_search(spec, rs, recorder=writer)
         summary = {
             "final_lambda": [float(v) for v in final],
             "records": len(writer.records),

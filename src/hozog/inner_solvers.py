@@ -58,66 +58,69 @@ def _check_iterate(w: np.ndarray, t: int) -> None:
         raise NonFiniteIterate(f"iterate became non-finite at inner step {t}", t=t)
 
 
+def _gd_steps(loss_grad, alg: InnerSolver, lam: np.ndarray):
+    """Yield w_0, w_1, ..., w_T of full-batch gradient descent."""
+    lr = alg.lr
+    w = _require_w0(alg).copy()
+    yield w
+    for t in range(1, alg.steps + 1):
+        w = w - lr * loss_grad(w, lam)
+        _check_iterate(w, t)
+        yield w
+
+
+def _adam_steps(loss_grad, alg: InnerSolver, lam: np.ndarray):
+    """Yield w_0, w_1, ..., w_T of Adam (bias-corrected moments, zero-initialized)."""
+    lr, beta1, beta2, eps = alg.lr, alg.beta1, alg.beta2, alg.eps
+    w = _require_w0(alg).copy()
+    m = np.zeros_like(w)
+    v = np.zeros_like(w)
+    yield w
+    for t in range(1, alg.steps + 1):
+        g = loss_grad(w, lam)
+        m = beta1 * m + (1.0 - beta1) * g
+        v = beta2 * v + (1.0 - beta2) * g * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
+        _check_iterate(w, t)
+        yield w
+
+
+_STEPS = {"gd": _gd_steps, "adam": _adam_steps}
+
+
+def _last(iterates) -> np.ndarray:
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in iterates:
+            pass
+    return w
+
+
 def gd_solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
     """Run ``steps`` full-batch gradient-descent steps; returns the final iterate.
 
     ``loss_grad(w, lam)`` must return the gradient of the inner loss at ``w``.
     Exactly ``steps`` gradient evaluations are performed.
     """
-    w = _require_w0(alg).copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, alg.steps + 1):
-            w = w - alg.lr * loss_grad(w, lam)
-            _check_iterate(w, t)
-    return w
+    return _last(_gd_steps(loss_grad, alg, lam))
 
 
 def adam_solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
     """Run ``steps`` Adam steps (bias-corrected moments, zero-initialized)."""
-    w = _require_w0(alg).copy()
-    m = np.zeros_like(w)
-    v = np.zeros_like(w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(1, alg.steps + 1):
-            g = loss_grad(w, lam)
-            m = alg.beta1 * m + (1.0 - alg.beta1) * g
-            v = alg.beta2 * v + (1.0 - alg.beta2) * g * g
-            m_hat = m / (1.0 - alg.beta1**t)
-            v_hat = v / (1.0 - alg.beta2**t)
-            w = w - alg.lr * m_hat / (np.sqrt(v_hat) + alg.eps)
-            _check_iterate(w, t)
-    return w
+    return _last(_adam_steps(loss_grad, alg, lam))
 
 
 def solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
-    if alg.variant == "adam":
-        return adam_solve(loss_grad, alg, lam)
-    return gd_solve(loss_grad, alg, lam)
+    """Run the solver ``alg.variant`` names; returns the final iterate."""
+    return _last(_STEPS[alg.variant](loss_grad, alg, lam))
 
 
 def trajectory(loss_grad, alg: InnerSolver, lam: np.ndarray) -> list:
     """All iterates ``[w_0, w_1, ..., w_T]``.
 
-    The last element is bitwise-equal to the corresponding solve's output;
-    the arithmetic is identical step for step, only the storage differs.
+    The iterates come from the same step generator the solves consume, so
+    the last element is bitwise-equal to the corresponding solve's output.
     """
-    w = _require_w0(alg).copy()
-    out = [w.copy()]
-    if alg.variant == "adam":
-        m = np.zeros_like(w)
-        v = np.zeros_like(w)
-        for t in range(1, alg.steps + 1):
-            g = loss_grad(w, lam)
-            m = alg.beta1 * m + (1.0 - alg.beta1) * g
-            v = alg.beta2 * v + (1.0 - alg.beta2) * g * g
-            m_hat = m / (1.0 - alg.beta1**t)
-            v_hat = v / (1.0 - alg.beta2**t)
-            w = w - alg.lr * m_hat / (np.sqrt(v_hat) + alg.eps)
-            _check_iterate(w, t)
-            out.append(w.copy())
-    else:
-        for t in range(1, alg.steps + 1):
-            w = w - alg.lr * loss_grad(w, lam)
-            _check_iterate(w, t)
-            out.append(w.copy())
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        return list(_STEPS[alg.variant](loss_grad, alg, lam))

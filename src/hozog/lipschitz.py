@@ -134,8 +134,8 @@ def empirical_lipschitz(
 
     Draws ``n_pairs`` seeded uniform point pairs and returns the largest
     observed ratio |f(x1) - f(x2)| / ||x1 - x2||.  Deterministic given the
-    seed; pair evaluations may fan out under the oracle's concurrency
-    contract.
+    seed.  ``max_workers`` is accepted for compatibility and has no effect:
+    the 2 * ``n_pairs`` evaluations run in sequence.
     """
     if n_pairs < 1:
         raise InvalidConfig(f"n_pairs must be >= 1, got {n_pairs}")
@@ -147,7 +147,7 @@ def empirical_lipschitz(
     first = lo + (hi - lo) * rng.random((n_pairs, spec.p))
     second = lo + (hi - lo) * rng.random((n_pairs, spec.p))
     points = [row for pair in zip(first, second) for row in pair]
-    values = [e.f_value for e in evaluate_batch(spec, points, max_workers=max_workers)]
+    values = [e.f_value for e in evaluate_batch(spec, points)]
     max_ratio = 0.0
     for i in range(n_pairs):
         gap = np.linalg.norm(first[i] - second[i])

@@ -3,16 +3,15 @@
 An :class:`ObjectiveSpec` pairs a problem (inner loss, outer loss, data)
 with an inner-solver configuration.  Evaluating it runs the inner solver to
 get the trained model w(lam) and then scores that model with the outer
-objective.  Everything the evaluation touches is immutable, and any inner
-randomness is frozen by a seed inside the spec, so f is a deterministic
-function of lam alone: repeated or concurrent calls return identical
-results, which the finite-difference estimator depends on.
+objective.  Everything the evaluation touches is immutable and the inner
+solve starts from a fixed point (the inner solver's ``w0``, else zeros),
+so f is a deterministic function of lam alone: repeated calls return
+identical results, which the finite-difference estimator depends on.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,17 +28,15 @@ class ObjectiveSpec:
 
     ``problem`` supplies the losses and data (see the problems package for
     the expected surface); ``inner`` is the iterative solver configuration,
-    or None to use the problem's closed-form inner solution.  ``bounds`` is
-    an optional (p, 2) box on lam; when declared, the outer loop clamps
-    iterates to it after each step.  ``inner_seed`` freezes whatever
-    randomness the problem's initialization rule uses.
+    started from the zero model when its ``w0`` is None, or None to use the
+    problem's closed-form inner solution.  ``bounds`` is an optional (p, 2)
+    box on lam; when declared, the outer loop clamps iterates to it after
+    each step.
     """
 
     problem: object
     inner: InnerSolver | None = None
     bounds: np.ndarray | None = None
-    parallel_safe: bool = True
-    inner_seed: int = 0
 
     def __post_init__(self):
         if self.bounds is not None:
@@ -94,7 +91,7 @@ def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
     else:
         alg = spec.inner
         if alg.w0 is None:
-            alg = dataclasses.replace(alg, w0=problem.default_w0(spec.inner_seed))
+            alg = dataclasses.replace(alg, w0=np.zeros(problem.d))
         try:
             w = solve(problem.inner_loss_grad, alg, lam)
         except NonFiniteIterate as err:
@@ -112,22 +109,11 @@ def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
     return Evaluation(hyperparams=lam, f_value=f, model=w, inner_steps_used=steps_used)
 
 
-def evaluate_batch(spec: ObjectiveSpec, lams, max_workers: int = 1) -> list:
-    """Evaluate several points, in input order.
+def evaluate_batch(spec: ObjectiveSpec, lams) -> list:
+    """Evaluate several points one after another, in input order.
 
-    Concurrency is used only when the spec declares itself parallel-safe and
-    ``max_workers`` exceeds one; the output is identical to sequential
-    evaluation either way.  The first failing point (by input index) is the
-    one reported.
+    The first failing point (by input index) is the one reported.
     """
-    lams = list(lams)
-    if max_workers > 1 and spec.parallel_safe and len(lams) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = [pool.submit(evaluate, spec, lam) for lam in lams]
-        results = []
-        for fut in futures:
-            results.append(fut.result())
-        return results
     return [evaluate(spec, lam) for lam in lams]
 
 
@@ -144,12 +130,6 @@ class _FunctionProblem:
     def exact_solution(self, lam):
         return np.empty(0)
 
-    def inner_loss_grad(self, w, lam):
-        return np.empty(0)
-
-    def default_w0(self, seed=0):
-        return np.empty(0)
-
     def outer_value(self, w, lam):
         return float(self.fn(lam))
 
@@ -157,7 +137,7 @@ class _FunctionProblem:
         return None
 
 
-def function_objective(fn, p: int, bounds=None, parallel_safe: bool = True) -> ObjectiveSpec:
+def function_objective(fn, p: int, bounds=None) -> ObjectiveSpec:
     """Wrap an analytic callable as an ObjectiveSpec (no inner solve).
 
     Used for closed-form oracles in tests and for driving the outer loop
@@ -165,4 +145,4 @@ def function_objective(fn, p: int, bounds=None, parallel_safe: bool = True) -> O
     """
     problem = _FunctionProblem(fn, p, bounds=bounds)
     box = None if bounds is None else np.atleast_2d(np.asarray(bounds, dtype=float))
-    return ObjectiveSpec(problem=problem, inner=None, bounds=box, parallel_safe=parallel_safe)
+    return ObjectiveSpec(problem=problem, inner=None, bounds=box)

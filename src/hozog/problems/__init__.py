@@ -4,7 +4,6 @@ from .hyperclean import (
     HyperCleanProblem,
     group_corruption_fractions,
     group_weighted_mean,
-    hyperclean_inner_loss,
     hyperclean_objective,
     make_hyperclean,
     per_sample_cross_entropy,
@@ -23,7 +22,6 @@ __all__ = [
     "SyntheticBilevel",
     "group_corruption_fractions",
     "group_weighted_mean",
-    "hyperclean_inner_loss",
     "hyperclean_objective",
     "logreg_objective",
     "logreg_test_error",

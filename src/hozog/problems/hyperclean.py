@@ -31,7 +31,6 @@ from ..oracle import ObjectiveSpec
 __all__ = [
     "HyperCleanProblem",
     "make_hyperclean",
-    "hyperclean_inner_loss",
     "hyperclean_objective",
     "per_sample_cross_entropy",
     "group_weighted_mean",
@@ -135,9 +134,6 @@ class HyperCleanProblem:
         weights, bias = self.unflatten(w)
         return float(np.mean(per_sample_cross_entropy(weights, bias, self.x_val, self.y_val)))
 
-    def default_w0(self, seed: int = 0) -> np.ndarray:
-        return np.zeros(self.d)
-
     def test_metric(self, w: np.ndarray) -> float:
         weights, bias = self.unflatten(w)
         return float(np.mean(per_sample_cross_entropy(weights, bias, self.x_test, self.y_test)))
@@ -211,13 +207,6 @@ def make_hyperclean(
         n_classes=int(classes.size),
         n_groups=n_groups,
     )
-
-
-def hyperclean_inner_loss(prob: HyperCleanProblem, weights: np.ndarray, bias: np.ndarray, lam) -> float:
-    """Group-weighted mean training cross-entropy at an explicit (W, b)."""
-    lam = prob._check_lambda(lam)
-    losses = per_sample_cross_entropy(weights, bias, prob.x_train, prob.y_train)
-    return group_weighted_mean(losses, prob.group_ids, lam)
 
 
 def hyperclean_objective(prob: HyperCleanProblem, inner: InnerSolver) -> ObjectiveSpec:

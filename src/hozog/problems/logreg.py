@@ -98,9 +98,6 @@ class LogRegProblem:
     def outer_value(self, w: np.ndarray, lam: np.ndarray) -> float:
         return _log_loss_sum(self.y_val * (self.x_val @ w))
 
-    def default_w0(self, seed: int = 0) -> np.ndarray:
-        return np.zeros(self.d)
-
     def test_metric(self, w: np.ndarray) -> float:
         return logreg_test_error(self, w)
 

@@ -75,9 +75,6 @@ class SyntheticBilevel:
     def outer_value(self, w: np.ndarray, lam: np.ndarray) -> float:
         return 0.5 * (float(w[0]) - self.w_star) ** 2
 
-    def default_w0(self, seed: int = 0) -> np.ndarray:
-        return np.zeros(1)
-
     def test_metric(self, w: np.ndarray):
         return None
 
@@ -86,7 +83,6 @@ def make_synthetic(
     c: float,
     w_star: float,
     inner: InnerSolver | None = None,
-    parallel_safe: bool = True,
 ) -> ObjectiveSpec:
     """Spec for the closed-form problem.
 
@@ -95,7 +91,7 @@ def make_synthetic(
     problems do.
     """
     problem = SyntheticBilevel(c=c, w_star=w_star)
-    return ObjectiveSpec(problem=problem, inner=inner, bounds=None, parallel_safe=parallel_safe)
+    return ObjectiveSpec(problem=problem, inner=inner, bounds=None)
 
 
 def synthetic_analytic_hypergradient(c: float, w_star: float, lam: float) -> float:

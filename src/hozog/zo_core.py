@@ -9,20 +9,20 @@ the differences into the estimate
 followed by the update lam <- lam - gamma * g_hat.  The base value f(lam)
 is computed once per meta-iteration and shared across all q difference
 terms.  With directions drawn uniformly on the unit sphere the p/(mu*q)
-scale makes the estimate unbiased for linear objectives; raw Gaussian
-directions are available behind the config enum for fidelity experiments,
-but the sphere is the default because only the sphere matches that scale.
+scale makes the estimate unbiased for linear objectives.  Raw Gaussian
+directions are available behind the config enum; they already have
+E[u u^T] = I, so that scheme uses the Gaussian-smoothing scale 1/(mu*q)
+(Nesterov & Spokoiny 2017) instead.
 
-The q+1 evaluations inside one meta-iteration may run concurrently. All
-directions are drawn up-front from a single seeded stream and the
-difference terms are summed in direction-index order after every
-evaluation has returned, so the trajectory is a deterministic function of
-(spec, lambda0, config) regardless of worker count.
+The q+1 evaluations of a meta-iteration are independent of each other and
+run one after another.  All directions are drawn up-front from a single
+seeded stream and the difference terms are summed in direction-index
+order, so the trajectory is a deterministic function of
+(spec, lambda0, config).
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +51,8 @@ class ZoConfig:
     mu: smoothing radius; smaller is less biased but more noise-sensitive.
     gamma: outer learning rate.
     iterations: meta-iteration budget T (the only stopping rule).
-    direction_scheme: 'sphere' (default) or 'gaussian'.
-    reseed_inner_each_iter: refresh the spec's inner seed every
-        meta-iteration instead of keeping it frozen (off by default so the
-        objective stays a fixed deterministic function).
+    direction_scheme: 'sphere' (default, scale p/(mu*q)) or 'gaussian'
+        (raw normal directions, scale 1/(mu*q)).
     """
 
     q: int
@@ -63,7 +61,6 @@ class ZoConfig:
     iterations: int
     seed: int = 0
     direction_scheme: str = "sphere"
-    reseed_inner_each_iter: bool = False
 
     def __post_init__(self):
         if self.q < 1:
@@ -133,17 +130,6 @@ def sample_directions(p: int, q: int, scheme: str, rng: np.random.Generator) -> 
     return u / norms[:, None]
 
 
-def _combine(p: int, mu: float, directions: np.ndarray, f_base: float, f_perturbed) -> np.ndarray:
-    # Fixed-order accumulation: the result must not depend on which
-    # perturbed evaluation finished first.
-    q = directions.shape[0]
-    g = np.zeros(p)
-    for i in range(q):
-        g += (f_perturbed[i] - f_base) * directions[i]
-    g *= p / (mu * q)
-    return g
-
-
 def estimate_hyper_gradient(
     lam: np.ndarray,
     oracle,
@@ -154,10 +140,10 @@ def estimate_hyper_gradient(
     """Averaged zeroth-order hyper-gradient at lam from a pre-drawn direction set.
 
     ``oracle`` is a plain callable f(lam) -> float.  ``batch_oracle``, when
-    given, maps a list of points to their values and may evaluate them in
-    any order or concurrently; the combination step re-imposes direction
-    order.  Exactly q+1 oracle values are consumed: f(lam) once, reused
-    across all difference terms.
+    given, maps the list of perturbed points to their values.  The oracle is
+    asked for f(lam) once, reused across all difference terms, so a caller
+    that already holds f(lam) can pass it as ``lambda _: value``.  The
+    estimate accounts for q+1 oracle values.
     """
     lam = np.asarray(lam, dtype=float)
     p = lam.shape[0]
@@ -175,7 +161,13 @@ def estimate_hyper_gradient(
         values = [float(oracle(x)) for x in points]
     for x, v in zip(points, values):
         _require_finite(v, x)
-    vector = _combine(p, cfg.mu, directions, f_base, values)
+    # Fixed-order accumulation: the result must not depend on the order in
+    # which the perturbed values were computed.
+    vector = np.zeros(p)
+    for i in range(cfg.q):
+        vector += (values[i] - f_base) * directions[i]
+    dim_scale = p if cfg.direction_scheme == "sphere" else 1
+    vector *= dim_scale / (cfg.mu * cfg.q)
     return GradientEstimate(vector=vector, eval_count=cfg.q + 1)
 
 
@@ -213,7 +205,8 @@ def run_hozog(
     Optimizer-driven oracle calls total exactly T*(q+1); anything else is
     the recorder's own business.  A non-finite objective aborts the run
     with the meta-iteration index attached: a silently clipped estimate
-    would corrupt the descent direction.
+    would corrupt the descent direction.  ``max_workers`` is accepted for
+    compatibility and has no effect: evaluations always run in sequence.
     """
     lam = np.asarray(lambda0, dtype=float).copy()
     if lam.ndim == 0:
@@ -222,22 +215,22 @@ def run_hozog(
     if lam.shape != (p,):
         raise InvalidConfig(f"lambda0 has shape {lam.shape}, expected ({p},)")
     rng = np.random.default_rng(cfg.seed)
+
+    def batch_oracle(points):
+        return [e.f_value for e in evaluate_batch(spec, points)]
+
     calls = 0
-    run_spec = spec
     for t in range(cfg.iterations):
-        if cfg.reseed_inner_each_iter:
-            run_spec = dataclasses.replace(spec, inner_seed=spec.inner_seed + t)
         directions = sample_directions(p, cfg.q, cfg.direction_scheme, rng)
-        points = [lam + cfg.mu * directions[i] for i in range(cfg.q)]
         try:
-            base = evaluate(run_spec, lam)
-            perturbed = evaluate_batch(run_spec, points, max_workers=max_workers)
+            base = evaluate(spec, lam)
+            grad = estimate_hyper_gradient(
+                lam, lambda _: base.f_value, cfg, directions, batch_oracle=batch_oracle
+            )
         except NonFiniteObjective as err:
             err.meta_iter = t
             raise
-        calls += cfg.q + 1
-        vector = _combine(p, cfg.mu, directions, base.f_value, [e.f_value for e in perturbed])
-        grad = GradientEstimate(vector=vector, eval_count=cfg.q + 1)
+        calls += grad.eval_count
         if recorder is not None:
             recorder(
                 IterationEvent(

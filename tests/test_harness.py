@@ -6,7 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from hozog import function_objective
+from hozog import InnerSolver, evaluate, function_objective
+from hozog.data_io import random_classification_dataset, serialize_libsvm
 from hozog.errors import ConfigError
 from hozog.harness import (
     TRACE_COLUMNS,
@@ -18,6 +19,7 @@ from hozog.harness import (
 )
 from hozog.harness.cli import main as cli_main
 from hozog.harness.config import config_from_dict
+from hozog.harness.runner import build_objective
 from hozog.problems import make_synthetic
 
 from conftest import read_trace, rows_excluding_wall_time
@@ -34,7 +36,7 @@ class TestComputeMetrics:
             spec, np.array([1.0]), math.inf, grad_q=1, grad_mu=0.01, metrics_rng=metrics_rng()
         )
         assert sample.suboptimality == 0.0
-        assert sample.metric_calls == 3  # f itself plus the q+1 probe
+        assert sample.metric_calls == 2  # f itself plus the q-call probe
 
     def test_running_minimum_sequence(self):
         # f-values 5, 3, 4 against the running minimum give 0, 0, 1
@@ -67,8 +69,6 @@ class TestComputeMetrics:
             return 1.0
 
         spec = function_objective(f, p=1)
-        from hozog import evaluate
-
         ev = evaluate(spec, np.zeros(1))
         count["n"] = 0
         sample = compute_metrics(
@@ -80,8 +80,26 @@ class TestComputeMetrics:
             metrics_rng=metrics_rng(),
             evaluation=ev,
         )
-        assert count["n"] == 3  # only the fresh gradient probe
-        assert sample.metric_calls == 3
+        assert count["n"] == 2  # only the q perturbed points of the probe
+        assert sample.metric_calls == 2
+
+    def test_provided_evaluation_leaves_gradient_estimate_unchanged(self):
+        spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=50, lr=0.1))
+        lam = np.array([0.4])
+        fresh = compute_metrics(
+            spec, lam, math.inf, grad_q=3, grad_mu=0.01, metrics_rng=metrics_rng()
+        )
+        reused = compute_metrics(
+            spec,
+            lam,
+            math.inf,
+            grad_q=3,
+            grad_mu=0.01,
+            metrics_rng=metrics_rng(),
+            evaluation=evaluate(spec, lam),
+        )
+        assert reused.grad_norm_est == fresh.grad_norm_est
+        assert (fresh.metric_calls, reused.metric_calls) == (4, 3)
 
 
 def synthetic_config(tmp_path, **overrides):
@@ -300,10 +318,24 @@ class TestConfigValidation:
             config_from_dict(cfg)
         assert "hozog" in str(excinfo.value)
 
-    def test_env_override_for_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("HOZOG_MAX_WORKERS", "6")
-        cfg = config_from_dict(synthetic_config(tmp_path))
-        assert cfg.max_workers == 6
+    def test_logreg_inner_default_is_finite_over_the_box(self, tmp_path):
+        # acceptance-4-shaped data: the loss sums 1000 rows, so GD at lr 0.1
+        # diverges for lambda >= 5.5 and only Adam's scaled steps stay finite
+        ds = random_classification_dataset(2000, 40, seed=100, class_sep=2.0, noise_flip=0.05)
+        data = tmp_path / "logreg.libsvm"
+        data.write_text(serialize_libsvm(ds))
+        cfg = config_from_dict(
+            {
+                "method": "hozog",
+                "problem": {"kind": "logreg", "data": str(data), "split_seed": 0},
+                "hozog": {"q": 1, "mu": 0.01, "gamma": 0.05, "iterations": 0},
+                "output": str(tmp_path / "t.csv"),
+            }
+        )
+        assert (cfg.inner["variant"], cfg.inner["steps"], cfg.inner["lr"]) == ("adam", 150, 0.1)
+        spec = build_objective(cfg)
+        for lam in (-10.0, 0.0, 5.5, 10.0):
+            assert math.isfinite(evaluate(spec, np.array([lam])).f_value)
 
     def test_load_config_from_file(self, tmp_path):
         path = write_config(tmp_path, synthetic_config(tmp_path))

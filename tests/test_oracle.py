@@ -68,16 +68,15 @@ class TestEvaluateBatch:
         batch = evaluate_batch(spec, [np.array([0.7])])
         assert batch[0].f_value == single.f_value
 
-    def test_worker_count_cannot_change_values(self):
+    def test_batch_equals_pointwise_evaluate(self):
         spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=80, lr=0.1))
         points = [np.array([v]) for v in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-        serial = [e.f_value for e in evaluate_batch(spec, points, max_workers=1)]
-        threaded = [e.f_value for e in evaluate_batch(spec, points, max_workers=4)]
-        assert serial == threaded
+        batch = [e.f_value for e in evaluate_batch(spec, points)]
+        assert batch == [evaluate(spec, lam).f_value for lam in points]
 
     def test_results_in_input_order(self):
         spec = make_synthetic(3.0, 1.0)
-        out = evaluate_batch(spec, [np.array([0.0]), np.array([30.0])], max_workers=2)
+        out = evaluate_batch(spec, [np.array([0.0]), np.array([30.0])])
         assert out[0].f_value == pytest.approx(0.0, abs=1e-12)
         assert out[1].f_value == pytest.approx(0.5, abs=1e-10)
 

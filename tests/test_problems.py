@@ -13,7 +13,6 @@ from hozog.problems import (
     LogRegProblem,
     group_corruption_fractions,
     group_weighted_mean,
-    hyperclean_inner_loss,
     hyperclean_objective,
     logreg_objective,
     logreg_test_error,
@@ -307,11 +306,12 @@ class TestHypercleanObjective:
         weights = rng.standard_normal((3, prob.n_features)) * 0.3
         bias = rng.standard_normal(3) * 0.1
         lam = rng.standard_normal(6)
-        base = hyperclean_inner_loss(prob, weights, bias, lam)
+        w = np.concatenate([weights.ravel(), bias])
+        base = prob.inner_loss(w, lam)
         for g in range(6):
             bumped = lam.copy()
             bumped[g] += 0.7
-            assert hyperclean_inner_loss(prob, weights, bias, bumped) >= base
+            assert prob.inner_loss(w, bumped) >= base
 
     def test_inner_gradient_matches_finite_differences(self):
         ds = _blob_dataset(40, 3, seed=9, n_features=4)

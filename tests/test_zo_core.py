@@ -96,6 +96,15 @@ class TestEstimateHyperGradient:
         est = estimate_hyper_gradient(np.zeros(4), lambda lam: float(a @ lam), cfg, dirs)
         assert np.linalg.norm(est.vector - a) < 0.01 * np.linalg.norm(a) * 4
 
+    def test_gaussian_scheme_recovers_linear_gradient(self):
+        # E[(a.u) u] = a for standard-normal u, so the Gaussian-smoothing
+        # scale 1/(mu*q) (not the sphere's p/(mu*q)) is the unbiased one.
+        a = np.array([1.0, -2.0, 0.5])
+        cfg = ZoConfig(q=200_000, mu=0.1, gamma=1.0, iterations=0, direction_scheme="gaussian")
+        dirs = sample_directions(3, cfg.q, "gaussian", rng(13))
+        est = estimate_hyper_gradient(np.zeros(3), lambda lam: float(a @ lam), cfg, dirs)
+        assert np.linalg.norm(est.vector - a) < 0.01 * np.linalg.norm(a)
+
     def test_linearity_in_the_oracle(self):
         f = lambda lam: float(np.sin(lam[0]) + lam[1] ** 2)
         g = lambda lam: float(np.exp(0.3 * lam[0]) - lam[1])
@@ -269,37 +278,3 @@ class TestRunHozog:
         cfg = ZoConfig(q=2, mu=1e-3, gamma=1.0, iterations=300, seed=1)
         out = run_hozog(spec, [2.0], cfg)
         assert abs(out[0] - synthetic_optimum(3.0, 1.0)) <= 1e-2
-
-    def test_inner_reseed_switch_defaults_off(self):
-        # a problem whose initialization rule is seed-sensitive: the frozen
-        # seed keeps f fixed across meta-iterations unless the switch is on
-        from hozog import InnerSolver, ObjectiveSpec
-
-        class SeededInit:
-            p = 1
-            d = 1
-            bounds = None
-            name = "seeded-init"
-
-            def inner_loss_grad(self, w, lam):
-                return np.zeros(1)  # solver returns w0 untouched
-
-            def default_w0(self, seed=0):
-                return np.array([float(seed)])
-
-            def outer_value(self, w, lam):
-                return float(w[0])
-
-            def test_metric(self, w):
-                return None
-
-        inner = InnerSolver(steps=1, lr=0.1)
-        spec = ObjectiveSpec(problem=SeededInit(), inner=inner, inner_seed=0)
-        frozen, reseeded = [], []
-        base = dict(q=1, mu=0.1, gamma=1e-9, iterations=3, seed=0)
-        run_hozog(spec, [0.0], ZoConfig(**base),
-                  recorder=lambda e: frozen.append(e.evaluation.f_value) if e.evaluation else None)
-        run_hozog(spec, [0.0], ZoConfig(**base, reseed_inner_each_iter=True),
-                  recorder=lambda e: reseeded.append(e.evaluation.f_value) if e.evaluation else None)
-        assert frozen == [0.0, 0.0, 0.0]
-        assert reseeded == [0.0, 1.0, 2.0]

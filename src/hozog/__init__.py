@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
     SingleClass,
 )
-from .inner_solvers import InnerSolver, adam_solve, gd_solve, solve, trajectory
+from .inner_solvers import InnerSolver, solve, trajectory
 from .lipschitz import (
     LipschitzReport,
     StepJacobians,
@@ -64,13 +64,11 @@ __all__ = [
     "SingleClass",
     "StepJacobians",
     "ZoConfig",
-    "adam_solve",
     "empirical_lipschitz",
     "estimate_hyper_gradient",
     "evaluate",
     "evaluate_batch",
     "function_objective",
-    "gd_solve",
     "hozog_step",
     "lipschitz_product_bound",
     "random_search",

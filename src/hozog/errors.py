@@ -34,7 +34,7 @@ class NonFiniteObjective(HozogError):
 
 
 class NonFiniteIterate(HozogError):
-    """An inner-solver iterate became NaN or infinite at step ``t``."""
+    """A solve's final iterate is NaN or infinite; ``t`` is its step count."""
 
     def __init__(self, message, t=None):
         super().__init__(message)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import ConfigError, HozogError, NonFiniteObjective, ParseError
 from ..lipschitz import empirical_lipschitz, lipschitz_product_bound, synthetic_step_jacobians
-from .config import load_config
+from .config import config_from_dict, load_config, read_json
 from .runner import SWEEP_AXES, build_objective, run_experiment, sweep
 
 __all__ = ["main"]
@@ -110,13 +110,7 @@ _LIP_KEYS = {"problem", "inner", "box", "n_pairs", "seed", "output", "max_worker
 
 
 def _cmd_lipschitz(args) -> int:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("config", f"file not found: {args.config}") from None
-    except json.JSONDecodeError as err:
-        raise ConfigError("config", f"not valid JSON: {err}") from None
+    raw = read_json(args.config)
     for key in raw:
         if key not in _LIP_KEYS:
             raise ConfigError(key, "unknown key")
@@ -124,18 +118,16 @@ def _cmd_lipschitz(args) -> int:
         if key not in raw:
             raise ConfigError(key, "missing required key")
 
-    from .config import config_from_dict
-
     cfg = config_from_dict(
         {
             "method": "hozog",
             "problem": raw["problem"],
             "inner": raw["inner"],
-            "hozog": {"q": 1, "mu": 0.01, "gamma": 1.0, "iterations": 0},
+            "hozog": {},
             "max_workers": raw.get("max_workers", 1),
         }
     )
-    if cfg.problem["kind"] == "synthetic" and cfg.problem.get("mode", "exact") != "iterative":
+    if cfg.problem["kind"] == "synthetic" and cfg.problem["mode"] != "iterative":
         cfg = dataclasses.replace(cfg, problem={**cfg.problem, "mode": "iterative"})
     spec = build_objective(cfg)
     box = np.asarray(raw["box"], dtype=float)
@@ -147,8 +139,8 @@ def _cmd_lipschitz(args) -> int:
         jacs = synthetic_step_jacobians(
             c=cfg.problem["c"],
             w_star=cfg.problem["w_star"],
-            eta=cfg.inner["lr"],
-            t_inner=cfg.inner["steps"],
+            eta=cfg.inner.lr,
+            t_inner=cfg.inner.steps,
             lambda_box=box[0],
         )
         bound = lipschitz_product_bound(jacs)

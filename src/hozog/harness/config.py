@@ -1,21 +1,26 @@
 """Experiment config files: JSON with nested sections, strictly validated.
 
 Unknown keys anywhere in the tree are errors (a typo silently ignored is a
-wrong experiment), every referenced path must exist at load time, and
-numeric ranges are checked by constructing the corresponding runtime
-config objects up front.  ``max_workers`` is still accepted and checked
-(an integer >= 1) so that existing configs load, but it has no effect:
-every evaluation runs in sequence.
+wrong experiment), every referenced path must exist at load time, and a
+key that is present must hold a value of its type (``null`` included).
+Each estimator section becomes, at load time, the runtime object that
+uses it: ``inner`` an :class:`~hozog.inner_solvers.InnerSolver` and
+``hozog`` a :class:`~hozog.zo_core.ZoConfig`, built over the defaults
+below, which are the only copy of them in the harness.  ``max_workers``
+is still accepted and checked (an integer >= 1) so that existing configs
+load, but it has no effect: every evaluation runs in sequence.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from ..errors import ConfigError, InvalidConfig
+from ..inner_solvers import InnerSolver
+from ..zo_core import ZoConfig
 
 __all__ = ["ExperimentConfig", "load_config"]
 
@@ -43,15 +48,19 @@ _PROBLEM_KEYS = {
         "corruption_seed",
     },
 }
-_INNER_KEYS = {"variant", "steps", "lr", "beta1", "beta2", "eps", "w0_rule", "w0_scale"}
-_HOZOG_KEYS = {"q", "mu", "gamma", "iterations", "seed", "direction_scheme"}
+_INNER_KEYS = {f.name for f in fields(InnerSolver)} - {"w0"}
+_HOZOG_KEYS = {f.name for f in fields(ZoConfig)}
 _RS_KEYS = {"budget", "box", "seed"}
 
+# keys an inner section leaves out; beta1, beta2 and eps keep InnerSolver's own
 _INNER_DEFAULTS = {
-    "synthetic": {"variant": "gd", "steps": 500, "lr": 0.1},
-    "logreg": {"variant": "adam", "steps": 150, "lr": 0.1},
-    "hyperclean": {"variant": "gd", "steps": 4000, "lr": 0.05},
+    "synthetic": InnerSolver(steps=500, lr=0.1, variant="gd"),
+    "logreg": InnerSolver(steps=150, lr=0.1, variant="adam"),
+    "hyperclean": InnerSolver(steps=4000, lr=0.05, variant="gd"),
 }
+# keys a hozog section leaves out (seed and direction_scheme keep ZoConfig's);
+# also the metrics probe of a random-search run that has no hozog section
+HOZOG_DEFAULTS = ZoConfig(q=1, mu=0.01, gamma=0.05, iterations=0)
 
 
 @dataclass(frozen=True)
@@ -60,8 +69,8 @@ class ExperimentConfig:
 
     method: str
     problem: dict
-    inner: dict | None
-    hozog: dict | None
+    inner: InnerSolver | None
+    hozog: ZoConfig | None
     random_search: dict | None
     lambda0: object
     output: str
@@ -82,9 +91,9 @@ def _require(section: dict, key: str, where: str):
 
 
 def _check_int(section: dict, key: str, where: str, minimum=None):
-    value = section.get(key)
-    if value is None:
+    if key not in section:
         return None
+    value = section[key]
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{where}.{key}", f"must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
@@ -93,9 +102,9 @@ def _check_int(section: dict, key: str, where: str, minimum=None):
 
 
 def _check_number(section: dict, key: str, where: str, positive=False):
-    value = section.get(key)
-    if value is None:
+    if key not in section:
         return None
+    value = section[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}.{key}", f"must be a number, got {value!r}")
     if positive and value <= 0:
@@ -137,7 +146,7 @@ def _validate_problem(problem: dict) -> dict:
     return problem
 
 
-def _validate_inner(inner, kind: str) -> dict | None:
+def _validate_inner(inner, kind: str) -> InnerSolver | None:
     if inner is None:
         if kind == "synthetic":
             return None
@@ -145,41 +154,25 @@ def _validate_inner(inner, kind: str) -> dict | None:
     if not isinstance(inner, dict):
         raise ConfigError("inner", "must be a section")
     _reject_unknown(inner, _INNER_KEYS, "inner")
-    merged = {**_INNER_DEFAULTS[kind], **inner}
-    if merged.get("variant") not in ("gd", "adam"):
-        raise ConfigError("inner.variant", f"must be 'gd' or 'adam', got {merged.get('variant')!r}")
-    _check_int(merged, "steps", "inner", minimum=0)
-    _check_number(merged, "lr", "inner", positive=True)
+    if "variant" in inner and inner["variant"] not in ("gd", "adam"):
+        raise ConfigError("inner.variant", f"must be 'gd' or 'adam', got {inner['variant']!r}")
+    _check_int(inner, "steps", "inner", minimum=0)
+    _check_number(inner, "lr", "inner", positive=True)
     for key in ("beta1", "beta2", "eps"):
-        _check_number(merged, key, "inner", positive=False)
-    rule = merged.get("w0_rule", "zeros")
-    if rule not in ("zeros", "normal"):
-        raise ConfigError("inner.w0_rule", f"must be 'zeros' or 'normal', got {rule!r}")
-    merged["w0_rule"] = rule
-    merged.setdefault("w0_scale", 1.0)
-    return merged
+        _check_number(inner, key, "inner", positive=False)
+    return replace(_INNER_DEFAULTS[kind], **inner)
 
 
-def _validate_hozog(section) -> dict:
+def _validate_hozog(section) -> ZoConfig:
     if not isinstance(section, dict):
         raise ConfigError("hozog", "must be a section")
     _reject_unknown(section, _HOZOG_KEYS, "hozog")
-    from ..zo_core import ZoConfig
-
     try:
-        ZoConfig(
-            q=section.get("q", 1),
-            mu=section.get("mu", 0.01),
-            gamma=section.get("gamma", 0.05),
-            iterations=section.get("iterations", 0),
-            seed=section.get("seed", 0),
-            direction_scheme=section.get("direction_scheme", "sphere"),
-        )
+        zo = replace(HOZOG_DEFAULTS, **section)
     except (InvalidConfig, TypeError) as err:
         raise ConfigError("hozog", str(err)) from None
-    if _check_int(section, "seed", "hozog", minimum=0) is None:
-        section = {**section, "seed": 0}
-    return section
+    _check_int(section, "seed", "hozog", minimum=0)
+    return zo
 
 
 def _validate_rs(section) -> dict:
@@ -202,16 +195,20 @@ def _validate_rs(section) -> dict:
     return section
 
 
-def load_config(path) -> ExperimentConfig:
-    """Load and validate an experiment config file."""
+def read_json(path):
+    """Parse a JSON config file; a missing or malformed file is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
         raise ConfigError("config", f"file not found: {path}") from None
     except json.JSONDecodeError as err:
         raise ConfigError("config", f"not valid JSON: {err}") from None
-    return config_from_dict(raw)
+
+
+def load_config(path) -> ExperimentConfig:
+    """Load and validate an experiment config file."""
+    return config_from_dict(read_json(path))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:

@@ -121,30 +121,19 @@ class TraceWriter:
     Consumes :class:`~hozog.zo_core.IterationEvent`s.  Rows are written on
     the metric cadence (every ``cadence``-th meta-iteration) and always for
     a final event; skipped events still feed the running minimum so
-    suboptimality stays correct.
+    suboptimality stays correct.  The gradient-norm probe uses ``probe``'s
+    q, mu and direction scheme, on a stream seeded from its seed.
     """
 
-    def __init__(
-        self,
-        path,
-        method: str,
-        spec: ObjectiveSpec,
-        grad_q: int = 1,
-        grad_mu: float = 0.01,
-        metrics_seed: int = 0,
-        cadence: int = 1,
-        direction_scheme: str = "sphere",
-    ):
+    def __init__(self, path, method: str, spec: ObjectiveSpec, probe: ZoConfig, cadence: int = 1):
         self._fh = open(path, "w", newline="")
         self._fh.write(",".join(TRACE_COLUMNS) + "\n")
         self._fh.flush()
         self.method = method
         self.spec = spec
-        self.grad_q = grad_q
-        self.grad_mu = grad_mu
+        self.probe = probe
         self.cadence = max(1, int(cadence))
-        self.direction_scheme = direction_scheme
-        self._metrics_rng = np.random.default_rng([int(metrics_seed), _METRICS_STREAM])
+        self._metrics_rng = np.random.default_rng([int(probe.seed), _METRICS_STREAM])
         self._history_min = math.inf
         self._start = time.perf_counter()
         self.metric_calls = 0
@@ -162,11 +151,11 @@ class TraceWriter:
             self.spec,
             event.hyperparams,
             self._history_min,
-            grad_q=self.grad_q,
-            grad_mu=self.grad_mu,
+            grad_q=self.probe.q,
+            grad_mu=self.probe.mu,
             metrics_rng=self._metrics_rng,
             evaluation=event.evaluation,
-            direction_scheme=self.direction_scheme,
+            direction_scheme=self.probe.direction_scheme,
         )
         self._history_min = sample.history_min
         self.metric_calls += sample.metric_calls

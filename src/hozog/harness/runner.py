@@ -14,7 +14,6 @@ from .. import __version__
 from ..baselines import RandomSearchConfig, random_search
 from ..data_io import binarize, load_libsvm, split_2_1_1
 from ..errors import ConfigError, HozogError
-from ..inner_solvers import InnerSolver
 from ..oracle import ObjectiveSpec
 from ..problems import (
     LogRegProblem,
@@ -23,8 +22,8 @@ from ..problems import (
     make_hyperclean,
     make_synthetic,
 )
-from ..zo_core import ZoConfig, run_hozog
-from .config import ExperimentConfig
+from ..zo_core import run_hozog
+from .config import HOZOG_DEFAULTS, ExperimentConfig
 from .metrics import TraceWriter
 
 __all__ = ["build_objective", "run_experiment", "sweep", "SWEEP_AXES"]
@@ -32,35 +31,15 @@ __all__ = ["build_objective", "run_experiment", "sweep", "SWEEP_AXES"]
 SWEEP_AXES = ("q", "mu", "gamma")
 
 
-def _build_inner(cfg: ExperimentConfig, d: int | None = None) -> InnerSolver | None:
-    section = cfg.inner
-    if section is None:
-        return None
-    w0 = None
-    if section["w0_rule"] == "normal":
-        if d is None:
-            raise ConfigError("inner.w0_rule", "'normal' needs a known model dimension")
-        rng = np.random.default_rng([int(cfg.problem.get("corruption_seed", 0)), 0x77300])
-        w0 = rng.standard_normal(d) * float(section.get("w0_scale", 1.0))
-    return InnerSolver(
-        steps=section["steps"],
-        lr=section["lr"],
-        variant=section["variant"],
-        beta1=section.get("beta1", 0.9),
-        beta2=section.get("beta2", 0.999),
-        eps=section.get("eps", 1e-8),
-        w0=w0,
-    )
-
-
 def build_objective(cfg: ExperimentConfig) -> ObjectiveSpec:
     """Construct the ObjectiveSpec an experiment config describes."""
     kind = cfg.problem["kind"]
     if kind == "synthetic":
-        inner = _build_inner(cfg, d=1) if cfg.problem["mode"] == "iterative" else None
-        if cfg.problem["mode"] == "iterative" and inner is None:
+        if cfg.problem["mode"] == "exact":
+            return make_synthetic(cfg.problem["c"], cfg.problem["w_star"])
+        if cfg.inner is None:
             raise ConfigError("inner", "iterative synthetic mode needs an inner section")
-        return make_synthetic(cfg.problem["c"], cfg.problem["w_star"], inner=inner)
+        return make_synthetic(cfg.problem["c"], cfg.problem["w_star"], inner=cfg.inner)
     if kind == "logreg":
         ds = load_libsvm(cfg.problem["data"], n_features=cfg.problem.get("n_features"))
         labels = {label for label, _ in ds.rows}
@@ -73,7 +52,7 @@ def build_objective(cfg: ExperimentConfig) -> ObjectiveSpec:
             )
         train, val, test = split_2_1_1(ds, cfg.problem["split_seed"])
         prob = LogRegProblem.from_datasets(train, val, test)
-        return logreg_objective(prob, _build_inner(cfg, d=prob.d))
+        return logreg_objective(prob, cfg.inner)
     ds = load_libsvm(cfg.problem["data"])
     prob = make_hyperclean(
         ds,
@@ -83,7 +62,7 @@ def build_objective(cfg: ExperimentConfig) -> ObjectiveSpec:
         n_groups=cfg.problem["n_groups"],
         corruption_seed=cfg.problem["corruption_seed"],
     )
-    return hyperclean_objective(prob, _build_inner(cfg, d=prob.d))
+    return hyperclean_objective(prob, cfg.inner)
 
 
 def _resolve_lambda0(cfg: ExperimentConfig, p: int) -> np.ndarray:
@@ -98,18 +77,6 @@ def _resolve_lambda0(cfg: ExperimentConfig, p: int) -> np.ndarray:
     return arr
 
 
-def _zo_config(cfg: ExperimentConfig) -> ZoConfig:
-    section = cfg.hozog
-    return ZoConfig(
-        q=section.get("q", 1),
-        mu=section.get("mu", 0.01),
-        gamma=section.get("gamma", 0.05),
-        iterations=section.get("iterations", 0),
-        seed=section.get("seed", 0),
-        direction_scheme=section.get("direction_scheme", "sphere"),
-    )
-
-
 def _rs_config(cfg: ExperimentConfig, spec: ObjectiveSpec) -> RandomSearchConfig:
     section = cfg.random_search
     box = section.get("box")
@@ -119,25 +86,15 @@ def _rs_config(cfg: ExperimentConfig, spec: ObjectiveSpec) -> RandomSearchConfig
         else:
             # the tasks without declared bounds still need a sampling box
             box = np.tile([-5.0, 5.0], (spec.p, 1))
-    return RandomSearchConfig(budget=section["budget"], box=box, seed=section.get("seed", 0))
-
-
-def _metric_settings(cfg: ExperimentConfig):
-    if cfg.hozog is not None:
-        return (
-            cfg.hozog.get("q", 1),
-            cfg.hozog.get("mu", 0.01),
-            cfg.hozog.get("direction_scheme", "sphere"),
-        )
-    return 1, 0.01, "sphere"
+    return RandomSearchConfig(budget=section["budget"], box=box, seed=section["seed"])
 
 
 def _collect_seeds(cfg: ExperimentConfig) -> dict:
     seeds = {}
     if cfg.hozog is not None:
-        seeds["hozog"] = cfg.hozog.get("seed", 0)
+        seeds["hozog"] = cfg.hozog.seed
     if cfg.random_search is not None:
-        seeds["random_search"] = cfg.random_search.get("seed", 0)
+        seeds["random_search"] = cfg.random_search["seed"]
     for key in ("split_seed", "binarize_seed", "corruption_seed"):
         if key in cfg.problem:
             seeds[key] = cfg.problem[key]
@@ -170,25 +127,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """
     spec = build_objective(cfg)
     lam0 = _resolve_lambda0(cfg, spec.p)
-    grad_q, grad_mu, scheme = _metric_settings(cfg)
-    if cfg.method == "hozog":
-        zo = _zo_config(cfg)
-        metrics_seed = zo.seed
-    else:
+    probe = cfg.hozog or HOZOG_DEFAULTS
+    if cfg.method == "random_search":
         rs = _rs_config(cfg, spec)
-        metrics_seed = rs.seed
+        probe = dataclasses.replace(probe, seed=rs.seed)
     with TraceWriter(
-        cfg.output,
-        method=cfg.method,
-        spec=spec,
-        grad_q=grad_q,
-        grad_mu=grad_mu,
-        metrics_seed=metrics_seed,
-        cadence=cfg.metric_every,
-        direction_scheme=scheme,
+        cfg.output, method=cfg.method, spec=spec, probe=probe, cadence=cfg.metric_every
     ) as writer:
         if cfg.method == "hozog":
-            final = run_hozog(spec, lam0, zo, recorder=writer)
+            final = run_hozog(spec, lam0, cfg.hozog, recorder=writer)
         else:
             final = random_search(spec, rs, recorder=writer)
         summary = {
@@ -229,12 +176,11 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
                 raise ConfigError("values", f"q must be a positive integer, got {value!r}")
         elif not isinstance(value, (int, float)) or value <= 0:
             raise ConfigError("values", f"{axis} must be > 0, got {value!r}")
-        hozog = {**cfg.hozog, axis: value}
         run_cfg = dataclasses.replace(
             cfg,
-            hozog=hozog,
+            hozog=dataclasses.replace(cfg.hozog, **{axis: value}),
             output=_output_for_value(cfg.output, axis, value),
-            raw={**cfg.raw, "hozog": hozog},
+            raw={**cfg.raw, "hozog": {**cfg.raw["hozog"], axis: value}},
         )
         try:
             summary = run_experiment(run_cfg)

@@ -6,6 +6,13 @@ continuous function of the hyperparameters, which is what makes
 finite-difference probing of the outer objective meaningful.  Mini-batch
 variants are deliberately absent: sampling noise in the inner solve would
 leak into the zeroth-order differences.
+
+:func:`solve` is the one entry point; it checks finiteness once, on the
+final iterate.  Each update has the form ``w - (...)``, and that is NaN or
+infinite whenever ``w`` is, so an iterate that leaves the finite range
+never comes back and the final check catches every divergence.
+:func:`trajectory` is the diagnostic view: every iterate as computed,
+non-finite ones included.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidConfig, NonFiniteIterate
 
-__all__ = ["InnerSolver", "gd_solve", "adam_solve", "solve", "trajectory"]
+__all__ = ["InnerSolver", "solve", "trajectory"]
 
 _VARIANTS = ("gd", "adam")
 
@@ -53,19 +60,13 @@ def _require_w0(alg: InnerSolver) -> np.ndarray:
     return np.asarray(alg.w0, dtype=float)
 
 
-def _check_iterate(w: np.ndarray, t: int) -> None:
-    if not np.all(np.isfinite(w)):
-        raise NonFiniteIterate(f"iterate became non-finite at inner step {t}", t=t)
-
-
 def _gd_steps(loss_grad, alg: InnerSolver, lam: np.ndarray):
     """Yield w_0, w_1, ..., w_T of full-batch gradient descent."""
     lr = alg.lr
     w = _require_w0(alg).copy()
     yield w
-    for t in range(1, alg.steps + 1):
+    for _ in range(alg.steps):
         w = w - lr * loss_grad(w, lam)
-        _check_iterate(w, t)
         yield w
 
 
@@ -83,44 +84,36 @@ def _adam_steps(loss_grad, alg: InnerSolver, lam: np.ndarray):
         m_hat = m / (1.0 - beta1**t)
         v_hat = v / (1.0 - beta2**t)
         w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
-        _check_iterate(w, t)
         yield w
 
 
 _STEPS = {"gd": _gd_steps, "adam": _adam_steps}
 
 
-def _last(iterates) -> np.ndarray:
+def solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
+    """Run the solver ``alg.variant`` names; returns the final iterate.
+
+    ``loss_grad(w, lam)`` must return the gradient of the inner loss at
+    ``w``; exactly ``alg.steps`` gradient evaluations are performed.
+    Raises :class:`NonFiniteIterate` (``t = alg.steps``) when the final
+    iterate is not finite.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        for w in iterates:
+        for w in _STEPS[alg.variant](loss_grad, alg, lam):
             pass
+        if not np.all(np.isfinite(w)):
+            raise NonFiniteIterate(
+                f"iterate is non-finite after {alg.steps} inner steps", t=alg.steps
+            )
     return w
 
 
-def gd_solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
-    """Run ``steps`` full-batch gradient-descent steps; returns the final iterate.
-
-    ``loss_grad(w, lam)`` must return the gradient of the inner loss at ``w``.
-    Exactly ``steps`` gradient evaluations are performed.
-    """
-    return _last(_gd_steps(loss_grad, alg, lam))
-
-
-def adam_solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
-    """Run ``steps`` Adam steps (bias-corrected moments, zero-initialized)."""
-    return _last(_adam_steps(loss_grad, alg, lam))
-
-
-def solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
-    """Run the solver ``alg.variant`` names; returns the final iterate."""
-    return _last(_STEPS[alg.variant](loss_grad, alg, lam))
-
-
 def trajectory(loss_grad, alg: InnerSolver, lam: np.ndarray) -> list:
-    """All iterates ``[w_0, w_1, ..., w_T]``.
+    """All iterates ``[w_0, w_1, ..., w_T]``, non-finite ones included.
 
-    The iterates come from the same step generator the solves consume, so
-    the last element is bitwise-equal to the corresponding solve's output.
+    The iterates come from the same step generator :func:`solve` consumes,
+    so when the solve succeeds the last element is bitwise-equal to its
+    output.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return list(_STEPS[alg.variant](loss_grad, alg, lam))

@@ -62,7 +62,6 @@ class StepJacobians:
 
 @dataclass(frozen=True)
 class LipschitzReport:
-    bound: float | None
     empirical_max_ratio: float
     samples: int
     domain_box: np.ndarray
@@ -155,6 +154,4 @@ def empirical_lipschitz(
             continue
         ratio = abs(values[2 * i] - values[2 * i + 1]) / gap
         max_ratio = max(max_ratio, ratio)
-    return LipschitzReport(
-        bound=None, empirical_max_ratio=float(max_ratio), samples=n_pairs, domain_box=box
-    )
+    return LipschitzReport(empirical_max_ratio=float(max_ratio), samples=n_pairs, domain_box=box)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hozog import InnerSolver, evaluate, function_objective
+from hozog import InnerSolver, ZoConfig, evaluate, function_objective
 from hozog.data_io import random_classification_dataset, serialize_libsvm
 from hozog.errors import ConfigError
 from hozog.harness import (
@@ -280,6 +280,21 @@ class TestSweep:
         assert statuses[0]["ok"]
         assert not statuses[1]["ok"]
 
+    def test_manifest_records_swept_value_and_base_seed(self, tmp_path):
+        cfg = config_from_dict(
+            synthetic_config(
+                tmp_path, hozog={"q": 2, "mu": 0.001, "gamma": 1.0, "iterations": 3, "seed": 7}
+            )
+        )
+        statuses = sweep(cfg, "mu", [0.01, 0.1])
+        for status, mu in zip(statuses, (0.01, 0.1)):
+            manifest_path = status["trace"].replace(".csv", ".manifest.json")
+            manifest = json.loads(open(manifest_path, encoding="utf-8").read())
+            assert manifest["config"]["hozog"] == {
+                "q": 2, "mu": mu, "gamma": 1.0, "iterations": 3, "seed": 7
+            }
+            assert manifest["seeds"]["hozog"] == 7
+
     def test_bad_axis_rejected(self, tmp_path):
         cfg = config_from_dict(synthetic_config(tmp_path))
         with pytest.raises(ConfigError):
@@ -332,10 +347,44 @@ class TestConfigValidation:
                 "output": str(tmp_path / "t.csv"),
             }
         )
-        assert (cfg.inner["variant"], cfg.inner["steps"], cfg.inner["lr"]) == ("adam", 150, 0.1)
+        assert (cfg.inner.variant, cfg.inner.steps, cfg.inner.lr) == ("adam", 150, 0.1)
         spec = build_objective(cfg)
         for lam in (-10.0, 0.0, 5.5, 10.0):
             assert math.isfinite(evaluate(spec, np.array([lam])).f_value)
+
+    def test_sections_become_runtime_objects_with_defaults(self, tmp_path, logreg_file):
+        cfg = config_from_dict(
+            {
+                "method": "hozog",
+                "problem": {"kind": "logreg", "data": str(logreg_file)},
+                "hozog": {},
+                "output": str(tmp_path / "t.csv"),
+            }
+        )
+        assert cfg.inner == InnerSolver(steps=150, lr=0.1, variant="adam")
+        assert cfg.hozog == ZoConfig(q=1, mu=0.01, gamma=0.05, iterations=0)
+
+    @pytest.mark.parametrize(
+        "section, value, field",
+        [
+            ("inner", {"lr": 0.0}, "inner.lr"),
+            ("inner", {"steps": -1}, "inner.steps"),
+            ("inner", {"variant": "sgd"}, "inner.variant"),
+            ("hozog", {"q": 0}, "hozog"),
+            ("hozog", {"seed": -1}, "hozog.seed"),
+            ("hozog", {"seed": None}, "hozog.seed"),
+        ],
+    )
+    def test_bad_section_value_names_its_field(self, tmp_path, section, value, field):
+        cfg = synthetic_config(
+            tmp_path,
+            problem={"kind": "synthetic", "c": 3.0, "w_star": 1.0, "mode": "iterative"},
+            inner={"steps": 10},
+        )
+        cfg[section] = {**cfg[section], **value}
+        with pytest.raises(ConfigError) as excinfo:
+            config_from_dict(cfg)
+        assert excinfo.value.field == field
 
     def test_load_config_from_file(self, tmp_path):
         path = write_config(tmp_path, synthetic_config(tmp_path))

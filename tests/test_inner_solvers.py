@@ -2,15 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hozog import (
-    InnerSolver,
-    InvalidConfig,
-    NonFiniteIterate,
-    adam_solve,
-    gd_solve,
-    trajectory,
-)
+from hozog import InnerSolver, InvalidConfig, NonFiniteIterate, solve, trajectory
 from hozog.data_io import random_classification_dataset, split_2_1_1
 from hozog.problems import LogRegProblem, SyntheticBilevel
 
@@ -31,25 +26,25 @@ class TestConfig:
 
     def test_missing_w0_is_an_error(self):
         with pytest.raises(InvalidConfig):
-            gd_solve(quad_grad, InnerSolver(steps=1, lr=0.5), np.zeros(1))
+            solve(quad_grad, InnerSolver(steps=1, lr=0.5), np.zeros(1))
 
 
 class TestGdSolve:
     def test_zero_steps_returns_w0(self):
         alg = InnerSolver(steps=0, lr=0.5, w0=np.array([0.0]))
-        np.testing.assert_array_equal(gd_solve(quad_grad, alg, np.zeros(1)), [0.0])
+        np.testing.assert_array_equal(solve(quad_grad, alg, np.zeros(1)), [0.0])
 
     def test_hand_iteration(self):
         # w <- w + 0.5*(3 - w): 0 -> 1.5 -> 2.25
-        one = gd_solve(quad_grad, InnerSolver(steps=1, lr=0.5, w0=np.array([0.0])), np.zeros(1))
-        two = gd_solve(quad_grad, InnerSolver(steps=2, lr=0.5, w0=np.array([0.0])), np.zeros(1))
+        one = solve(quad_grad, InnerSolver(steps=1, lr=0.5, w0=np.array([0.0])), np.zeros(1))
+        two = solve(quad_grad, InnerSolver(steps=2, lr=0.5, w0=np.array([0.0])), np.zeros(1))
         assert one[0] == pytest.approx(1.5)
         assert two[0] == pytest.approx(2.25)
 
     def test_synthetic_inner_reaches_stationary_point(self):
         prob = SyntheticBilevel(c=3.0, w_star=1.0)
         alg = InnerSolver(steps=500, lr=0.1, w0=np.zeros(1))
-        w = gd_solve(prob.inner_loss_grad, alg, np.array([0.0]))
+        w = solve(prob.inner_loss_grad, alg, np.array([0.0]))
         assert abs(w[0] - 1.0) < 1e-6
 
     def test_exact_gradient_call_count(self):
@@ -59,7 +54,7 @@ class TestGdSolve:
             calls["n"] += 1
             return w - 3.0
 
-        gd_solve(counting, InnerSolver(steps=17, lr=0.1, w0=np.zeros(1)), np.zeros(1))
+        solve(counting, InnerSolver(steps=17, lr=0.1, w0=np.zeros(1)), np.zeros(1))
         assert calls["n"] == 17
 
     def test_monotone_descent_on_stable_quadratic(self):
@@ -72,24 +67,26 @@ class TestGdSolve:
         # lr = 3 on unit curvature: multiplier -2, exponential blow-up
         alg = InnerSolver(steps=10_000, lr=3.0, w0=np.array([1.0]))
         with pytest.raises(NonFiniteIterate) as excinfo:
-            gd_solve(quad_grad, alg, np.zeros(1))
-        assert excinfo.value.t is not None and excinfo.value.t > 0
+            solve(quad_grad, alg, np.zeros(1))
+        # the final iterate is the one checked, so t is the step count
+        assert excinfo.value.t == 10_000
+        assert "after 10000 inner steps" in str(excinfo.value)
 
 
 class TestAdamSolve:
     def test_zero_steps_returns_w0(self):
         alg = InnerSolver(steps=0, lr=0.1, variant="adam", w0=np.array([1.0]))
-        np.testing.assert_array_equal(adam_solve(lambda w, lam: w, alg, np.zeros(1)), [1.0])
+        np.testing.assert_array_equal(solve(lambda w, lam: w, alg, np.zeros(1)), [1.0])
 
     def test_first_step_hand_value(self):
         # g=1, m_hat=1, v_hat=1 => w1 = 1 - 0.1/(1 + 1e-8) ~ 0.9
         alg = InnerSolver(steps=1, lr=0.1, variant="adam", w0=np.array([1.0]))
-        w = adam_solve(lambda w, lam: w, alg, np.zeros(1))
+        w = solve(lambda w, lam: w, alg, np.zeros(1))
         assert w[0] == pytest.approx(0.9, abs=1e-8)
 
     def test_long_run_contracts_quadratic(self):
         alg = InnerSolver(steps=2000, lr=0.1, variant="adam", w0=np.array([1.0]))
-        w = adam_solve(lambda w, lam: w, alg, np.zeros(1))
+        w = solve(lambda w, lam: w, alg, np.zeros(1))
         assert abs(w[0]) <= 1e-3
 
 
@@ -110,24 +107,51 @@ class TestTrajectory:
         prob = SyntheticBilevel(c=3.0, w_star=1.0)
         alg = InnerSolver(steps=137, lr=0.07, variant=variant, w0=np.array([0.25]))
         path = trajectory(prob.inner_loss_grad, alg, np.array([0.4]))
-        if variant == "gd":
-            direct = gd_solve(prob.inner_loss_grad, alg, np.array([0.4]))
-        else:
-            direct = adam_solve(prob.inner_loss_grad, alg, np.array([0.4]))
+        direct = solve(prob.inner_loss_grad, alg, np.array([0.4]))
         np.testing.assert_array_equal(path[-1], direct)
         assert len(path) == 138
+
+    def test_keeps_non_finite_iterates(self):
+        alg = InnerSolver(steps=2000, lr=3.0, w0=np.array([1.0]))
+        path = trajectory(quad_grad, alg, np.zeros(1))
+        assert len(path) == 2001
+        assert np.isfinite(path[1][0]) and not np.isfinite(path[-1][0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        curvature=st.floats(0.1, 10.0),
+        lr=st.floats(1e-3, 1e200),
+        steps=st.integers(0, 300),
+        w0=st.floats(-1e6, 1e6),
+        variant=st.sampled_from(["gd", "adam"]),
+    )
+    def test_solve_raises_iff_trajectory_leaves_finite_range(
+        self, curvature, lr, steps, w0, variant
+    ):
+        # a quadratic that overflows for large enough lr * curvature
+        def grad(w, lam):
+            return curvature * (w - 3.0)
+
+        alg = InnerSolver(steps=steps, lr=lr, variant=variant, w0=np.array([w0, -w0]))
+        path = trajectory(grad, alg, np.zeros(1))
+        diverged = any(not np.all(np.isfinite(w)) for w in path)
+        if diverged:
+            with pytest.raises(NonFiniteIterate):
+                solve(grad, alg, np.zeros(1))
+        else:
+            np.testing.assert_array_equal(solve(grad, alg, np.zeros(1)), path[-1])
 
 
 class TestSolverContinuity:
     """||A(lam + d) - A(lam)|| <= C * d with C from the largest probe."""
 
     def _ratios(self, loss_grad, alg, lam0, d):
-        base = gd_solve(loss_grad, alg, lam0)
+        base = solve(loss_grad, alg, lam0)
         out = []
         for delta in (1e-2, 1e-3, 1e-4):
             shifted = lam0.copy()
             shifted[0] += delta
-            moved = gd_solve(loss_grad, alg, shifted)
+            moved = solve(loss_grad, alg, shifted)
             out.append(np.linalg.norm(moved - base) / delta)
         return out
 
@@ -150,6 +174,6 @@ class TestSolverContinuity:
     def test_determinism_bitwise(self):
         prob = SyntheticBilevel(c=3.0, w_star=1.0)
         alg = InnerSolver(steps=64, lr=0.1, w0=np.zeros(1))
-        a = gd_solve(prob.inner_loss_grad, alg, np.array([0.3]))
-        b = gd_solve(prob.inner_loss_grad, alg, np.array([0.3]))
+        a = solve(prob.inner_loss_grad, alg, np.array([0.3]))
+        b = solve(prob.inner_loss_grad, alg, np.array([0.3]))
         np.testing.assert_array_equal(a, b)

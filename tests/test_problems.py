@@ -125,10 +125,10 @@ class TestLogReg:
         lam = np.array([0.0])
         a = InnerSolver(steps=3000, lr=0.02, w0=np.zeros(prob.d))
         b = InnerSolver(steps=3000, lr=0.02, w0=np.full(prob.d, 0.5))
-        from hozog import gd_solve
+        from hozog import solve
 
-        wa = gd_solve(prob.inner_loss_grad, a, lam)
-        wb = gd_solve(prob.inner_loss_grad, b, lam)
+        wa = solve(prob.inner_loss_grad, a, lam)
+        wb = solve(prob.inner_loss_grad, b, lam)
         assert np.linalg.norm(wa - wb) <= 1e-4
 
     def test_sample_order_invariance(self):

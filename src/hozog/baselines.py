@@ -27,6 +27,8 @@ class RandomSearchConfig:
     def __post_init__(self):
         if self.budget < 1:
             raise InvalidConfig(f"budget must be >= 1, got {self.budget}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         box = np.atleast_2d(np.asarray(self.box, dtype=float))
         if box.ndim != 2 or box.shape[1] != 2 or np.any(box[:, 0] >= box[:, 1]):
             raise InvalidConfig("box must be (p, 2) with lo < hi per coordinate")

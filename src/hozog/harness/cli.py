@@ -6,6 +6,9 @@ Subcommands:
   parse-data         strict-parse a LIBSVM file, optionally print a summary
   lipschitz-report   product upper bound and empirical Lipschitz sampling
 
+Every config file is read and checked by :mod:`hozog.harness.config`
+before anything runs, as are the ``sweep --values``.
+
 Exit codes: 0 success, 1 data/runtime error, 2 config error (the message
 names the offending field), 3 non-finite objective (diverging inner solve).
 """
@@ -13,16 +16,14 @@ names the offending field), 3 non-finite objective (diverging inner solve).
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import ast
 import json
 import sys
 from collections import Counter
 
-import numpy as np
-
 from ..errors import ConfigError, HozogError, NonFiniteObjective, ParseError
 from ..lipschitz import empirical_lipschitz, lipschitz_product_bound, synthetic_step_jacobians
-from .config import config_from_dict, load_config, read_json
+from .config import lipschitz_config, load_config, read_json
 from .runner import SWEEP_AXES, build_objective, run_experiment, sweep
 
 __all__ = ["main"]
@@ -65,19 +66,11 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    tokens = [tok for tok in args.values.split(",") if tok.strip()]
-    if not tokens:
-        raise ConfigError("values", "need at least one value")
-    if args.axis == "q":
-        try:
-            values = [int(tok) for tok in tokens]
-        except ValueError:
-            raise ConfigError("values", f"q values must be integers, got {args.values!r}") from None
-    else:
-        try:
-            values = [float(tok) for tok in tokens]
-        except ValueError:
-            raise ConfigError("values", f"values must be numbers, got {args.values!r}") from None
+    try:
+        # each value's type and range are the swept hozog key's, checked by sweep
+        values = [ast.literal_eval(tok) for tok in args.values.split(",") if tok.strip()]
+    except (ValueError, SyntaxError, TypeError):
+        raise ConfigError("values", f"not comma-separated numbers: {args.values!r}") from None
     statuses = sweep(cfg, args.axis, values)
     failed = False
     for status in statuses:
@@ -106,34 +99,10 @@ def _cmd_parse_data(args) -> int:
     return 0
 
 
-_LIP_KEYS = {"problem", "inner", "box", "n_pairs", "seed", "output", "max_workers"}
-
-
 def _cmd_lipschitz(args) -> int:
-    raw = read_json(args.config)
-    for key in raw:
-        if key not in _LIP_KEYS:
-            raise ConfigError(key, "unknown key")
-    for key in ("problem", "inner", "box"):
-        if key not in raw:
-            raise ConfigError(key, "missing required key")
-
-    cfg = config_from_dict(
-        {
-            "method": "hozog",
-            "problem": raw["problem"],
-            "inner": raw["inner"],
-            "hozog": {},
-            "max_workers": raw.get("max_workers", 1),
-        }
-    )
-    if cfg.problem["kind"] == "synthetic" and cfg.problem["mode"] != "iterative":
-        cfg = dataclasses.replace(cfg, problem={**cfg.problem, "mode": "iterative"})
+    cfg = lipschitz_config(read_json(args.config))
     spec = build_objective(cfg)
-    box = np.asarray(raw["box"], dtype=float)
-    n_pairs = raw.get("n_pairs", 1000)
-    seed = raw.get("seed", 0)
-    report = empirical_lipschitz(spec, box, n_pairs=n_pairs, seed=seed)
+    report = empirical_lipschitz(spec, cfg.box, n_pairs=cfg.n_pairs, seed=cfg.seed)
     bound = None
     if cfg.problem["kind"] == "synthetic":
         jacs = synthetic_step_jacobians(
@@ -141,21 +110,20 @@ def _cmd_lipschitz(args) -> int:
             w_star=cfg.problem["w_star"],
             eta=cfg.inner.lr,
             t_inner=cfg.inner.steps,
-            lambda_box=box[0],
+            lambda_box=cfg.box[0],
         )
         bound = lipschitz_product_bound(jacs)
     payload = {
         "bound": bound,
         "empirical_max_ratio": report.empirical_max_ratio,
         "samples": report.samples,
-        "domain_box": box.tolist(),
+        "domain_box": report.domain_box.tolist(),
     }
-    output = raw.get("output")
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
+    if cfg.output is not None:
+        with open(cfg.output, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
-        print(f"report written to {output}")
+        print(f"report written to {cfg.output}")
     print(json.dumps(payload))
     return 0
 

@@ -1,28 +1,41 @@
-"""Experiment config files: JSON with nested sections, strictly validated.
+"""The one parser for every config file the CLI reads.
 
-Unknown keys anywhere in the tree are errors (a typo silently ignored is a
-wrong experiment), every referenced path must exist at load time, and a
-key that is present must hold a value of its type (``null`` included).
-Each estimator section becomes, at load time, the runtime object that
-uses it: ``inner`` an :class:`~hozog.inner_solvers.InnerSolver` and
-``hozog`` a :class:`~hozog.zo_core.ZoConfig`, built over the defaults
-below, which are the only copy of them in the harness.  ``max_workers``
-is still accepted and checked (an integer >= 1) so that existing configs
-load, but it has no effect: every evaluation runs in sequence.
+:func:`config_from_dict` reads an experiment config (``hozog run`` and
+``hozog sweep``) and :func:`lipschitz_config` a ``hozog lipschitz-report``
+config.  Both are JSON with nested sections, strictly validated: unknown
+keys anywhere in the tree are errors (a typo silently ignored is a wrong
+experiment), every referenced path must exist at load time, and a key
+that is present must hold a value of its type (``null`` included).  Every
+failure is a :class:`~hozog.errors.ConfigError` naming ``section.key``.
+
+A section that configures a runtime object becomes that object at load
+time, over the defaults below, which are the only copy of them in the
+harness: ``inner`` an :class:`~hozog.inner_solvers.InnerSolver` and
+``hozog`` a :class:`~hozog.zo_core.ZoConfig`.  The keys of
+``random_search`` go through :class:`~hozog.baselines.RandomSearchConfig`
+the same way; its box default is the runner's, since it needs the built
+problem's bounds.  Each value is checked here against its field's declared
+type (an int field takes no bool or float, a float field takes an int) and
+by the class's own range check, so each range is written once.  A value
+no class checks (problem sizes and seeds, ``metric_every``, the report's
+seed) is range-checked here.  ``max_workers`` is still accepted and
+checked (an integer >= 1) so that existing configs load, but it has no
+effect: every evaluation runs in sequence.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+from ..baselines import RandomSearchConfig
 from ..errors import ConfigError, InvalidConfig
 from ..inner_solvers import InnerSolver
 from ..zo_core import ZoConfig
 
-__all__ = ["ExperimentConfig", "load_config"]
+__all__ = ["ExperimentConfig", "LipschitzConfig", "load_config"]
 
 _TOP_KEYS = {
     "method",
@@ -35,6 +48,7 @@ _TOP_KEYS = {
     "metric_every",
     "max_workers",
 }
+_LIPSCHITZ_KEYS = {"problem", "inner", "box", "n_pairs", "seed", "output", "max_workers"}
 _PROBLEM_KEYS = {
     "synthetic": {"kind", "c", "w_star", "mode"},
     "logreg": {"kind", "data", "split_seed", "binarize_seed", "n_features"},
@@ -48,9 +62,6 @@ _PROBLEM_KEYS = {
         "corruption_seed",
     },
 }
-_INNER_KEYS = {f.name for f in fields(InnerSolver)} - {"w0"}
-_HOZOG_KEYS = {f.name for f in fields(ZoConfig)}
-_RS_KEYS = {"budget", "box", "seed"}
 
 # keys an inner section leaves out; beta1, beta2 and eps keep InnerSolver's own
 _INNER_DEFAULTS = {
@@ -61,6 +72,9 @@ _INNER_DEFAULTS = {
 # keys a hozog section leaves out (seed and direction_scheme keep ZoConfig's);
 # also the metrics probe of a random-search run that has no hozog section
 HOZOG_DEFAULTS = ZoConfig(q=1, mu=0.01, gamma=0.05, iterations=0)
+# budget has no default and box's is the runner's; these stand in for them
+# while the keys a random_search section does give are checked
+_RS_BASE = RandomSearchConfig(budget=1, box=[[0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -75,7 +89,79 @@ class ExperimentConfig:
     lambda0: object
     output: str
     metric_every: int
-    raw: dict = field(repr=False, default_factory=dict)
+
+
+@dataclass(frozen=True)
+class LipschitzConfig:
+    """A validated ``lipschitz-report`` config; its problem is always solved iteratively."""
+
+    problem: dict
+    inner: InnerSolver | None
+    box: list
+    n_pairs: int
+    seed: int
+    output: str | None
+
+
+def _int(value, name: str, minimum=None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(name, f"must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(name, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(name, f"must be a number, got {value!r}")
+    return float(value)
+
+
+def _string(value, name: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(name, f"must be a string, got {value!r}")
+    return value
+
+
+def _box(value, name: str) -> list:
+    if not isinstance(value, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in value
+    ):
+        raise ConfigError(name, "must be a list of [lo, hi] pairs")
+    return [[_number(lo, name), _number(hi, name)] for lo, hi in value]
+
+
+# dataclass field annotation (a string under postponed evaluation) -> check
+_TYPE_CHECKS = {"int": _int, "float": _number, "str": _string, "np.ndarray": _box}
+
+
+def _section(section, where: str, base):
+    """``base`` with the keys of config section ``where`` replaced.
+
+    Each value is checked against its field's declared type, then by the
+    class's own ``__post_init__`` with that one key replaced, so a range
+    failure names its key.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(where, "must be a section")
+    # InnerSolver.w0 is for library callers: a config's inner solve starts at zero
+    types = {f.name: f.type for f in fields(base) if f.name != "w0"}
+    values = {}
+    for key, value in section.items():
+        name = f"{where}.{key}"
+        if key not in types:
+            raise ConfigError(name, "unknown key")
+        values[key] = _TYPE_CHECKS[types[key]](value, name)
+        try:
+            replace(base, **{key: values[key]})
+        except InvalidConfig as err:
+            raise ConfigError(name, str(err)) from None
+    return replace(base, **values)
+
+
+def with_hozog(cfg: ExperimentConfig, **values) -> ExperimentConfig:
+    """``cfg`` with some hozog keys replaced, checked as a hozog section's are."""
+    return replace(cfg, hozog=_section(values, "hozog", cfg.hozog))
 
 
 def _reject_unknown(section: dict, allowed: set, where: str) -> None:
@@ -86,33 +172,17 @@ def _reject_unknown(section: dict, allowed: set, where: str) -> None:
 
 def _require(section: dict, key: str, where: str):
     if key not in section:
-        raise ConfigError(f"{where}.{key}", "missing required key")
+        raise ConfigError(f"{where}.{key}" if where else key, "missing required key")
     return section[key]
 
 
-def _check_int(section: dict, key: str, where: str, minimum=None):
-    if key not in section:
-        return None
-    value = section[key]
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key}", f"must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{where}.{key}", f"must be >= {minimum}, got {value}")
-    return value
+def _top_level(raw, allowed: set) -> None:
+    if not isinstance(raw, dict):
+        raise ConfigError("config", "top level must be an object")
+    _reject_unknown(raw, allowed, "")
 
 
-def _check_number(section: dict, key: str, where: str, positive=False):
-    if key not in section:
-        return None
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}", f"must be a number, got {value!r}")
-    if positive and value <= 0:
-        raise ConfigError(f"{where}.{key}", f"must be > 0, got {value}")
-    return float(value)
-
-
-def _validate_problem(problem: dict) -> dict:
+def _problem(problem) -> dict:
     if not isinstance(problem, dict):
         raise ConfigError("problem", "must be a section")
     kind = _require(problem, "kind", "problem")
@@ -120,79 +190,52 @@ def _validate_problem(problem: dict) -> dict:
         raise ConfigError("problem.kind", f"unknown problem kind {kind!r}")
     _reject_unknown(problem, _PROBLEM_KEYS[kind], "problem")
     if kind == "synthetic":
-        c = _check_number(problem, "c", "problem")
-        w_star = _check_number(problem, "w_star", "problem")
-        if c is None or w_star is None:
+        if "c" not in problem or "w_star" not in problem:
             raise ConfigError("problem", "synthetic needs both c and w_star")
         mode = problem.get("mode", "exact")
         if mode not in ("exact", "iterative"):
             raise ConfigError("problem.mode", f"must be 'exact' or 'iterative', got {mode!r}")
-        problem = {**problem, "mode": mode}
+        return {
+            "kind": kind,
+            "c": _number(problem["c"], "problem.c"),
+            "w_star": _number(problem["w_star"], "problem.w_star"),
+            "mode": mode,
+        }
+    data = _require(problem, "data", "problem")
+    if not isinstance(data, str) or not os.path.exists(data):
+        raise ConfigError("problem.data", f"path does not exist: {data!r}")
+    if kind == "logreg":
+        problem = {"split_seed": 0, **problem}
     else:
-        data = _require(problem, "data", "problem")
-        if not isinstance(data, str) or not os.path.exists(data):
-            raise ConfigError("problem.data", f"path does not exist: {data!r}")
-        if kind == "logreg":
-            _check_int(problem, "split_seed", "problem", minimum=0)
-            _check_int(problem, "binarize_seed", "problem", minimum=0)
-            _check_int(problem, "n_features", "problem", minimum=1)
-            problem = {**{"split_seed": 0}, **problem}
-        else:
-            for key in ("n_train", "n_val", "n_test", "n_groups"):
-                if _check_int(problem, key, "problem", minimum=1) is None:
-                    raise ConfigError(f"problem.{key}", "missing required key")
-            problem = {**{"corruption_seed": 0}, **problem}
-            _check_int(problem, "corruption_seed", "problem", minimum=0)
+        for key in ("n_train", "n_val", "n_test", "n_groups"):
+            _require(problem, key, "problem")
+        problem = {"corruption_seed": 0, **problem}
+    for key, value in problem.items():
+        if key not in ("kind", "data"):
+            _int(value, f"problem.{key}", minimum=0 if key.endswith("seed") else 1)
     return problem
 
 
-def _validate_inner(inner, kind: str) -> InnerSolver | None:
-    if inner is None:
-        if kind == "synthetic":
-            return None
-        inner = {}
-    if not isinstance(inner, dict):
-        raise ConfigError("inner", "must be a section")
-    _reject_unknown(inner, _INNER_KEYS, "inner")
-    if "variant" in inner and inner["variant"] not in ("gd", "adam"):
-        raise ConfigError("inner.variant", f"must be 'gd' or 'adam', got {inner['variant']!r}")
-    _check_int(inner, "steps", "inner", minimum=0)
-    _check_number(inner, "lr", "inner", positive=True)
-    for key in ("beta1", "beta2", "eps"):
-        _check_number(inner, key, "inner", positive=False)
-    return replace(_INNER_DEFAULTS[kind], **inner)
+def _inner(section, kind: str) -> InnerSolver | None:
+    if section is None and kind == "synthetic":
+        return None
+    return _section({} if section is None else section, "inner", _INNER_DEFAULTS[kind])
 
 
-def _validate_hozog(section) -> ZoConfig:
-    if not isinstance(section, dict):
-        raise ConfigError("hozog", "must be a section")
-    _reject_unknown(section, _HOZOG_KEYS, "hozog")
-    try:
-        zo = replace(HOZOG_DEFAULTS, **section)
-    except (InvalidConfig, TypeError) as err:
-        raise ConfigError("hozog", str(err)) from None
-    _check_int(section, "seed", "hozog", minimum=0)
-    return zo
+def _random_search(section) -> dict:
+    checked = _section(section, "random_search", _RS_BASE)
+    _require(section, "budget", "random_search")
+    box = checked.box.tolist() if "box" in section else None
+    return {"budget": checked.budget, "box": box, "seed": checked.seed}
 
 
-def _validate_rs(section) -> dict:
-    if not isinstance(section, dict):
-        raise ConfigError("random_search", "must be a section")
-    _reject_unknown(section, _RS_KEYS, "random_search")
-    if _check_int(section, "budget", "random_search", minimum=1) is None:
-        raise ConfigError("random_search.budget", "missing required key")
-    if _check_int(section, "seed", "random_search", minimum=0) is None:
-        section = {**section, "seed": 0}
-    box = section.get("box")
-    if box is not None:
-        if not isinstance(box, list) or not all(
-            isinstance(pair, list) and len(pair) == 2 for pair in box
-        ):
-            raise ConfigError("random_search.box", "must be a list of [lo, hi] pairs")
-        for pair in box:
-            if pair[0] >= pair[1]:
-                raise ConfigError("random_search.box", f"needs lo < hi, got {pair}")
-    return section
+def _output(value, name: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(name, "must be a non-empty path string")
+    parent = Path(value).parent
+    if str(parent) not in ("", ".") and not parent.exists():
+        raise ConfigError(name, f"directory does not exist: {parent}")
+    return value
 
 
 def read_json(path):
@@ -211,49 +254,26 @@ def load_config(path) -> ExperimentConfig:
     return config_from_dict(read_json(path))
 
 
-def config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config", "top level must be an object")
-    _reject_unknown(raw, _TOP_KEYS, "")
+def config_from_dict(raw) -> ExperimentConfig:
+    """Validate an experiment config; sections become the objects that run them."""
+    _top_level(raw, _TOP_KEYS)
     method = _require(raw, "method", "")
     if method not in ("hozog", "random_search"):
         raise ConfigError("method", f"must be 'hozog' or 'random_search', got {method!r}")
-    problem = _validate_problem(_require(raw, "problem", ""))
-    inner = _validate_inner(raw.get("inner"), problem["kind"])
-    hozog = None
-    random_search = None
-    if method == "hozog":
-        hozog = _validate_hozog(_require(raw, "hozog", ""))
-    elif "hozog" in raw:
-        hozog = _validate_hozog(raw["hozog"])
-    if method == "random_search":
-        random_search = _validate_rs(_require(raw, "random_search", ""))
-    elif "random_search" in raw:
-        random_search = _validate_rs(raw["random_search"])
+    problem = _problem(_require(raw, "problem", ""))
+    inner = _inner(raw.get("inner"), problem["kind"])
+    hozog = random_search = None
+    if method == "hozog" or "hozog" in raw:
+        hozog = _section(_require(raw, "hozog", ""), "hozog", HOZOG_DEFAULTS)
+    if method == "random_search" or "random_search" in raw:
+        random_search = _random_search(_require(raw, "random_search", ""))
 
     lambda0 = raw.get("lambda0", "zeros")
-    if not (
-        lambda0 == "zeros"
-        or isinstance(lambda0, (int, float))
-        or (isinstance(lambda0, list) and all(isinstance(v, (int, float)) for v in lambda0))
-    ):
-        raise ConfigError("lambda0", "must be 'zeros', a number, or a list of numbers")
-
-    output = raw.get("output", "trace.csv")
-    if not isinstance(output, str) or not output:
-        raise ConfigError("output", "must be a non-empty path string")
-    parent = Path(output).parent
-    if str(parent) not in ("", ".") and not parent.exists():
-        raise ConfigError("output", f"directory does not exist: {parent}")
-
-    metric_every = raw.get("metric_every", 1)
-    if not isinstance(metric_every, int) or isinstance(metric_every, bool) or metric_every < 1:
-        raise ConfigError("metric_every", f"must be an integer >= 1, got {metric_every!r}")
-
-    max_workers = raw.get("max_workers", 1)
-    if not isinstance(max_workers, int) or isinstance(max_workers, bool) or max_workers < 1:
-        raise ConfigError("max_workers", f"must be an integer >= 1, got {max_workers!r}")
-
+    if isinstance(lambda0, list):
+        lambda0 = [_number(v, "lambda0") for v in lambda0]
+    elif lambda0 != "zeros":
+        lambda0 = _number(lambda0, "lambda0")
+    _int(raw.get("max_workers", 1), "max_workers", minimum=1)
     return ExperimentConfig(
         method=method,
         problem=problem,
@@ -261,7 +281,28 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         hozog=hozog,
         random_search=random_search,
         lambda0=lambda0,
-        output=output,
-        metric_every=metric_every,
-        raw=raw,
+        output=_output(raw.get("output", "trace.csv"), "output"),
+        metric_every=_int(raw.get("metric_every", 1), "metric_every", minimum=1),
+    )
+
+
+def lipschitz_config(raw) -> LipschitzConfig:
+    """Validate a ``lipschitz-report`` config with the experiment config's section checks.
+
+    ``n_pairs`` and the box's lo < hi are range-checked where they are
+    used, by :func:`~hozog.lipschitz.empirical_lipschitz`.
+    """
+    _top_level(raw, _LIPSCHITZ_KEYS)
+    problem = _problem(_require(raw, "problem", ""))
+    if problem["kind"] == "synthetic":
+        problem["mode"] = "iterative"
+    inner = _inner(_require(raw, "inner", ""), problem["kind"])
+    _int(raw.get("max_workers", 1), "max_workers", minimum=1)
+    return LipschitzConfig(
+        problem=problem,
+        inner=inner,
+        box=_box(_require(raw, "box", ""), "box"),
+        n_pairs=_int(raw.get("n_pairs", 1000), "n_pairs"),
+        seed=_int(raw.get("seed", 0), "seed", minimum=0),
+        output=_output(raw["output"], "output") if "output" in raw else None,
     )

@@ -67,34 +67,31 @@ def compute_metrics(
     spec: ObjectiveSpec,
     lam: np.ndarray,
     history_min: float,
-    grad_q: int,
-    grad_mu: float,
+    probe: ZoConfig,
     metrics_rng: np.random.Generator,
     evaluation: Evaluation | None = None,
-    direction_scheme: str = "sphere",
 ) -> MetricSample:
     """Metric fields for one iterate.
 
     ``history_min`` is the running minimum of f over previously explored
     iterates (+inf before the first); suboptimality is measured against the
     updated minimum, so the incumbent record scores exactly zero.  The
-    gradient-norm estimate reuses f(lam) and consumes ``grad_q`` metric-only
-    oracle calls; evaluating f when ``evaluation`` is absent adds one more.
+    gradient-norm estimate uses ``probe``'s q, mu and direction scheme (its
+    gamma, iterations and seed play no part); it reuses f(lam) and consumes
+    q metric-only oracle calls; evaluating f when ``evaluation`` is absent
+    adds one more.
     """
-    calls = grad_q
+    calls = probe.q
     if evaluation is None:
         evaluation = evaluate(spec, lam)
         calls += 1
     f = evaluation.f_value
     new_min = min(history_min, f)
-    cfg = ZoConfig(
-        q=grad_q, mu=grad_mu, gamma=1.0, iterations=0, direction_scheme=direction_scheme
-    )
-    directions = sample_directions(spec.p, grad_q, direction_scheme, metrics_rng)
+    directions = sample_directions(spec.p, probe.q, probe.direction_scheme, metrics_rng)
     estimate = estimate_hyper_gradient(
         lam,
         lambda _: f,
-        cfg,
+        probe,
         directions,
         batch_oracle=lambda points: [e.f_value for e in evaluate_batch(spec, points)],
     )
@@ -151,11 +148,9 @@ class TraceWriter:
             self.spec,
             event.hyperparams,
             self._history_min,
-            grad_q=self.probe.q,
-            grad_mu=self.probe.mu,
-            metrics_rng=self._metrics_rng,
+            self.probe,
+            self._metrics_rng,
             evaluation=event.evaluation,
-            direction_scheme=self.probe.direction_scheme,
         )
         self._history_min = sample.history_min
         self.metric_calls += sample.metric_calls

@@ -1,4 +1,9 @@
-"""Experiment orchestration: build the objective, run a method, persist traces."""
+"""Experiment orchestration: build the objective, run a method, persist traces.
+
+Every run writes its trace CSV and, next to it, a manifest recording the
+resolved config (what ran, every default filled in, the random-search box
+and the metrics probe included) and the library versions.
+"""
 
 from __future__ import annotations
 
@@ -22,8 +27,8 @@ from ..problems import (
     make_hyperclean,
     make_synthetic,
 )
-from ..zo_core import run_hozog
-from .config import HOZOG_DEFAULTS, ExperimentConfig
+from ..zo_core import ZoConfig, run_hozog
+from .config import HOZOG_DEFAULTS, ExperimentConfig, LipschitzConfig, with_hozog
 from .metrics import TraceWriter
 
 __all__ = ["build_objective", "run_experiment", "sweep", "SWEEP_AXES"]
@@ -31,8 +36,8 @@ __all__ = ["build_objective", "run_experiment", "sweep", "SWEEP_AXES"]
 SWEEP_AXES = ("q", "mu", "gamma")
 
 
-def build_objective(cfg: ExperimentConfig) -> ObjectiveSpec:
-    """Construct the ObjectiveSpec an experiment config describes."""
+def build_objective(cfg: ExperimentConfig | LipschitzConfig) -> ObjectiveSpec:
+    """Construct the ObjectiveSpec a config's problem and inner sections describe."""
     kind = cfg.problem["kind"]
     if kind == "synthetic":
         if cfg.problem["mode"] == "exact":
@@ -78,33 +83,31 @@ def _resolve_lambda0(cfg: ExperimentConfig, p: int) -> np.ndarray:
 
 
 def _rs_config(cfg: ExperimentConfig, spec: ObjectiveSpec) -> RandomSearchConfig:
-    section = cfg.random_search
-    box = section.get("box")
+    box = cfg.random_search["box"]
     if box is None:
         if spec.bounds is not None:
             box = spec.bounds
         else:
             # the tasks without declared bounds still need a sampling box
             box = np.tile([-5.0, 5.0], (spec.p, 1))
-    return RandomSearchConfig(budget=section["budget"], box=box, seed=section["seed"])
+    return RandomSearchConfig(**{**cfg.random_search, "box": box})
 
 
-def _collect_seeds(cfg: ExperimentConfig) -> dict:
-    seeds = {}
-    if cfg.hozog is not None:
-        seeds["hozog"] = cfg.hozog.seed
-    if cfg.random_search is not None:
-        seeds["random_search"] = cfg.random_search["seed"]
-    for key in ("split_seed", "binarize_seed", "corruption_seed"):
-        if key in cfg.problem:
-            seeds[key] = cfg.problem[key]
-    return seeds
+def _write_manifest(
+    path: Path, cfg: ExperimentConfig, probe: ZoConfig, rs: RandomSearchConfig | None, result: dict
+) -> None:
+    """Write the resolved config (what ran, defaults filled in) and the library versions.
 
-
-def _write_manifest(path: Path, cfg: ExperimentConfig, result: dict) -> None:
+    A random-search run's hozog section is its metrics probe.  A section
+    the run did not use is left out, as a config file leaves it out.
+    """
+    config = dataclasses.asdict(dataclasses.replace(cfg, hozog=probe))
+    if cfg.inner is not None:
+        del config["inner"]["w0"]  # not a config key
+    if rs is not None:
+        config["random_search"] = {**dataclasses.asdict(rs), "box": rs.box.tolist()}
     manifest = {
-        "config": cfg.raw,
-        "seeds": _collect_seeds(cfg),
+        "config": {key: value for key, value in config.items() if value is not None},
         "result": result,
         "versions": {
             "python": platform.python_version(),
@@ -128,6 +131,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     spec = build_objective(cfg)
     lam0 = _resolve_lambda0(cfg, spec.p)
     probe = cfg.hozog or HOZOG_DEFAULTS
+    rs = None
     if cfg.method == "random_search":
         rs = _rs_config(cfg, spec)
         probe = dataclasses.replace(probe, seed=rs.seed)
@@ -146,7 +150,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "trace": str(cfg.output),
         }
     manifest_path = Path(cfg.output).with_suffix(".manifest.json")
-    _write_manifest(manifest_path, cfg, summary)
+    _write_manifest(manifest_path, cfg, probe, rs, summary)
     summary["manifest"] = str(manifest_path)
     return summary
 
@@ -160,28 +164,22 @@ def _output_for_value(output: str, axis: str, value) -> str:
 def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
     """Run one experiment per value of a single estimator parameter.
 
-    All runs share every other setting, including seeds.  A failing run is
-    reported in the returned status list but does not stop the others.
+    All runs share every other setting, including seeds.  Every value is
+    checked as a hozog config value before the first run; a ConfigError
+    names the first bad one.  A failing run is reported in the returned
+    status list but does not stop the others.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError("axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
-    if cfg.method != "hozog" or cfg.hozog is None:
+    if cfg.method != "hozog":
         raise ConfigError("method", "sweep only applies to hozog runs")
     if not values:
         raise ConfigError("values", "need at least one value")
+    runs = [with_hozog(cfg, **{axis: value}) for value in values]
     statuses = []
-    for value in values:
-        if axis == "q":
-            if not isinstance(value, int) or value < 1:
-                raise ConfigError("values", f"q must be a positive integer, got {value!r}")
-        elif not isinstance(value, (int, float)) or value <= 0:
-            raise ConfigError("values", f"{axis} must be > 0, got {value!r}")
-        run_cfg = dataclasses.replace(
-            cfg,
-            hozog=dataclasses.replace(cfg.hozog, **{axis: value}),
-            output=_output_for_value(cfg.output, axis, value),
-            raw={**cfg.raw, "hozog": {**cfg.raw["hozog"], axis: value}},
-        )
+    for run_cfg in runs:
+        value = getattr(run_cfg.hozog, axis)
+        run_cfg = dataclasses.replace(run_cfg, output=_output_for_value(cfg.output, axis, value))
         try:
             summary = run_experiment(run_cfg)
             statuses.append({"value": value, "ok": True, "trace": summary["trace"]})

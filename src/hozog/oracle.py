@@ -65,7 +65,6 @@ class Evaluation:
     hyperparams: np.ndarray
     f_value: float
     model: np.ndarray
-    inner_steps_used: int
 
 
 def _check_lambda(spec: ObjectiveSpec, lam) -> np.ndarray:
@@ -87,7 +86,6 @@ def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
     problem = spec.problem
     if spec.inner is None:
         w = problem.exact_solution(lam)
-        steps_used = 0
     else:
         alg = spec.inner
         if alg.w0 is None:
@@ -99,14 +97,13 @@ def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
                 f"inner solve diverged ({err}) at lam={np.array2string(lam, threshold=8)}",
                 hyperparams=lam,
             ) from err
-        steps_used = alg.steps
     f = float(problem.outer_value(w, lam))
     if not np.isfinite(f):
         raise NonFiniteObjective(
             f"objective is not finite at lam={np.array2string(lam, threshold=8)}",
             hyperparams=lam,
         )
-    return Evaluation(hyperparams=lam, f_value=f, model=w, inner_steps_used=steps_used)
+    return Evaluation(hyperparams=lam, f_value=f, model=w)
 
 
 def evaluate_batch(spec: ObjectiveSpec, lams) -> list:
@@ -120,12 +117,10 @@ def evaluate_batch(spec: ObjectiveSpec, lams) -> list:
 class _FunctionProblem:
     """Adapter exposing a plain callable f(lam) through the problem surface."""
 
-    def __init__(self, fn, p: int, bounds=None, name: str = "function"):
+    def __init__(self, fn, p: int):
         self.fn = fn
         self.p = p
         self.d = 0
-        self.bounds = bounds
-        self.name = name
 
     def exact_solution(self, lam):
         return np.empty(0)
@@ -143,6 +138,6 @@ def function_objective(fn, p: int, bounds=None) -> ObjectiveSpec:
     Used for closed-form oracles in tests and for driving the outer loop
     with scripted objectives.
     """
-    problem = _FunctionProblem(fn, p, bounds=bounds)
+    problem = _FunctionProblem(fn, p)
     box = None if bounds is None else np.atleast_2d(np.asarray(bounds, dtype=float))
     return ObjectiveSpec(problem=problem, inner=None, bounds=box)

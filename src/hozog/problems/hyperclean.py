@@ -68,9 +68,6 @@ class HyperCleanProblem:
     n_classes: int
     n_groups: int
 
-    name = "hyperclean"
-    bounds = None
-
     def __post_init__(self):
         n_tr = self.x_train.shape[0]
         for arr, what in (

@@ -46,8 +46,6 @@ class LogRegProblem:
     y_test: np.ndarray
 
     p = 1
-    bounds = LOGREG_BOUNDS
-    name = "logreg"
 
     def __post_init__(self):
         dims = {m.shape[1] for m in (self.x_train, self.x_val, self.x_test)}

@@ -56,8 +56,6 @@ class SyntheticBilevel:
 
     p = 1
     d = 1
-    bounds = None
-    name = "synthetic"
 
     def inner_solution(self, lam: float) -> float:
         return self.c / (1.0 + 2.0 * _exp(lam))

@@ -71,6 +71,8 @@ class ZoConfig:
             raise InvalidConfig(f"gamma must be > 0, got {self.gamma}")
         if self.iterations < 0:
             raise InvalidConfig(f"iterations must be >= 0, got {self.iterations}")
+        if self.seed < 0:
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         if self.direction_scheme not in DIRECTION_SCHEMES:
             raise InvalidConfig(
                 f"direction_scheme must be one of {DIRECTION_SCHEMES}, "

@@ -29,11 +29,15 @@ def metrics_rng():
     return np.random.default_rng(99)
 
 
+def probe_config(q, mu):
+    return ZoConfig(q=q, mu=mu, gamma=1.0, iterations=0)
+
+
 class TestComputeMetrics:
     def test_first_record_suboptimality_is_zero(self):
         spec = make_synthetic(3.0, 1.0)
         sample = compute_metrics(
-            spec, np.array([1.0]), math.inf, grad_q=1, grad_mu=0.01, metrics_rng=metrics_rng()
+            spec, np.array([1.0]), math.inf, probe=probe_config(1, 0.01), metrics_rng=metrics_rng()
         )
         assert sample.suboptimality == 0.0
         assert sample.metric_calls == 2  # f itself plus the q-call probe
@@ -47,7 +51,7 @@ class TestComputeMetrics:
             # a fixed-value oracle per step isolates the bookkeeping
             spec_step = function_objective(lambda lam, v=f_known: v, p=1)
             sample = compute_metrics(
-                spec_step, np.zeros(1), history, grad_q=1, grad_mu=0.01, metrics_rng=rng
+                spec_step, np.zeros(1), history, probe=probe_config(1, 0.01), metrics_rng=rng
             )
             history = sample.history_min
             subopts.append(sample.suboptimality)
@@ -57,7 +61,7 @@ class TestComputeMetrics:
     def test_constant_oracle_zero_gradient_norm(self):
         spec = function_objective(lambda lam: 2.5, p=3)
         sample = compute_metrics(
-            spec, np.zeros(3), math.inf, grad_q=4, grad_mu=0.1, metrics_rng=metrics_rng()
+            spec, np.zeros(3), math.inf, probe=probe_config(4, 0.1), metrics_rng=metrics_rng()
         )
         assert sample.grad_norm_est == 0.0
 
@@ -75,8 +79,7 @@ class TestComputeMetrics:
             spec,
             np.zeros(1),
             math.inf,
-            grad_q=2,
-            grad_mu=0.1,
+            probe=probe_config(2, 0.1),
             metrics_rng=metrics_rng(),
             evaluation=ev,
         )
@@ -87,14 +90,13 @@ class TestComputeMetrics:
         spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=50, lr=0.1))
         lam = np.array([0.4])
         fresh = compute_metrics(
-            spec, lam, math.inf, grad_q=3, grad_mu=0.01, metrics_rng=metrics_rng()
+            spec, lam, math.inf, probe=probe_config(3, 0.01), metrics_rng=metrics_rng()
         )
         reused = compute_metrics(
             spec,
             lam,
             math.inf,
-            grad_q=3,
-            grad_mu=0.01,
+            probe=probe_config(3, 0.01),
             metrics_rng=metrics_rng(),
             evaluation=evaluate(spec, lam),
         )
@@ -114,6 +116,17 @@ def synthetic_config(tmp_path, **overrides):
     return cfg
 
 
+def lipschitz_report_config(tmp_path):
+    return {
+        "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0, "mode": "iterative"},
+        "inner": {"variant": "gd", "steps": 20, "lr": 0.1},
+        "box": [[-2.0, 2.0]],
+        "n_pairs": 200,
+        "seed": 0,
+        "output": str(tmp_path / "report.json"),
+    }
+
+
 def write_config(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
@@ -131,6 +144,23 @@ class TestRunExperiment:
         manifest = json.loads((tmp_path / "trace.manifest.json").read_text())
         assert manifest["config"]["method"] == "hozog"
         assert "numpy" in manifest["versions"]
+
+    def test_manifest_records_resolved_config(self, tmp_path, logreg_file):
+        raw = {
+            "method": "hozog",
+            "problem": {"kind": "logreg", "data": str(logreg_file)},
+            "hozog": {"q": 1, "iterations": 1},
+            "output": str(tmp_path / "trace.csv"),
+        }
+        cfg = config_from_dict(raw)
+        summary = run_experiment(cfg)
+        config = json.loads(open(summary["manifest"], encoding="utf-8").read())["config"]
+        inner = config["inner"]
+        assert (inner["variant"], inner["steps"], inner["lr"]) == ("adam", 150, 0.1)
+        assert config["hozog"]["direction_scheme"] == "sphere"
+        assert config["problem"]["split_seed"] == 0
+        # the resolved values load back into the config that ran
+        assert config_from_dict(config) == cfg
 
     def test_zero_iterations_trace_is_single_initial_record(self, tmp_path):
         cfg = config_from_dict(
@@ -291,9 +321,24 @@ class TestSweep:
             manifest_path = status["trace"].replace(".csv", ".manifest.json")
             manifest = json.loads(open(manifest_path, encoding="utf-8").read())
             assert manifest["config"]["hozog"] == {
-                "q": 2, "mu": mu, "gamma": 1.0, "iterations": 3, "seed": 7
+                "q": 2,
+                "mu": mu,
+                "gamma": 1.0,
+                "iterations": 3,
+                "seed": 7,
+                "direction_scheme": "sphere",
             }
-            assert manifest["seeds"]["hozog"] == 7
+            assert manifest["config"]["hozog"]["seed"] == 7
+
+    def test_every_value_is_checked_before_the_first_run(self, tmp_path, capsys):
+        cfg = config_from_dict(synthetic_config(tmp_path))
+        with pytest.raises(ConfigError) as excinfo:
+            sweep(cfg, "q", [1, 0])
+        assert excinfo.value.field == "hozog.q"
+        path = write_config(tmp_path, synthetic_config(tmp_path))
+        assert cli_main(["sweep", "--config", str(path), "--axis", "q", "--values", "1,0"]) == 2
+        assert "hozog.q" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_bad_axis_rejected(self, tmp_path):
         cfg = config_from_dict(synthetic_config(tmp_path))
@@ -370,21 +415,39 @@ class TestConfigValidation:
             ("inner", {"lr": 0.0}, "inner.lr"),
             ("inner", {"steps": -1}, "inner.steps"),
             ("inner", {"variant": "sgd"}, "inner.variant"),
-            ("hozog", {"q": 0}, "hozog"),
+            ("hozog", {"q": 0}, "hozog.q"),
             ("hozog", {"seed": -1}, "hozog.seed"),
             ("hozog", {"seed": None}, "hozog.seed"),
+            ("hozog", {"q": 2.5}, "hozog.q"),
+            ("hozog", {"iterations": 2.5}, "hozog.iterations"),
+            ("inner", {"steps": True}, "inner.steps"),
+            ("random_search", {"budget": 2.5}, "random_search.budget"),
+            ("lambda0", True, "lambda0"),
+            # a lipschitz-report config: a dict is merged into its top level,
+            # anything else replaces it
+            ("lipschitz-report", {"n_pairs": "200"}, "n_pairs"),
+            ("lipschitz-report", {"box": [-2, 2]}, "box"),
+            ("lipschitz-report", {"seed": -1}, "seed"),
+            ("lipschitz-report", "abc", "config"),
+            ("lipschitz-report", [3], "config"),
         ],
     )
-    def test_bad_section_value_names_its_field(self, tmp_path, section, value, field):
-        cfg = synthetic_config(
-            tmp_path,
-            problem={"kind": "synthetic", "c": 3.0, "w_star": 1.0, "mode": "iterative"},
-            inner={"steps": 10},
-        )
-        cfg[section] = {**cfg[section], **value}
-        with pytest.raises(ConfigError) as excinfo:
-            config_from_dict(cfg)
-        assert excinfo.value.field == field
+    def test_bad_section_value_names_its_field(self, tmp_path, capsys, section, value, field):
+        if section == "lipschitz-report":
+            command = section
+            cfg = lipschitz_report_config(tmp_path)
+            cfg = {**cfg, **value} if isinstance(value, dict) else value
+        else:
+            command = "run"
+            cfg = synthetic_config(
+                tmp_path,
+                problem={"kind": "synthetic", "c": 3.0, "w_star": 1.0, "mode": "iterative"},
+                inner={"steps": 10},
+            )
+            cfg[section] = {**cfg.get(section, {}), **value} if isinstance(value, dict) else value
+        path = write_config(tmp_path, cfg)
+        assert cli_main([command, "--config", str(path)]) == 2
+        assert f"config field '{field}'" in capsys.readouterr().err
 
     def test_load_config_from_file(self, tmp_path):
         path = write_config(tmp_path, synthetic_config(tmp_path))
@@ -433,15 +496,7 @@ class TestCli:
         assert "parse error" in capsys.readouterr().err
 
     def test_lipschitz_report(self, tmp_path, capsys):
-        report_cfg = {
-            "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0, "mode": "iterative"},
-            "inner": {"variant": "gd", "steps": 20, "lr": 0.1},
-            "box": [[-2.0, 2.0]],
-            "n_pairs": 200,
-            "seed": 0,
-            "output": str(tmp_path / "report.json"),
-        }
-        path = write_config(tmp_path, report_cfg, name="lip.json")
+        path = write_config(tmp_path, lipschitz_report_config(tmp_path), name="lip.json")
         assert cli_main(["lipschitz-report", "--config", str(path)]) == 0
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["bound"] >= payload["empirical_max_ratio"] >= 0.0

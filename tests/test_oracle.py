@@ -29,7 +29,6 @@ class TestEvaluate:
         result = evaluate(spec, np.array([0.0]))
         assert result.model[0] == pytest.approx(1.0, abs=1e-12)
         assert result.f_value == pytest.approx(0.0, abs=1e-12)
-        assert result.inner_steps_used == 0
 
     def test_synthetic_large_lambda_limit(self):
         spec = make_synthetic(3.0, 1.0)

@@ -30,7 +30,7 @@ class RandomSearchConfig:
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         box = np.atleast_2d(np.asarray(self.box, dtype=float))
-        if box.ndim != 2 or box.shape[1] != 2 or np.any(box[:, 0] >= box[:, 1]):
+        if box.ndim != 2 or box.shape[1] != 2 or not np.all(box[:, 0] < box[:, 1]):
             raise InvalidConfig("box must be (p, 2) with lo < hi per coordinate")
         object.__setattr__(self, "box", box)
 

@@ -17,10 +17,11 @@ the same way; its box default is the runner's, since it needs the built
 problem's bounds.  Each value is checked here against its field's declared
 type (an int field takes no bool or float, a float field takes an int) and
 by the class's own range check, so each range is written once.  A value
-no class checks (problem sizes and seeds, ``metric_every``, the report's
-seed) is range-checked here.  ``max_workers`` is still accepted and
-checked (an integer >= 1) so that existing configs load, but it has no
-effect: every evaluation runs in sequence.
+no class checks (problem sizes and seeds, ``metric_every``, and the
+report's ``n_pairs``, box order and seed) is range-checked here, so a bad
+value is a config error before any data is read.  ``max_workers`` is
+still accepted and checked (an integer >= 1) so that existing configs
+load, but it has no effect: every evaluation runs in sequence.
 """
 
 from __future__ import annotations
@@ -289,8 +290,9 @@ def config_from_dict(raw) -> ExperimentConfig:
 def lipschitz_config(raw) -> LipschitzConfig:
     """Validate a ``lipschitz-report`` config with the experiment config's section checks.
 
-    ``n_pairs`` and the box's lo < hi are range-checked where they are
-    used, by :func:`~hozog.lipschitz.empirical_lipschitz`.
+    ``n_pairs >= 1`` and lo < hi in each box row are checked here, before
+    the objective is built; the box's row count needs the built problem's
+    p and is left to :func:`~hozog.lipschitz.empirical_lipschitz`.
     """
     _top_level(raw, _LIPSCHITZ_KEYS)
     problem = _problem(_require(raw, "problem", ""))
@@ -298,11 +300,14 @@ def lipschitz_config(raw) -> LipschitzConfig:
         problem["mode"] = "iterative"
     inner = _inner(_require(raw, "inner", ""), problem["kind"])
     _int(raw.get("max_workers", 1), "max_workers", minimum=1)
+    box = _box(_require(raw, "box", ""), "box")
+    if not all(lo < hi for lo, hi in box):
+        raise ConfigError("box", f"each [lo, hi] pair needs lo < hi, got {box}")
     return LipschitzConfig(
         problem=problem,
         inner=inner,
-        box=_box(_require(raw, "box", ""), "box"),
-        n_pairs=_int(raw.get("n_pairs", 1000), "n_pairs"),
+        box=box,
+        n_pairs=_int(raw.get("n_pairs", 1000), "n_pairs", minimum=1),
         seed=_int(raw.get("seed", 0), "seed", minimum=0),
         output=_output(raw["output"], "output") if "output" in raw else None,
     )

@@ -48,7 +48,7 @@ class InnerSolver:
     def __post_init__(self):
         if self.steps < 0:
             raise InvalidConfig(f"steps must be >= 0, got {self.steps}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise InvalidConfig(f"lr must be > 0, got {self.lr}")
         if self.variant not in _VARIANTS:
             raise InvalidConfig(f"variant must be one of {_VARIANTS}, got {self.variant!r}")

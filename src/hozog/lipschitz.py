@@ -55,10 +55,6 @@ class StepJacobians:
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 
-    @property
-    def horizon(self) -> int:
-        return self.a.shape[0] - 1
-
 
 @dataclass(frozen=True)
 class LipschitzReport:
@@ -132,26 +128,25 @@ def empirical_lipschitz(
     """Monte-Carlo lower estimate of L(f) over a box.
 
     Draws ``n_pairs`` seeded uniform point pairs and returns the largest
-    observed ratio |f(x1) - f(x2)| / ||x1 - x2||.  Deterministic given the
-    seed.  ``max_workers`` is accepted for compatibility and has no effect:
-    the 2 * ``n_pairs`` evaluations run in sequence.
+    observed ratio |f(x1) - f(x2)| / ||x1 - x2|| over the pairs whose points
+    differ.  Deterministic given the seed.  ``max_workers`` is accepted for
+    compatibility and has no effect: the 2 * ``n_pairs`` evaluations run in
+    sequence, each pair's two points next to each other.
     """
     if n_pairs < 1:
         raise InvalidConfig(f"n_pairs must be >= 1, got {n_pairs}")
     box = np.atleast_2d(np.asarray(box, dtype=float))
-    if box.shape != (spec.p, 2) or np.any(box[:, 0] >= box[:, 1]):
-        raise InvalidConfig(f"box must be (p, 2) with lo < hi, got shape {box.shape}")
+    if box.shape != (spec.p, 2) or not np.all(box[:, 0] < box[:, 1]):
+        raise InvalidConfig(
+            f"box must be ({spec.p}, 2) with lo < hi, got {np.array2string(box, threshold=8)}"
+        )
     rng = np.random.default_rng(seed)
     lo, hi = box[:, 0], box[:, 1]
     first = lo + (hi - lo) * rng.random((n_pairs, spec.p))
     second = lo + (hi - lo) * rng.random((n_pairs, spec.p))
-    points = [row for pair in zip(first, second) for row in pair]
-    values = [e.f_value for e in evaluate_batch(spec, points)]
-    max_ratio = 0.0
-    for i in range(n_pairs):
-        gap = np.linalg.norm(first[i] - second[i])
-        if gap == 0.0:
-            continue
-        ratio = abs(values[2 * i] - values[2 * i + 1]) / gap
-        max_ratio = max(max_ratio, ratio)
+    points = np.stack([first, second], axis=1).reshape(2 * n_pairs, spec.p)
+    values = np.array([e.f_value for e in evaluate_batch(spec, points)])
+    gaps = np.linalg.norm(first - second, axis=1)
+    moved = gaps > 0
+    max_ratio = np.max(np.abs(values[0::2] - values[1::2])[moved] / gaps[moved], initial=0.0)
     return LipschitzReport(empirical_max_ratio=float(max_ratio), samples=n_pairs, domain_box=box)

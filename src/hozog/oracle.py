@@ -45,7 +45,7 @@ class ObjectiveSpec:
                 raise DimensionMismatch(
                     f"bounds shape {box.shape} does not match (p, 2) = ({self.p}, 2)"
                 )
-            if np.any(box[:, 0] >= box[:, 1]):
+            if not np.all(box[:, 0] < box[:, 1]):
                 raise DimensionMismatch("each bound must satisfy lo < hi")
             object.__setattr__(self, "bounds", box)
 
@@ -138,6 +138,4 @@ def function_objective(fn, p: int, bounds=None) -> ObjectiveSpec:
     Used for closed-form oracles in tests and for driving the outer loop
     with scripted objectives.
     """
-    problem = _FunctionProblem(fn, p)
-    box = None if bounds is None else np.atleast_2d(np.asarray(bounds, dtype=float))
-    return ObjectiveSpec(problem=problem, inner=None, bounds=box)
+    return ObjectiveSpec(problem=_FunctionProblem(fn, p), inner=None, bounds=bounds)

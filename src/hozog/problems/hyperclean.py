@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit, logsumexp
+from scipy.special import expit, log_softmax, softmax
 
 from ..data_io import SparseDataset
 from ..errors import DimensionMismatch, InsufficientData
@@ -41,7 +41,7 @@ __all__ = [
 def per_sample_cross_entropy(weights: np.ndarray, bias: np.ndarray, x, y: np.ndarray) -> np.ndarray:
     """Cross-entropy of each example under softmax(x @ W.T + b)."""
     logits = x @ weights.T + bias
-    return logsumexp(logits, axis=1) - logits[np.arange(len(y)), y]
+    return -log_softmax(logits, axis=1)[np.arange(len(y)), y]
 
 
 def group_weighted_mean(losses: np.ndarray, group_ids: np.ndarray, lam: np.ndarray) -> float:
@@ -118,8 +118,7 @@ class HyperCleanProblem:
     def inner_loss_grad(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
         lam = self._check_lambda(lam)
         weights, bias = self.unflatten(w)
-        logits = self.x_train @ weights.T + bias
-        probs = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+        probs = softmax(self.x_train @ weights.T + bias, axis=1)
         probs[np.arange(len(self.y_train)), self.y_train] -= 1.0
         n_tr = self.x_train.shape[0]
         probs *= (expit(lam)[self.group_ids] / n_tr)[:, None]
@@ -157,12 +156,9 @@ def make_hyperclean(
         )
     if not (1 <= n_groups <= n_train):
         raise InsufficientData(f"need 1 <= n_groups <= n_train, got {n_groups}")
-    labels = dataset.labels
-    classes = np.unique(labels)
+    classes, y_all = np.unique(dataset.labels, return_inverse=True)
     if classes.size < 2:
         raise InsufficientData("need at least two classes")
-    class_of = {c: i for i, c in enumerate(classes)}
-    y_all = np.array([class_of[label] for label in labels], dtype=int)
     x_all = dataset.to_csr()
 
     rng = np.random.default_rng(corruption_seed)
@@ -176,10 +172,7 @@ def make_hyperclean(
     block_sizes = np.full(n_groups, n_train // n_groups, dtype=int)
     block_sizes[: n_train % n_groups] += 1
     group_ids = np.empty(n_train, dtype=int)
-    start = 0
-    for g, size in enumerate(block_sizes):
-        group_ids[group_order[start : start + size]] = g
-        start += size
+    group_ids[group_order] = np.repeat(np.arange(n_groups), block_sizes)
 
     y_clean = y_all[idx_train].copy()
     y_noisy = y_clean.copy()

@@ -16,9 +16,12 @@ E[u u^T] = I, so that scheme uses the Gaussian-smoothing scale 1/(mu*q)
 
 The q+1 evaluations of a meta-iteration are independent of each other and
 run one after another.  All directions are drawn up-front from a single
-seeded stream and the difference terms are summed in direction-index
-order, so the trajectory is a deterministic function of
-(spec, lambda0, config).
+seeded stream as one (q, p) block, and the combine is one numpy reduction
+over that block.  It adds the q weighted rows in direction-index order
+(for p = 1 numpy sums the single column pairwise), whatever order the
+oracle computed the values in, and it calls no BLAS routine, so its result
+does not depend on the BLAS build or thread count.  The trajectory is
+therefore a deterministic function of (spec, lambda0, config).
 """
 
 from __future__ import annotations
@@ -65,9 +68,9 @@ class ZoConfig:
     def __post_init__(self):
         if self.q < 1:
             raise InvalidConfig(f"q must be >= 1, got {self.q}")
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise InvalidConfig(f"mu must be > 0, got {self.mu}")
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise InvalidConfig(f"gamma must be > 0, got {self.gamma}")
         if self.iterations < 0:
             raise InvalidConfig(f"iterations must be >= 0, got {self.iterations}")
@@ -142,10 +145,14 @@ def estimate_hyper_gradient(
     """Averaged zeroth-order hyper-gradient at lam from a pre-drawn direction set.
 
     ``oracle`` is a plain callable f(lam) -> float.  ``batch_oracle``, when
-    given, maps the list of perturbed points to their values.  The oracle is
-    asked for f(lam) once, reused across all difference terms, so a caller
-    that already holds f(lam) can pass it as ``lambda _: value``.  The
-    estimate accounts for q+1 oracle values.
+    given, maps the (q, p) array of perturbed points to their q values.  The
+    oracle is asked for f(lam) once, reused across all difference terms, so
+    a caller that already holds f(lam) can pass it as ``lambda _: value``.
+    f(lam) is checked before any perturbed point runs; a non-finite
+    perturbed value names the first such point.  The q weighted directions
+    are summed by one numpy reduction over the (q, p) block (no BLAS), so
+    the estimate does not depend on the order the values were computed in.
+    The estimate accounts for q+1 oracle values.
     """
     lam = np.asarray(lam, dtype=float)
     p = lam.shape[0]
@@ -155,29 +162,26 @@ def estimate_hyper_gradient(
             f"direction set has shape {directions.shape}, expected ({cfg.q}, {p})"
         )
     f_base = float(oracle(lam))
-    _require_finite(f_base, lam)
-    points = [lam + cfg.mu * directions[i] for i in range(cfg.q)]
-    if batch_oracle is not None:
-        values = [float(v) for v in batch_oracle(points)]
-    else:
-        values = [float(oracle(x)) for x in points]
-    for x, v in zip(points, values):
-        _require_finite(v, x)
-    # Fixed-order accumulation: the result must not depend on the order in
-    # which the perturbed values were computed.
-    vector = np.zeros(p)
-    for i in range(cfg.q):
-        vector += (values[i] - f_base) * directions[i]
+    _require_finite(np.array([f_base]), lam[None])
+    points = lam + cfg.mu * directions
+    if batch_oracle is None:
+        batch_oracle = lambda xs: [oracle(x) for x in xs]
+    values = np.array([float(v) for v in batch_oracle(points)])
+    _require_finite(values, points)
     dim_scale = p if cfg.direction_scheme == "sphere" else 1
-    vector *= dim_scale / (cfg.mu * cfg.q)
+    scale = dim_scale / (cfg.mu * cfg.q)
+    vector = ((values - f_base)[:, None] * directions).sum(axis=0) * scale
     return GradientEstimate(vector=vector, eval_count=cfg.q + 1)
 
 
-def _require_finite(value: float, lam: np.ndarray) -> None:
-    if not np.isfinite(value):
+def _require_finite(values: np.ndarray, points: np.ndarray) -> None:
+    """Raise on the first non-finite value, naming the point it came from."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        i = int(np.argmax(bad))
         raise NonFiniteObjective(
-            f"oracle returned {value} at lam={np.array2string(lam, threshold=8)}",
-            hyperparams=lam,
+            f"oracle returned {values[i]} at lam={np.array2string(points[i], threshold=8)}",
+            hyperparams=points[i],
         )
 
 

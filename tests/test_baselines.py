@@ -13,6 +13,8 @@ class TestConfig:
             RandomSearchConfig(budget=0, box=[[-1, 1]])
         with pytest.raises(InvalidConfig):
             RandomSearchConfig(budget=5, box=[[1, -1]])
+        with pytest.raises(InvalidConfig):
+            RandomSearchConfig(budget=5, box=[[float("nan"), 1]])
 
 
 class TestRandomSearch:

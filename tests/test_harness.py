@@ -430,6 +430,12 @@ class TestConfigValidation:
             ("lipschitz-report", {"seed": -1}, "seed"),
             ("lipschitz-report", "abc", "config"),
             ("lipschitz-report", [3], "config"),
+            # NaN is valid JSON to json.load and fails every range check
+            ("hozog", {"mu": float("nan")}, "hozog.mu"),
+            ("hozog", {"gamma": float("nan")}, "hozog.gamma"),
+            ("inner", {"lr": float("nan")}, "inner.lr"),
+            ("lipschitz-report", {"n_pairs": 0}, "n_pairs"),
+            ("lipschitz-report", {"box": [[2.0, -2.0]]}, "box"),
         ],
     )
     def test_bad_section_value_names_its_field(self, tmp_path, capsys, section, value, field):

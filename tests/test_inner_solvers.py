@@ -23,6 +23,8 @@ class TestConfig:
             InnerSolver(steps=1, lr=0.0)
         with pytest.raises(InvalidConfig):
             InnerSolver(steps=1, lr=0.1, variant="lbfgs")
+        with pytest.raises(InvalidConfig):
+            InnerSolver(steps=1, lr=float("nan"))
 
     def test_missing_w0_is_an_error(self):
         with pytest.raises(InvalidConfig):

@@ -113,6 +113,32 @@ class TestEmpiricalLipschitz:
         )
         assert report.empirical_max_ratio <= bound
 
+    def test_pairs_run_side_by_side_and_match_a_pair_loop(self):
+        asked = []
+
+        def f(lam):
+            asked.append(lam.copy())
+            return float(np.sin(3.0 * lam[0]) * lam[1])
+
+        box = [[-1.0, 2.0], [0.5, 1.5]]
+        report = empirical_lipschitz(function_objective(f, p=2), box, n_pairs=40, seed=9)
+        rng = np.random.default_rng(9)
+        lo, hi = np.array(box).T
+        first = lo + (hi - lo) * rng.random((40, 2))
+        second = lo + (hi - lo) * rng.random((40, 2))
+        np.testing.assert_array_equal(asked[0::2], first)
+        np.testing.assert_array_equal(asked[1::2], second)
+        ratios = [
+            abs(f(x1) - f(x2)) / np.linalg.norm(x1 - x2) for x1, x2 in zip(first, second)
+        ]
+        assert report.empirical_max_ratio == pytest.approx(max(ratios), rel=1e-12)
+
+    @pytest.mark.parametrize("box", [[[1.0, -1.0]], [[float("nan"), 1.0]], [[-1.0, 1.0]] * 2])
+    def test_bad_box_rejected(self, box):
+        spec = function_objective(lambda lam: float(lam[0]), p=1)
+        with pytest.raises(InvalidConfig):
+            empirical_lipschitz(spec, box, n_pairs=10, seed=0)
+
     def test_worker_fanout_same_answer(self):
         spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=20, lr=0.1))
         a = empirical_lipschitz(spec, [[-1, 1]], n_pairs=100, seed=5, max_workers=1)

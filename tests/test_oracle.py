@@ -110,3 +110,5 @@ class TestFunctionObjective:
     def test_bounds_validation(self):
         with pytest.raises(DimensionMismatch):
             function_objective(lambda lam: 0.0, p=2, bounds=[[0.0, 1.0]])
+        with pytest.raises(DimensionMismatch):
+            function_objective(lambda lam: 0.0, p=1, bounds=[[float("nan"), 1.0]])

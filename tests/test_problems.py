@@ -241,6 +241,20 @@ class TestMakeHyperclean:
         np.testing.assert_array_equal(a.group_ids, b.group_ids)
         np.testing.assert_array_equal(a.corrupted, b.corrupted)
 
+    def test_pinned_output_for_one_seed(self):
+        # label mapping, group blocks and corruption draws, as first recorded
+        ds = _blob_dataset(60, 3, seed=4)
+        prob = make_hyperclean(ds, 20, 20, 20, 5, corruption_seed=9)
+        np.testing.assert_array_equal(
+            prob.group_ids, [3, 1, 1, 2, 3, 3, 4, 0, 0, 2, 2, 0, 2, 4, 4, 0, 4, 1, 1, 3]
+        )
+        np.testing.assert_array_equal(
+            prob.y_train, [0, 1, 1, 2, 0, 2, 1, 1, 1, 0, 0, 0, 1, 2, 0, 2, 1, 1, 2, 1]
+        )
+        np.testing.assert_array_equal(
+            prob.corrupted.astype(int), [1, 0, 1, 0, 1, 0, 0, 0, 1, 1, 1, 0, 1, 1, 1, 0, 0, 0, 0, 1]
+        )
+
     def test_insufficient_data(self):
         ds = _blob_dataset(10, 2, seed=5)
         with pytest.raises(InsufficientData):
@@ -326,6 +340,25 @@ class TestHypercleanObjective:
             fd = (prob.inner_loss(w + e, lam) - prob.inner_loss(w - e, lam)) / 2e-6
             assert grad[j] == pytest.approx(fd, abs=1e-6)
 
+    def test_large_logits_gradient_matches_shifted_reference(self):
+        ds = _blob_dataset(40, 3, seed=9, n_features=4)
+        prob = make_hyperclean(ds, 20, 10, 10, 4, corruption_seed=4)
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal(prob.d) * 300.0
+        lam = rng.standard_normal(4)
+        weights, bias = prob.unflatten(w)
+        x = prob.x_train.toarray()
+        logits = x @ weights.T + bias
+        assert np.abs(logits).max() > 800.0  # exp overflows without the shift
+        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+        resid = shifted / shifted.sum(axis=1, keepdims=True)
+        resid[np.arange(20), prob.y_train] -= 1.0
+        resid *= (1.0 / (1.0 + np.exp(-lam)))[prob.group_ids][:, None] / 20
+        expected = np.concatenate([(resid.T @ x).ravel(), resid.sum(axis=0)])
+        grad = prob.inner_loss_grad(w, lam)
+        assert np.all(np.isfinite(grad))
+        np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
+
     def test_lambda_dimension_checked(self):
         ds = _blob_dataset(60, 2, seed=10)
         prob = make_hyperclean(ds, 20, 20, 20, 5, corruption_seed=0)
@@ -348,6 +381,20 @@ class TestPerSampleCrossEntropy:
         y = np.array([0, 1, 2])
         ce = per_sample_cross_entropy(np.zeros((3, 3)), np.zeros(3), x, y)
         np.testing.assert_allclose(ce, math.log(3.0))
+
+    def test_large_logits_match_shifted_reference(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((12, 4))
+        y = rng.integers(0, 3, size=12)
+        weights = rng.standard_normal((3, 4)) * 500.0
+        bias = rng.standard_normal(3) * 100.0
+        logits = x @ weights.T + bias
+        assert np.abs(logits).max() > 800.0  # exp overflows without the shift
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expected = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(12), y]
+        ce = per_sample_cross_entropy(weights, bias, x, y)
+        assert np.all(np.isfinite(ce))
+        np.testing.assert_allclose(ce, expected, rtol=1e-12)
 
     def test_confident_correct_model_vanishes(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hozog import (
     InvalidConfig,
@@ -64,6 +66,8 @@ class TestZoConfig:
             {"q": 1, "mu": 0.1, "gamma": 0.0, "iterations": 1},
             {"q": 1, "mu": 0.1, "gamma": 0.1, "iterations": -1},
             {"q": 1, "mu": 0.1, "gamma": 0.1, "iterations": 1, "direction_scheme": "rademacher"},
+            {"q": 1, "mu": float("nan"), "gamma": 0.1, "iterations": 1},
+            {"q": 1, "mu": 0.1, "gamma": float("nan"), "iterations": 1},
         ],
     )
     def test_validation(self, kwargs):
@@ -133,6 +137,60 @@ class TestEstimateHyperGradient:
         direct = estimate_hyper_gradient(lam, f, cfg, dirs)
         shuffled = estimate_hyper_gradient(lam, f, cfg, dirs, batch_oracle=reversed_batch)
         np.testing.assert_array_equal(direct.vector, shuffled.vector)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        q=st.integers(1, 40),
+        p=st.integers(1, 6),
+        scheme=st.sampled_from(["sphere", "gaussian"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_combine_equals_index_order_loop(self, q, p, scheme, seed):
+        # The combine must add the q weighted directions in index order:
+        # bitwise for p > 1; for p = 1 numpy sums the column pairwise.
+        stream = rng(seed)
+        dirs = sample_directions(p, q, scheme, stream)
+        lam = stream.standard_normal(p)
+        a = stream.standard_normal(p)
+        f = lambda x: float(np.sin(a @ x) + x @ x)
+        cfg = ZoConfig(q=q, mu=0.01, gamma=1.0, iterations=0, direction_scheme=scheme)
+        got = estimate_hyper_gradient(lam, f, cfg, dirs).vector
+        f_base = f(lam)
+        ref = np.zeros(p)
+        size = np.zeros(p)
+        for i in range(q):
+            term = (f(lam + cfg.mu * dirs[i]) - f_base) * dirs[i]
+            ref += term
+            size += np.abs(term)
+        scale = (p if scheme == "sphere" else 1) / (cfg.mu * q)
+        ref *= scale
+        if p > 1:
+            np.testing.assert_array_equal(got, ref)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale * size[0])
+
+    def test_first_non_finite_point_is_named(self):
+        # the base value is checked before any perturbed point is asked for
+        calls = []
+
+        def nan_at_base(lam):
+            calls.append(lam)
+            return float("nan")
+
+        cfg = ZoConfig(q=3, mu=1.0, gamma=1.0, iterations=0)
+        dirs = np.array([[1.0], [-1.0], [1.0]])
+        with pytest.raises(NonFiniteObjective) as excinfo:
+            estimate_hyper_gradient(np.array([0.0]), nan_at_base, cfg, dirs)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(excinfo.value.hyperparams, [0.0])
+
+        def nan_away_from_zero(lam):
+            return float("nan") if lam[0] != 0.0 else 0.0
+
+        dirs = np.array([[0.0], [2.0], [3.0]])
+        with pytest.raises(NonFiniteObjective) as excinfo:
+            estimate_hyper_gradient(np.array([0.0]), nan_away_from_zero, cfg, dirs)
+        np.testing.assert_array_equal(excinfo.value.hyperparams, [2.0])
 
     def test_nan_oracle_raises_with_offending_point(self):
         def bad(lam):

@@ -208,7 +208,6 @@ def random_classification_dataset(
     seed: int = 0,
     class_sep: float = 1.0,
     noise_flip: float = 0.0,
-    feature_scale: float = 1.0,
 ) -> SparseDataset:
     """Gaussian-blob classification data as a dense-row SparseDataset.
 
@@ -221,8 +220,7 @@ def random_classification_dataset(
     means = rng.standard_normal((n_classes, n_features))
     means *= class_sep / np.sqrt(n_features)
     y = rng.integers(0, n_classes, size=n)
-    x = (rng.standard_normal((n, n_features)) / np.sqrt(n_features) + means[y])
-    x *= feature_scale
+    x = rng.standard_normal((n, n_features)) / np.sqrt(n_features) + means[y]
     if noise_flip > 0.0:
         n_flip = int(round(noise_flip * n))
         flip_idx = rng.choice(n, size=n_flip, replace=False)

@@ -102,6 +102,8 @@ def _cmd_parse_data(args) -> int:
 def _cmd_lipschitz(args) -> int:
     cfg = lipschitz_config(read_json(args.config))
     spec = build_objective(cfg)
+    if len(cfg.box) != spec.p:
+        raise ConfigError("box", f"has {len(cfg.box)} rows, problem has p={spec.p}")
     report = empirical_lipschitz(spec, cfg.box, n_pairs=cfg.n_pairs, seed=cfg.seed)
     bound = None
     if cfg.problem["kind"] == "synthetic":

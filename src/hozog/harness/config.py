@@ -16,17 +16,21 @@ harness: ``inner`` an :class:`~hozog.inner_solvers.InnerSolver` and
 the same way; its box default is the runner's, since it needs the built
 problem's bounds.  Each value is checked here against its field's declared
 type (an int field takes no bool or float, a float field takes an int) and
-by the class's own range check, so each range is written once.  A value
-no class checks (problem sizes and seeds, ``metric_every``, and the
-report's ``n_pairs``, box order and seed) is range-checked here, so a bad
-value is a config error before any data is read.  ``max_workers`` is
-still accepted and checked (an integer >= 1) so that existing configs
-load, but it has no effect: every evaluation runs in sequence.
+by the class's own range check, so each range is written once; no number
+may be NaN or infinite.  A value no class checks (problem sizes and seeds,
+``metric_every``, the report's ``n_pairs``, box order and seed, and the
+problem's ``0 < w_star < c`` and ``n_groups <= n_train``) is checked here,
+so a bad value is a config error before any data is read.  A synthetic
+problem runs its ``inner`` solver when the section is present and its
+exact inner solution otherwise.  ``max_workers`` is still accepted and
+checked (an integer >= 1) so that existing configs load, but it has no
+effect: every evaluation runs in sequence.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -34,6 +38,7 @@ from pathlib import Path
 from ..baselines import RandomSearchConfig
 from ..errors import ConfigError, InvalidConfig
 from ..inner_solvers import InnerSolver
+from ..problems import SyntheticBilevel
 from ..zo_core import ZoConfig
 
 __all__ = ["ExperimentConfig", "LipschitzConfig", "load_config"]
@@ -51,7 +56,7 @@ _TOP_KEYS = {
 }
 _LIPSCHITZ_KEYS = {"problem", "inner", "box", "n_pairs", "seed", "output", "max_workers"}
 _PROBLEM_KEYS = {
-    "synthetic": {"kind", "c", "w_star", "mode"},
+    "synthetic": {"kind", "c", "w_star"},
     "logreg": {"kind", "data", "split_seed", "binarize_seed", "n_features"},
     "hyperclean": {
         "kind",
@@ -64,7 +69,7 @@ _PROBLEM_KEYS = {
     },
 }
 
-# keys an inner section leaves out; beta1, beta2 and eps keep InnerSolver's own
+# keys an inner section leaves out
 _INNER_DEFAULTS = {
     "synthetic": InnerSolver(steps=500, lr=0.1, variant="gd"),
     "logreg": InnerSolver(steps=150, lr=0.1, variant="adam"),
@@ -87,7 +92,7 @@ class ExperimentConfig:
     inner: InnerSolver | None
     hozog: ZoConfig | None
     random_search: dict | None
-    lambda0: object
+    lambda0: float | list
     output: str
     metric_every: int
 
@@ -115,6 +120,8 @@ def _int(value, name: str, minimum=None) -> int:
 def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(name, f"must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(name, f"must be finite, got {value!r}")
     return float(value)
 
 
@@ -193,15 +200,13 @@ def _problem(problem) -> dict:
     if kind == "synthetic":
         if "c" not in problem or "w_star" not in problem:
             raise ConfigError("problem", "synthetic needs both c and w_star")
-        mode = problem.get("mode", "exact")
-        if mode not in ("exact", "iterative"):
-            raise ConfigError("problem.mode", f"must be 'exact' or 'iterative', got {mode!r}")
-        return {
-            "kind": kind,
-            "c": _number(problem["c"], "problem.c"),
-            "w_star": _number(problem["w_star"], "problem.w_star"),
-            "mode": mode,
-        }
+        c = _number(problem["c"], "problem.c")
+        w_star = _number(problem["w_star"], "problem.w_star")
+        try:
+            SyntheticBilevel(c=c, w_star=w_star)
+        except InvalidConfig as err:
+            raise ConfigError("problem", str(err)) from None
+        return {"kind": kind, "c": c, "w_star": w_star}
     data = _require(problem, "data", "problem")
     if not isinstance(data, str) or not os.path.exists(data):
         raise ConfigError("problem.data", f"path does not exist: {data!r}")
@@ -214,6 +219,8 @@ def _problem(problem) -> dict:
     for key, value in problem.items():
         if key not in ("kind", "data"):
             _int(value, f"problem.{key}", minimum=0 if key.endswith("seed") else 1)
+    if kind == "hyperclean" and problem["n_groups"] > problem["n_train"]:
+        raise ConfigError("problem", f"need n_groups <= n_train, got {problem['n_groups']}")
     return problem
 
 
@@ -266,13 +273,15 @@ def config_from_dict(raw) -> ExperimentConfig:
     hozog = random_search = None
     if method == "hozog" or "hozog" in raw:
         hozog = _section(_require(raw, "hozog", ""), "hozog", HOZOG_DEFAULTS)
-    if method == "random_search" or "random_search" in raw:
+    if method == "random_search":
         random_search = _random_search(_require(raw, "random_search", ""))
+    elif "random_search" in raw:
+        raise ConfigError("random_search", "only a random_search run takes this section")
 
-    lambda0 = raw.get("lambda0", "zeros")
+    lambda0 = raw.get("lambda0", 0.0)
     if isinstance(lambda0, list):
         lambda0 = [_number(v, "lambda0") for v in lambda0]
-    elif lambda0 != "zeros":
+    else:
         lambda0 = _number(lambda0, "lambda0")
     _int(raw.get("max_workers", 1), "max_workers", minimum=1)
     return ExperimentConfig(
@@ -292,12 +301,10 @@ def lipschitz_config(raw) -> LipschitzConfig:
 
     ``n_pairs >= 1`` and lo < hi in each box row are checked here, before
     the objective is built; the box's row count needs the built problem's
-    p and is left to :func:`~hozog.lipschitz.empirical_lipschitz`.
+    p and is checked by the CLI before any point is sampled.
     """
     _top_level(raw, _LIPSCHITZ_KEYS)
     problem = _problem(_require(raw, "problem", ""))
-    if problem["kind"] == "synthetic":
-        problem["mode"] = "iterative"
     inner = _inner(_require(raw, "inner", ""), problem["kind"])
     _int(raw.get("max_workers", 1), "max_workers", minimum=1)
     box = _box(_require(raw, "box", ""), "box")

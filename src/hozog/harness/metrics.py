@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -21,18 +21,6 @@ from ..oracle import Evaluation, ObjectiveSpec, evaluate, evaluate_batch
 from ..zo_core import IterationEvent, ZoConfig, estimate_hyper_gradient, sample_directions
 
 __all__ = ["TraceRecord", "MetricSample", "compute_metrics", "TraceWriter", "TRACE_COLUMNS"]
-
-TRACE_COLUMNS = (
-    "method",
-    "meta_iter",
-    "oracle_calls_optimizer",
-    "oracle_calls_metrics",
-    "wall_time_s",
-    "f_value",
-    "suboptimality",
-    "grad_norm_est",
-    "test_error",
-)
 
 # sub-stream tag so metric randomness never collides with optimizer seeds
 _METRICS_STREAM = 0x6D657472
@@ -51,6 +39,9 @@ class TraceRecord:
     suboptimality: float
     grad_norm_est: float
     test_error: float
+
+
+TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
 @dataclass(frozen=True)
@@ -120,6 +111,7 @@ class TraceWriter:
     a final event; skipped events still feed the running minimum so
     suboptimality stays correct.  The gradient-norm probe uses ``probe``'s
     q, mu and direction scheme, on a stream seeded from its seed.
+    ``records`` counts the rows written.
     """
 
     def __init__(self, path, method: str, spec: ObjectiveSpec, probe: ZoConfig, cadence: int = 1):
@@ -135,7 +127,7 @@ class TraceWriter:
         self._start = time.perf_counter()
         self.metric_calls = 0
         self.optimizer_calls = 0
-        self.records: list[TraceRecord] = []
+        self.records = 0
 
     def __call__(self, event: IterationEvent) -> None:
         self.optimizer_calls = max(self.optimizer_calls, event.optimizer_calls)
@@ -165,7 +157,7 @@ class TraceWriter:
             grad_norm_est=sample.grad_norm_est,
             test_error=sample.test_error,
         )
-        self.records.append(record)
+        self.records += 1
         self._fh.write(
             ",".join(_fmt(getattr(record, col)) for col in TRACE_COLUMNS) + "\n"
         )

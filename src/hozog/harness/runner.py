@@ -37,13 +37,12 @@ SWEEP_AXES = ("q", "mu", "gamma")
 
 
 def build_objective(cfg: ExperimentConfig | LipschitzConfig) -> ObjectiveSpec:
-    """Construct the ObjectiveSpec a config's problem and inner sections describe."""
+    """Construct the ObjectiveSpec a config's problem and inner sections describe.
+
+    A synthetic problem without an inner section uses its exact inner solution.
+    """
     kind = cfg.problem["kind"]
     if kind == "synthetic":
-        if cfg.problem["mode"] == "exact":
-            return make_synthetic(cfg.problem["c"], cfg.problem["w_star"])
-        if cfg.inner is None:
-            raise ConfigError("inner", "iterative synthetic mode needs an inner section")
         return make_synthetic(cfg.problem["c"], cfg.problem["w_star"], inner=cfg.inner)
     if kind == "logreg":
         ds = load_libsvm(cfg.problem["data"], n_features=cfg.problem.get("n_features"))
@@ -72,10 +71,8 @@ def build_objective(cfg: ExperimentConfig | LipschitzConfig) -> ObjectiveSpec:
 
 def _resolve_lambda0(cfg: ExperimentConfig, p: int) -> np.ndarray:
     lam0 = cfg.lambda0
-    if lam0 == "zeros":
-        return np.zeros(p)
-    if isinstance(lam0, (int, float)):
-        return np.full(p, float(lam0))
+    if isinstance(lam0, float):
+        return np.full(p, lam0)
     arr = np.asarray(lam0, dtype=float)
     if arr.shape != (p,):
         raise ConfigError("lambda0", f"has {arr.size} entries, problem has p={p}")
@@ -90,6 +87,8 @@ def _rs_config(cfg: ExperimentConfig, spec: ObjectiveSpec) -> RandomSearchConfig
         else:
             # the tasks without declared bounds still need a sampling box
             box = np.tile([-5.0, 5.0], (spec.p, 1))
+    elif len(box) != spec.p:
+        raise ConfigError("random_search.box", f"has {len(box)} rows, problem has p={spec.p}")
     return RandomSearchConfig(**{**cfg.random_search, "box": box})
 
 
@@ -144,7 +143,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             final = random_search(spec, rs, recorder=writer)
         summary = {
             "final_lambda": [float(v) for v in final],
-            "records": len(writer.records),
+            "records": writer.records,
             "oracle_calls_optimizer": writer.optimizer_calls,
             "oracle_calls_metrics": writer.metric_calls,
             "trace": str(cfg.output),

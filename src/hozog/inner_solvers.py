@@ -26,6 +26,8 @@ from .errors import InvalidConfig, NonFiniteIterate
 __all__ = ["InnerSolver", "solve", "trajectory"]
 
 _VARIANTS = ("gd", "adam")
+# Adam's moment decay rates and denominator guard, the usual constants
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -40,9 +42,6 @@ class InnerSolver:
     steps: int
     lr: float
     variant: str = "gd"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     w0: np.ndarray | None = None
 
     def __post_init__(self):
@@ -72,18 +71,18 @@ def _gd_steps(loss_grad, alg: InnerSolver, lam: np.ndarray):
 
 def _adam_steps(loss_grad, alg: InnerSolver, lam: np.ndarray):
     """Yield w_0, w_1, ..., w_T of Adam (bias-corrected moments, zero-initialized)."""
-    lr, beta1, beta2, eps = alg.lr, alg.beta1, alg.beta2, alg.eps
+    lr = alg.lr
     w = _require_w0(alg).copy()
     m = np.zeros_like(w)
     v = np.zeros_like(w)
     yield w
     for t in range(1, alg.steps + 1):
         g = loss_grad(w, lam)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        w = w - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = _BETA1 * m + (1.0 - _BETA1) * g
+        v = _BETA2 * v + (1.0 - _BETA2) * g * g
+        m_hat = m / (1.0 - _BETA1**t)
+        v_hat = v / (1.0 - _BETA2**t)
+        w = w - lr * m_hat / (np.sqrt(v_hat) + _EPS)
         yield w
 
 

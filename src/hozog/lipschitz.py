@@ -83,16 +83,15 @@ def synthetic_step_jacobians(
     eta: float,
     t_inner: int,
     lambda_box,
-    w0: float = 0.0,
 ) -> StepJacobians:
     """Analytic Jacobian sups for the synthetic problem's GD inner solver.
 
     One GD step on L(w, lam) = 0.5*(w-c)^2 + e^lam w^2 is
     w <- w - eta*((w - c) + 2 e^lam w), so dstep/dw = 1 - eta*(1 + 2 e^lam)
-    and dstep/dlam = -2 eta e^lam w.  Sups are taken over the lam box and
-    the trajectory envelope max(|w0|, c) for w.  Requires the step map to be
-    non-expansive over the box (|dstep/dw| <= 1), otherwise the envelope
-    argument fails and InvalidConfig is raised.
+    and dstep/dlam = -2 eta e^lam w.  Sups are taken over the lam box and,
+    for w, over the envelope c of a trajectory started at zero.  Requires
+    the step map to be non-expansive over the box (|dstep/dw| <= 1),
+    otherwise the envelope argument fails and InvalidConfig is raised.
     """
     lo, hi = float(lambda_box[0]), float(lambda_box[1])
     if not lo <= hi:
@@ -108,10 +107,9 @@ def synthetic_step_jacobians(
     e_lo = math.exp(lo)
     # |1 - eta*(1+2e^lam)| is maximized at one of the box endpoints.
     a_step = max(abs(1.0 - eta * (1.0 + 2.0 * e_lo)), abs(1.0 - eta * (1.0 + 2.0 * e_hi)))
-    w_env = max(abs(w0), c)
-    b_step = 2.0 * eta * e_hi * w_env
+    b_step = 2.0 * eta * e_hi * c
     # outer loss E(w) = 0.5*(w - w_star)^2: dE/dw = w - w_star, dE/dlam = 0
-    a_outer = w_env + abs(w_star)
+    a_outer = c + abs(w_star)
     b_outer = 0.0
     a = np.concatenate([np.full(t_inner, a_step), [a_outer]])
     b = np.concatenate([np.full(t_inner, b_step), [b_outer]])

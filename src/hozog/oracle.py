@@ -62,7 +62,6 @@ class ObjectiveSpec:
 class Evaluation:
     """One oracle call: the objective value and the model that produced it."""
 
-    hyperparams: np.ndarray
     f_value: float
     model: np.ndarray
 
@@ -103,7 +102,7 @@ def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
             f"objective is not finite at lam={np.array2string(lam, threshold=8)}",
             hyperparams=lam,
         )
-    return Evaluation(hyperparams=lam, f_value=f, model=w)
+    return Evaluation(f_value=f, model=w)
 
 
 def evaluate_batch(spec: ObjectiveSpec, lams) -> list:

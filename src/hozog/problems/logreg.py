@@ -21,10 +21,9 @@ from ..data_io import SparseDataset
 from ..errors import DimensionMismatch, EmptySplit
 from ..inner_solvers import InnerSolver
 from ..oracle import ObjectiveSpec
+from .synthetic import _EXP_CAP
 
 __all__ = ["LogRegProblem", "logreg_objective", "logreg_test_error"]
-
-_EXP_CAP = 700.0
 
 LOGREG_BOUNDS = np.array([[-10.0, 10.0]])
 

@@ -185,15 +185,15 @@ def _require_finite(values: np.ndarray, points: np.ndarray) -> None:
         )
 
 
-def hozog_step(lam: np.ndarray, grad, gamma: float) -> np.ndarray:
+def hozog_step(lam: np.ndarray, grad: np.ndarray, gamma: float) -> np.ndarray:
     """One plain descent update, lam - gamma*grad; the input is not modified."""
-    vector = grad.vector if isinstance(grad, GradientEstimate) else np.asarray(grad, dtype=float)
+    grad = np.asarray(grad, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    if vector.shape != lam.shape:
+    if grad.shape != lam.shape:
         raise InvalidConfig(
-            f"gradient shape {vector.shape} does not match lambda shape {lam.shape}"
+            f"gradient shape {grad.shape} does not match lambda shape {lam.shape}"
         )
-    return lam - gamma * vector
+    return lam - gamma * grad
 
 
 def run_hozog(
@@ -247,7 +247,7 @@ def run_hozog(
                     optimizer_calls=calls,
                 )
             )
-        lam = hozog_step(lam, grad, cfg.gamma)
+        lam = hozog_step(lam, grad.vector, cfg.gamma)
         if spec.bounds is not None:
             lam = np.clip(lam, spec.bounds[:, 0], spec.bounds[:, 1])
     if recorder is not None:

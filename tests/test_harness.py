@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,7 +119,7 @@ def synthetic_config(tmp_path, **overrides):
 
 def lipschitz_report_config(tmp_path):
     return {
-        "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0, "mode": "iterative"},
+        "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
         "inner": {"variant": "gd", "steps": 20, "lr": 0.1},
         "box": [[-2.0, 2.0]],
         "n_pairs": 200,
@@ -154,13 +155,50 @@ class TestRunExperiment:
         }
         cfg = config_from_dict(raw)
         summary = run_experiment(cfg)
-        config = json.loads(open(summary["manifest"], encoding="utf-8").read())["config"]
+        config = json.loads(Path(summary["manifest"]).read_text(encoding="utf-8"))["config"]
         inner = config["inner"]
         assert (inner["variant"], inner["steps"], inner["lr"]) == ("adam", 150, 0.1)
         assert config["hozog"]["direction_scheme"] == "sphere"
         assert config["problem"]["split_seed"] == 0
         # the resolved values load back into the config that ran
         assert config_from_dict(config) == cfg
+
+    @pytest.mark.parametrize("kind", ["random_search", "iterative_synthetic", "hyperclean"])
+    def test_recorded_config_records_again_unchanged(self, tmp_path, multiclass_file, kind):
+        raw = {
+            "random_search": {
+                "method": "random_search",
+                "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
+                "random_search": {"budget": 4},
+            },
+            "iterative_synthetic": {
+                "method": "hozog",
+                "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
+                "inner": {"variant": "adam", "steps": 7},
+                "hozog": {"iterations": 2},
+            },
+            "hyperclean": {
+                "method": "hozog",
+                "problem": {
+                    "kind": "hyperclean",
+                    "data": str(multiclass_file),
+                    "n_train": 40,
+                    "n_val": 40,
+                    "n_test": 40,
+                    "n_groups": 4,
+                },
+                "inner": {"steps": 5},
+                "hozog": {"iterations": 1},
+            },
+        }[kind]
+        raw["output"] = str(tmp_path / "trace.csv")
+
+        def recorded(cfg):
+            manifest = Path(run_experiment(cfg)["manifest"])
+            return json.loads(manifest.read_text(encoding="utf-8"))["config"]
+
+        first = recorded(config_from_dict(raw))
+        assert recorded(config_from_dict(first)) == first
 
     def test_zero_iterations_trace_is_single_initial_record(self, tmp_path):
         cfg = config_from_dict(
@@ -298,7 +336,7 @@ class TestSweep:
         cfg = config_from_dict(
             synthetic_config(
                 tmp_path,
-                problem={"kind": "synthetic", "c": 3.0, "w_star": 1.0, "mode": "iterative"},
+                problem={"kind": "synthetic", "c": 3.0, "w_star": 1.0},
                 inner={"variant": "gd", "steps": 400, "lr": 0.1},
                 hozog={"q": 1, "mu": 0.01, "gamma": 0.5, "iterations": 10, "seed": 0},
                 lambda0=0.0,
@@ -319,7 +357,7 @@ class TestSweep:
         statuses = sweep(cfg, "mu", [0.01, 0.1])
         for status, mu in zip(statuses, (0.01, 0.1)):
             manifest_path = status["trace"].replace(".csv", ".manifest.json")
-            manifest = json.loads(open(manifest_path, encoding="utf-8").read())
+            manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
             assert manifest["config"]["hozog"] == {
                 "q": 2,
                 "mu": mu,
@@ -436,6 +474,38 @@ class TestConfigValidation:
             ("inner", {"lr": float("nan")}, "inner.lr"),
             ("lipschitz-report", {"n_pairs": 0}, "n_pairs"),
             ("lipschitz-report", {"box": [[2.0, -2.0]]}, "box"),
+            # keys that are no longer options
+            ("problem", {"mode": "iterative"}, "problem.mode"),
+            ("inner", {"beta1": 0.9}, "inner.beta1"),
+            ("inner", {"beta2": 1.5}, "inner.beta2"),
+            ("inner", {"eps": 1e-8}, "inner.eps"),
+            ("lambda0", "zeros", "lambda0"),
+            # json.load also reads Infinity, and no number may be non-finite
+            ("lambda0", float("nan"), "lambda0"),
+            ("hozog", {"mu": float("inf")}, "hozog.mu"),
+            ("hozog", {"gamma": float("inf")}, "hozog.gamma"),
+            ("problem", {"c": float("nan")}, "problem.c"),
+            # relations between keys, checked before any data is read: the
+            # data path is this test file, which is not LIBSVM
+            ("problem", {"w_star": 3.0}, "problem"),
+            (
+                "",
+                {
+                    "problem": {
+                        "kind": "hyperclean",
+                        "data": __file__,
+                        "n_train": 40,
+                        "n_val": 40,
+                        "n_test": 40,
+                        "n_groups": 41,
+                    }
+                },
+                "problem",
+            ),
+            ("random_search", {"budget": 5, "box": [[-1.0, 1.0], [-1.0, 1.0]]}, "random_search.box"),
+            ("lipschitz-report", {"box": [[-2.0, 2.0], [-2.0, 2.0]]}, "box"),
+            # a hozog run has no use for a random_search section
+            ("", {"random_search": {"budget": 5}}, "random_search"),
         ],
     )
     def test_bad_section_value_names_its_field(self, tmp_path, capsys, section, value, field):
@@ -444,16 +514,20 @@ class TestConfigValidation:
             cfg = lipschitz_report_config(tmp_path)
             cfg = {**cfg, **value} if isinstance(value, dict) else value
         else:
+            # a dict is merged into the section ("" is the top level),
+            # anything else replaces it
             command = "run"
-            cfg = synthetic_config(
-                tmp_path,
-                problem={"kind": "synthetic", "c": 3.0, "w_star": 1.0, "mode": "iterative"},
-                inner={"steps": 10},
-            )
-            cfg[section] = {**cfg.get(section, {}), **value} if isinstance(value, dict) else value
+            cfg = synthetic_config(tmp_path, inner={"steps": 10})
+            if section == "random_search":
+                cfg["method"] = "random_search"
+            if section == "":
+                cfg.update(value)
+            else:
+                cfg[section] = {**cfg.get(section, {}), **value} if isinstance(value, dict) else value
         path = write_config(tmp_path, cfg)
         assert cli_main([command, "--config", str(path)]) == 2
         assert f"config field '{field}'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_load_config_from_file(self, tmp_path):
         path = write_config(tmp_path, synthetic_config(tmp_path))
@@ -475,7 +549,7 @@ class TestCli:
     def test_nonfinite_exit_three(self, tmp_path, capsys):
         cfg = synthetic_config(
             tmp_path,
-            problem={"kind": "synthetic", "c": 3.0, "w_star": 1.0, "mode": "iterative"},
+            problem={"kind": "synthetic", "c": 3.0, "w_star": 1.0},
             inner={"variant": "gd", "steps": 400, "lr": 5.0},
             lambda0=2.0,
         )

@@ -86,6 +86,22 @@ class TestAdamSolve:
         w = solve(lambda w, lam: w, alg, np.zeros(1))
         assert w[0] == pytest.approx(0.9, abs=1e-8)
 
+    def test_matches_a_loop_with_the_usual_constants(self):
+        # step 1 cannot see beta1 or beta2 (bias correction cancels them), so
+        # run 20 steps on a gradient that varies from step to step
+        def grad(w, lam):
+            return np.array([3.0, 0.5]) * (w - np.array([1.0, -2.0])) + np.sin(w)
+
+        w0 = np.array([0.3, -0.7])
+        w, m, v = w0.copy(), np.zeros(2), np.zeros(2)
+        for t in range(1, 21):
+            g = grad(w, None)
+            m = 0.9 * m + 0.1 * g
+            v = 0.999 * v + 0.001 * g * g
+            w = w - 0.05 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
+        alg = InnerSolver(steps=20, lr=0.05, variant="adam", w0=w0)
+        np.testing.assert_allclose(solve(grad, alg, np.zeros(1)), w, rtol=1e-12, atol=0)
+
     def test_long_run_contracts_quadratic(self):
         alg = InnerSolver(steps=2000, lr=0.1, variant="adam", w0=np.array([1.0]))
         w = solve(lambda w, lam: w, alg, np.zeros(1))

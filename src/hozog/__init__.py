@@ -14,14 +14,11 @@ from .baselines import RandomSearchConfig, random_search
 from .errors import (
     ConfigError,
     DimensionMismatch,
-    EmptySplit,
     HozogError,
     InsufficientData,
     InvalidConfig,
-    NonFiniteIterate,
     NonFiniteObjective,
     ParseError,
-    SingleClass,
 )
 from .inner_solvers import InnerSolver, solve, trajectory
 from .lipschitz import (
@@ -47,7 +44,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "DimensionMismatch",
-    "EmptySplit",
     "Evaluation",
     "GradientEstimate",
     "HozogError",
@@ -56,12 +52,10 @@ __all__ = [
     "InvalidConfig",
     "IterationEvent",
     "LipschitzReport",
-    "NonFiniteIterate",
     "NonFiniteObjective",
     "ObjectiveSpec",
     "ParseError",
     "RandomSearchConfig",
-    "SingleClass",
     "StepJacobians",
     "ZoConfig",
     "empirical_lipschitz",

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, NonFiniteObjective
-from .oracle import ObjectiveSpec, evaluate
+from .oracle import ObjectiveSpec, check_box, evaluate
 from .zo_core import IterationEvent
 
 __all__ = ["RandomSearchConfig", "random_search"]
@@ -29,10 +29,7 @@ class RandomSearchConfig:
             raise InvalidConfig(f"budget must be >= 1, got {self.budget}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        box = np.atleast_2d(np.asarray(self.box, dtype=float))
-        if box.ndim != 2 or box.shape[1] != 2 or not np.all(box[:, 0] < box[:, 1]):
-            raise InvalidConfig("box must be (p, 2) with lo < hi per coordinate")
-        object.__setattr__(self, "box", box)
+        object.__setattr__(self, "box", check_box(self.box))
 
 
 def random_search(
@@ -51,10 +48,7 @@ def random_search(
     budget.  ``max_workers`` is accepted for compatibility and has no
     effect.
     """
-    if cfg.box.shape[0] != spec.p:
-        raise InvalidConfig(
-            f"box has {cfg.box.shape[0]} coordinates, problem has p={spec.p}"
-        )
+    check_box(cfg.box, spec.p)
     rng = np.random.default_rng(cfg.seed)
     lo, hi = cfg.box[:, 0], cfg.box[:, 1]
     samples = lo + (hi - lo) * rng.random((cfg.budget, spec.p))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InsufficientData, ParseError, SingleClass
+from .errors import InsufficientData, ParseError
 
 __all__ = [
     "SparseDataset",
@@ -140,18 +140,16 @@ def parse_libsvm(stream) -> SparseDataset:
     return SparseDataset(rows=tuple(rows))
 
 
-def load_libsvm(path, n_features: int | None = None) -> SparseDataset:
-    """Load a LIBSVM file; gzip-compressed input is accepted for ``*.gz`` paths."""
+def load_libsvm(path) -> SparseDataset:
+    """Load a LIBSVM file; gzip-compressed input is accepted for ``*.gz`` paths.
+
+    Bytes that are not UTF-8 are kept as lone surrogates, so they fail the
+    grammar as a :class:`~hozog.errors.ParseError` at their own line and
+    column (or are ignored inside a comment).
+    """
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8") as fh:
-        ds = parse_libsvm(fh)
-    if n_features is not None:
-        if n_features < ds.n_features:
-            raise InsufficientData(
-                f"declared n_features={n_features} below observed {ds.n_features}"
-            )
-        ds = SparseDataset(rows=ds.rows, n_features=n_features)
-    return ds
+    with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
+        return parse_libsvm(fh)
 
 
 def serialize_libsvm(ds: SparseDataset) -> str:
@@ -171,7 +169,7 @@ def binarize(ds: SparseDataset, seed: int) -> SparseDataset:
     """
     distinct = sorted({label for label, _ in ds.rows})
     if len(distinct) < 2:
-        raise SingleClass(f"need >= 2 distinct labels, found {len(distinct)}")
+        raise InsufficientData(f"need >= 2 distinct labels, found {len(distinct)}")
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(distinct))
     positive = {distinct[i] for i in order[: len(distinct) // 2 + len(distinct) % 2]}

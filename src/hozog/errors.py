@@ -33,24 +33,8 @@ class NonFiniteObjective(HozogError):
         self.meta_iter = meta_iter
 
 
-class NonFiniteIterate(HozogError):
-    """A solve's final iterate is NaN or infinite; ``t`` is its step count."""
-
-    def __init__(self, message, t=None):
-        super().__init__(message)
-        self.t = t
-
-
-class EmptySplit(HozogError):
-    """A dataset split required to be non-empty has no rows."""
-
-
 class InsufficientData(HozogError):
-    """A dataset is too small for the requested splits."""
-
-
-class SingleClass(HozogError):
-    """Binarization needs at least two distinct labels."""
+    """A dataset or split has too few rows or classes."""
 
 
 class ParseError(HozogError):

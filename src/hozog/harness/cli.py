@@ -9,8 +9,10 @@ Subcommands:
 Every config file is read and checked by :mod:`hozog.harness.config`
 before anything runs, as are the ``sweep --values``.
 
-Exit codes: 0 success, 1 data/runtime error, 2 config error (the message
-names the offending field), 3 non-finite objective (diverging inner solve).
+Exit codes: 0 success, 1 data/runtime error (a file that cannot be read
+included), 2 config error (the message names the offending field),
+3 non-finite objective (diverging inner solve).  Every failure prints one
+line, never a traceback.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from collections import Counter
 
 from ..errors import ConfigError, HozogError, NonFiniteObjective, ParseError
 from ..lipschitz import empirical_lipschitz, lipschitz_product_bound, synthetic_step_jacobians
-from .config import lipschitz_config, load_config, read_json
+from ..oracle import check_box
+from .config import config_field, lipschitz_config, load_config, read_json
 from .runner import SWEEP_AXES, build_objective, run_experiment, sweep
 
 __all__ = ["main"]
@@ -102,19 +105,21 @@ def _cmd_parse_data(args) -> int:
 def _cmd_lipschitz(args) -> int:
     cfg = lipschitz_config(read_json(args.config))
     spec = build_objective(cfg)
-    if len(cfg.box) != spec.p:
-        raise ConfigError("box", f"has {len(cfg.box)} rows, problem has p={spec.p}")
-    report = empirical_lipschitz(spec, cfg.box, n_pairs=cfg.n_pairs, seed=cfg.seed)
+    with config_field("box"):
+        check_box(cfg.box, spec.p)
     bound = None
     if cfg.problem["kind"] == "synthetic":
-        jacs = synthetic_step_jacobians(
-            c=cfg.problem["c"],
-            w_star=cfg.problem["w_star"],
-            eta=cfg.inner.lr,
-            t_inner=cfg.inner.steps,
-            lambda_box=cfg.box[0],
-        )
+        # the bound's precondition is checked before any point is sampled
+        with config_field("inner.lr"):
+            jacs = synthetic_step_jacobians(
+                c=cfg.problem["c"],
+                w_star=cfg.problem["w_star"],
+                eta=cfg.inner.lr,
+                t_inner=cfg.inner.steps,
+                lambda_box=cfg.box[0],
+            )
         bound = lipschitz_product_bound(jacs)
+    report = empirical_lipschitz(spec, cfg.box, n_pairs=cfg.n_pairs, seed=cfg.seed)
     payload = {
         "bound": bound,
         "empirical_max_ratio": report.empirical_max_ratio,
@@ -150,7 +155,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 1
-    except HozogError as err:
+    except (HozogError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

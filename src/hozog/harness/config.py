@@ -4,7 +4,7 @@
 ``hozog sweep``) and :func:`lipschitz_config` a ``hozog lipschitz-report``
 config.  Both are JSON with nested sections, strictly validated: unknown
 keys anywhere in the tree are errors (a typo silently ignored is a wrong
-experiment), every referenced path must exist at load time, and a key
+experiment), every data path must name an existing file, and a key
 that is present must hold a value of its type (``null`` included).  Every
 failure is a :class:`~hozog.errors.ConfigError` naming ``section.key``.
 
@@ -17,14 +17,15 @@ the same way; its box default is the runner's, since it needs the built
 problem's bounds.  Each value is checked here against its field's declared
 type (an int field takes no bool or float, a float field takes an int) and
 by the class's own range check, so each range is written once; no number
-may be NaN or infinite.  A value no class checks (problem sizes and seeds,
-``metric_every``, the report's ``n_pairs``, box order and seed, and the
-problem's ``0 < w_star < c`` and ``n_groups <= n_train``) is checked here,
-so a bad value is a config error before any data is read.  A synthetic
-problem runs its ``inner`` solver when the section is present and its
-exact inner solution otherwise.  ``max_workers`` is still accepted and
-checked (an integer >= 1) so that existing configs load, but it has no
-effect: every evaluation runs in sequence.
+may be NaN or infinite; a box goes through :func:`~hozog.oracle.check_box`.
+A value no class checks (problem sizes and seeds, ``metric_every``, the
+report's ``n_pairs`` and seed, and the problem's ``0 < w_star < c`` and
+``n_groups <= n_train``) is checked here, so a bad value is a config
+error before any data is read.  A run takes only its method's section.
+A synthetic problem runs its ``inner`` solver when the section is
+present and its exact inner solution otherwise.  ``max_workers`` is
+still accepted and checked (an integer >= 1) so that existing configs
+load, but it has no effect: every evaluation runs in sequence.
 """
 
 from __future__ import annotations
@@ -32,12 +33,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from ..baselines import RandomSearchConfig
 from ..errors import ConfigError, InvalidConfig
 from ..inner_solvers import InnerSolver
+from ..oracle import check_box
 from ..problems import SyntheticBilevel
 from ..zo_core import ZoConfig
 
@@ -57,7 +60,7 @@ _TOP_KEYS = {
 _LIPSCHITZ_KEYS = {"problem", "inner", "box", "n_pairs", "seed", "output", "max_workers"}
 _PROBLEM_KEYS = {
     "synthetic": {"kind", "c", "w_star"},
-    "logreg": {"kind", "data", "split_seed", "binarize_seed", "n_features"},
+    "logreg": {"kind", "data", "split_seed", "binarize_seed"},
     "hyperclean": {
         "kind",
         "data",
@@ -76,7 +79,7 @@ _INNER_DEFAULTS = {
     "hyperclean": InnerSolver(steps=4000, lr=0.05, variant="gd"),
 }
 # keys a hozog section leaves out (seed and direction_scheme keep ZoConfig's);
-# also the metrics probe of a random-search run that has no hozog section
+# also, on the run's own seed, the metrics probe of a random-search run
 HOZOG_DEFAULTS = ZoConfig(q=1, mu=0.01, gamma=0.05, iterations=0)
 # budget has no default and box's is the runner's; these stand in for them
 # while the keys a random_search section does give are checked
@@ -143,6 +146,15 @@ def _box(value, name: str) -> list:
 _TYPE_CHECKS = {"int": _int, "float": _number, "str": _string, "np.ndarray": _box}
 
 
+@contextmanager
+def config_field(name: str):
+    """Turn a library range check's InvalidConfig into a ConfigError naming ``name``."""
+    try:
+        yield
+    except InvalidConfig as err:
+        raise ConfigError(name, str(err)) from None
+
+
 def _section(section, where: str, base):
     """``base`` with the keys of config section ``where`` replaced.
 
@@ -160,10 +172,8 @@ def _section(section, where: str, base):
         if key not in types:
             raise ConfigError(name, "unknown key")
         values[key] = _TYPE_CHECKS[types[key]](value, name)
-        try:
+        with config_field(name):
             replace(base, **{key: values[key]})
-        except InvalidConfig as err:
-            raise ConfigError(name, str(err)) from None
     return replace(base, **values)
 
 
@@ -202,14 +212,12 @@ def _problem(problem) -> dict:
             raise ConfigError("problem", "synthetic needs both c and w_star")
         c = _number(problem["c"], "problem.c")
         w_star = _number(problem["w_star"], "problem.w_star")
-        try:
+        with config_field("problem"):
             SyntheticBilevel(c=c, w_star=w_star)
-        except InvalidConfig as err:
-            raise ConfigError("problem", str(err)) from None
         return {"kind": kind, "c": c, "w_star": w_star}
     data = _require(problem, "data", "problem")
-    if not isinstance(data, str) or not os.path.exists(data):
-        raise ConfigError("problem.data", f"path does not exist: {data!r}")
+    if not isinstance(data, str) or not os.path.isfile(data):
+        raise ConfigError("problem.data", f"not an existing file: {data!r}")
     if kind == "logreg":
         problem = {"split_seed": 0, **problem}
     else:
@@ -247,13 +255,13 @@ def _output(value, name: str) -> str:
 
 
 def read_json(path):
-    """Parse a JSON config file; a missing or malformed file is a ConfigError."""
+    """Parse a JSON config file; an unreadable or malformed file is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except FileNotFoundError:
-        raise ConfigError("config", f"file not found: {path}") from None
-    except json.JSONDecodeError as err:
+    except OSError as err:
+        raise ConfigError("config", f"cannot read {path}: {err.strerror}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError("config", f"not valid JSON: {err}") from None
 
 
@@ -271,12 +279,13 @@ def config_from_dict(raw) -> ExperimentConfig:
     problem = _problem(_require(raw, "problem", ""))
     inner = _inner(raw.get("inner"), problem["kind"])
     hozog = random_search = None
-    if method == "hozog" or "hozog" in raw:
+    if method == "hozog":
         hozog = _section(_require(raw, "hozog", ""), "hozog", HOZOG_DEFAULTS)
-    if method == "random_search":
+    else:
         random_search = _random_search(_require(raw, "random_search", ""))
-    elif "random_search" in raw:
-        raise ConfigError("random_search", "only a random_search run takes this section")
+    other = "random_search" if method == "hozog" else "hozog"
+    if other in raw:
+        raise ConfigError(other, f"only a {other} run takes this section")
 
     lambda0 = raw.get("lambda0", 0.0)
     if isinstance(lambda0, list):
@@ -308,8 +317,8 @@ def lipschitz_config(raw) -> LipschitzConfig:
     inner = _inner(_require(raw, "inner", ""), problem["kind"])
     _int(raw.get("max_workers", 1), "max_workers", minimum=1)
     box = _box(_require(raw, "box", ""), "box")
-    if not all(lo < hi for lo, hi in box):
-        raise ConfigError("box", f"each [lo, hi] pair needs lo < hi, got {box}")
+    with config_field("box"):
+        check_box(box)
     return LipschitzConfig(
         problem=problem,
         inner=inner,

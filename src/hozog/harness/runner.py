@@ -2,7 +2,8 @@
 
 Every run writes its trace CSV and, next to it, a manifest recording the
 resolved config (what ran, every default filled in, the random-search box
-and the metrics probe included) and the library versions.
+included) and the library versions.  The manifest's path is the output's
+with one trailing ``.csv`` removed, plus ``.manifest.json``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .. import __version__
 from ..baselines import RandomSearchConfig, random_search
 from ..data_io import binarize, load_libsvm, split_2_1_1
 from ..errors import ConfigError, HozogError
-from ..oracle import ObjectiveSpec
+from ..oracle import ObjectiveSpec, check_box
 from ..problems import (
     LogRegProblem,
     hyperclean_objective,
@@ -27,8 +28,8 @@ from ..problems import (
     make_hyperclean,
     make_synthetic,
 )
-from ..zo_core import ZoConfig, run_hozog
-from .config import HOZOG_DEFAULTS, ExperimentConfig, LipschitzConfig, with_hozog
+from ..zo_core import run_hozog
+from .config import HOZOG_DEFAULTS, ExperimentConfig, LipschitzConfig, config_field, with_hozog
 from .metrics import TraceWriter
 
 __all__ = ["build_objective", "run_experiment", "sweep", "SWEEP_AXES"]
@@ -44,8 +45,8 @@ def build_objective(cfg: ExperimentConfig | LipschitzConfig) -> ObjectiveSpec:
     kind = cfg.problem["kind"]
     if kind == "synthetic":
         return make_synthetic(cfg.problem["c"], cfg.problem["w_star"], inner=cfg.inner)
+    ds = load_libsvm(cfg.problem["data"])
     if kind == "logreg":
-        ds = load_libsvm(cfg.problem["data"], n_features=cfg.problem.get("n_features"))
         labels = {label for label, _ in ds.rows}
         if "binarize_seed" in cfg.problem:
             ds = binarize(ds, cfg.problem["binarize_seed"])
@@ -57,7 +58,6 @@ def build_objective(cfg: ExperimentConfig | LipschitzConfig) -> ObjectiveSpec:
         train, val, test = split_2_1_1(ds, cfg.problem["split_seed"])
         prob = LogRegProblem.from_datasets(train, val, test)
         return logreg_objective(prob, cfg.inner)
-    ds = load_libsvm(cfg.problem["data"])
     prob = make_hyperclean(
         ds,
         n_train=cfg.problem["n_train"],
@@ -82,25 +82,21 @@ def _resolve_lambda0(cfg: ExperimentConfig, p: int) -> np.ndarray:
 def _rs_config(cfg: ExperimentConfig, spec: ObjectiveSpec) -> RandomSearchConfig:
     box = cfg.random_search["box"]
     if box is None:
-        if spec.bounds is not None:
-            box = spec.bounds
-        else:
-            # the tasks without declared bounds still need a sampling box
-            box = np.tile([-5.0, 5.0], (spec.p, 1))
-    elif len(box) != spec.p:
-        raise ConfigError("random_search.box", f"has {len(box)} rows, problem has p={spec.p}")
+        # the tasks without declared bounds still need a sampling box
+        box = spec.bounds if spec.bounds is not None else np.tile([-5.0, 5.0], (spec.p, 1))
+    with config_field("random_search.box"):
+        check_box(box, spec.p)
     return RandomSearchConfig(**{**cfg.random_search, "box": box})
 
 
 def _write_manifest(
-    path: Path, cfg: ExperimentConfig, probe: ZoConfig, rs: RandomSearchConfig | None, result: dict
+    path: str, cfg: ExperimentConfig, rs: RandomSearchConfig | None, result: dict
 ) -> None:
     """Write the resolved config (what ran, defaults filled in) and the library versions.
 
-    A random-search run's hozog section is its metrics probe.  A section
-    the run did not use is left out, as a config file leaves it out.
+    A section the run did not use is left out, as a config file leaves it out.
     """
-    config = dataclasses.asdict(dataclasses.replace(cfg, hozog=probe))
+    config = dataclasses.asdict(cfg)
     if cfg.inner is not None:
         del config["inner"]["w0"]  # not a config key
     if rs is not None:
@@ -129,11 +125,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     """
     spec = build_objective(cfg)
     lam0 = _resolve_lambda0(cfg, spec.p)
-    probe = cfg.hozog or HOZOG_DEFAULTS
-    rs = None
+    probe, rs = cfg.hozog, None
     if cfg.method == "random_search":
         rs = _rs_config(cfg, spec)
-        probe = dataclasses.replace(probe, seed=rs.seed)
+        probe = dataclasses.replace(HOZOG_DEFAULTS, seed=rs.seed)
     with TraceWriter(
         cfg.output, method=cfg.method, spec=spec, probe=probe, cadence=cfg.metric_every
     ) as writer:
@@ -148,16 +143,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "oracle_calls_metrics": writer.metric_calls,
             "trace": str(cfg.output),
         }
-    manifest_path = Path(cfg.output).with_suffix(".manifest.json")
-    _write_manifest(manifest_path, cfg, probe, rs, summary)
-    summary["manifest"] = str(manifest_path)
+    manifest_path = cfg.output.removesuffix(".csv") + ".manifest.json"
+    _write_manifest(manifest_path, cfg, rs, summary)
+    summary["manifest"] = manifest_path
     return summary
-
-
-def _output_for_value(output: str, axis: str, value) -> str:
-    path = Path(output)
-    tag = f"{value:g}" if isinstance(value, float) else str(value)
-    return str(path.with_name(f"{path.stem}_{axis}{tag}{path.suffix}"))
 
 
 def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
@@ -165,8 +154,10 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
 
     All runs share every other setting, including seeds.  Every value is
     checked as a hozog config value before the first run; a ConfigError
-    names the first bad one.  A failing run is reported in the returned
-    status list but does not stop the others.
+    names the first bad one, or ``values`` when one repeats.  Each run's
+    output adds ``_<axis><repr(value)>`` to the stem of ``cfg.output``.  A
+    failing run is reported in the returned status list but does not stop
+    the others.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError("axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
@@ -175,10 +166,14 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
     if not values:
         raise ConfigError("values", "need at least one value")
     runs = [with_hozog(cfg, **{axis: value}) for value in values]
+    resolved = [getattr(run_cfg.hozog, axis) for run_cfg in runs]
+    if len(set(resolved)) != len(resolved):
+        raise ConfigError("values", f"a value repeats: {resolved}")
+    out = Path(cfg.output)
     statuses = []
-    for run_cfg in runs:
-        value = getattr(run_cfg.hozog, axis)
-        run_cfg = dataclasses.replace(run_cfg, output=_output_for_value(cfg.output, axis, value))
+    for run_cfg, value in zip(runs, resolved):
+        output = str(out.with_name(f"{out.stem}_{axis}{value!r}{out.suffix}"))
+        run_cfg = dataclasses.replace(run_cfg, output=output)
         try:
             summary = run_experiment(run_cfg)
             statuses.append({"value": value, "ok": True, "trace": summary["trace"]})

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteIterate
+from .errors import InvalidConfig, NonFiniteObjective
 
 __all__ = ["InnerSolver", "solve", "trajectory"]
 
@@ -94,15 +94,17 @@ def solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
 
     ``loss_grad(w, lam)`` must return the gradient of the inner loss at
     ``w``; exactly ``alg.steps`` gradient evaluations are performed.
-    Raises :class:`NonFiniteIterate` (``t = alg.steps``) when the final
+    Raises :class:`NonFiniteObjective` carrying ``lam`` when the final
     iterate is not finite.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for w in _STEPS[alg.variant](loss_grad, alg, lam):
             pass
         if not np.all(np.isfinite(w)):
-            raise NonFiniteIterate(
-                f"iterate is non-finite after {alg.steps} inner steps", t=alg.steps
+            raise NonFiniteObjective(
+                f"inner solve diverged (iterate is non-finite after {alg.steps} inner "
+                f"steps) at lam={np.array2string(np.asarray(lam), threshold=8)}",
+                hyperparams=lam,
             )
     return w
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig
-from .oracle import ObjectiveSpec, evaluate_batch
+from .oracle import ObjectiveSpec, check_box, evaluate_batch
 
 __all__ = [
     "StepJacobians",
@@ -133,11 +133,7 @@ def empirical_lipschitz(
     """
     if n_pairs < 1:
         raise InvalidConfig(f"n_pairs must be >= 1, got {n_pairs}")
-    box = np.atleast_2d(np.asarray(box, dtype=float))
-    if box.shape != (spec.p, 2) or not np.all(box[:, 0] < box[:, 1]):
-        raise InvalidConfig(
-            f"box must be ({spec.p}, 2) with lo < hi, got {np.array2string(box, threshold=8)}"
-        )
+    box = check_box(box, spec.p)
     rng = np.random.default_rng(seed)
     lo, hi = box[:, 0], box[:, 1]
     first = lo + (hi - lo) * rng.random((n_pairs, spec.p))

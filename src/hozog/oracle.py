@@ -16,10 +16,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteIterate, NonFiniteObjective
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteObjective
 from .inner_solvers import InnerSolver, solve
 
 __all__ = ["ObjectiveSpec", "Evaluation", "evaluate", "evaluate_batch", "function_objective"]
+
+
+def check_box(box, p: int | None = None) -> np.ndarray:
+    """``box`` as a float array of ``p`` [lo, hi] rows, lo < hi in each (NaN fails).
+
+    ``p`` None accepts any number of rows.  Raises InvalidConfig.
+    """
+    arr = np.atleast_2d(np.asarray(box, dtype=float))
+    rows = arr.shape[0] if p is None else p
+    if arr.shape != (rows, 2) or not np.all(arr[:, 0] < arr[:, 1]):
+        got = np.array2string(arr, threshold=8)
+        raise InvalidConfig(f"box must be ({rows}, 2) with lo < hi in each row, got {got}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -40,14 +53,7 @@ class ObjectiveSpec:
 
     def __post_init__(self):
         if self.bounds is not None:
-            box = np.atleast_2d(np.asarray(self.bounds, dtype=float))
-            if box.shape != (self.p, 2):
-                raise DimensionMismatch(
-                    f"bounds shape {box.shape} does not match (p, 2) = ({self.p}, 2)"
-                )
-            if not np.all(box[:, 0] < box[:, 1]):
-                raise DimensionMismatch("each bound must satisfy lo < hi")
-            object.__setattr__(self, "bounds", box)
+            object.__setattr__(self, "bounds", check_box(self.bounds, self.p))
 
     @property
     def p(self) -> int:
@@ -66,7 +72,8 @@ class Evaluation:
     model: np.ndarray
 
 
-def _check_lambda(spec: ObjectiveSpec, lam) -> np.ndarray:
+def check_lambda(spec: ObjectiveSpec, lam) -> np.ndarray:
+    """``lam`` as a finite float vector of length ``spec.p`` (a scalar counts as length 1)."""
     arr = np.asarray(lam, dtype=float)
     if arr.ndim == 0:
         arr = arr.reshape(1)
@@ -81,7 +88,7 @@ def _check_lambda(spec: ObjectiveSpec, lam) -> np.ndarray:
 
 def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
     """Run the inner solver at lam and score the result with the outer loss."""
-    lam = _check_lambda(spec, lam)
+    lam = check_lambda(spec, lam)
     problem = spec.problem
     if spec.inner is None:
         w = problem.exact_solution(lam)
@@ -89,13 +96,7 @@ def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
         alg = spec.inner
         if alg.w0 is None:
             alg = dataclasses.replace(alg, w0=np.zeros(problem.d))
-        try:
-            w = solve(problem.inner_loss_grad, alg, lam)
-        except NonFiniteIterate as err:
-            raise NonFiniteObjective(
-                f"inner solve diverged ({err}) at lam={np.array2string(lam, threshold=8)}",
-                hyperparams=lam,
-            ) from err
+        w = solve(problem.inner_loss_grad, alg, lam)
     f = float(problem.outer_value(w, lam))
     if not np.isfinite(f):
         raise NonFiniteObjective(

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from ..data_io import SparseDataset
-from ..errors import DimensionMismatch, EmptySplit
+from ..errors import DimensionMismatch, InsufficientData
 from ..inner_solvers import InnerSolver
 from ..oracle import ObjectiveSpec
 from .synthetic import _EXP_CAP
@@ -58,7 +58,7 @@ class LogRegProblem:
             if x.shape[0] != y.shape[0]:
                 raise DimensionMismatch(f"{split}: {x.shape[0]} rows vs {y.shape[0]} labels")
             if split != "test" and x.shape[0] == 0:
-                raise EmptySplit(f"{split} split is empty")
+                raise InsufficientData(f"{split} split is empty")
             if y.size and not np.all(np.isin(y, (-1.0, 1.0))):
                 raise DimensionMismatch(f"{split} labels must be in {{-1, +1}}")
 
@@ -107,7 +107,7 @@ def logreg_objective(prob: LogRegProblem, inner: InnerSolver) -> ObjectiveSpec:
 def logreg_test_error(prob: LogRegProblem, w: np.ndarray) -> float:
     """Misclassification rate on the test split; zero scores count as errors."""
     if prob.x_test.shape[0] == 0:
-        raise EmptySplit("test split is empty")
+        raise InsufficientData("test split is empty")
     w = np.asarray(w, dtype=float)
     if w.shape != (prob.d,):
         raise DimensionMismatch(f"model has shape {w.shape}, expected ({prob.d},)")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, NonFiniteObjective
-from .oracle import Evaluation, ObjectiveSpec, evaluate, evaluate_batch
+from .oracle import Evaluation, ObjectiveSpec, check_lambda, evaluate, evaluate_batch
 
 __all__ = [
     "ZoConfig",
@@ -211,15 +211,11 @@ def run_hozog(
     Optimizer-driven oracle calls total exactly T*(q+1); anything else is
     the recorder's own business.  A non-finite objective aborts the run
     with the meta-iteration index attached: a silently clipped estimate
-    would corrupt the descent direction.  ``max_workers`` is accepted for
+    would corrupt the descent direction.  ``lambda0`` is checked like any
+    evaluated point, up front.  ``max_workers`` is accepted for
     compatibility and has no effect: evaluations always run in sequence.
     """
-    lam = np.asarray(lambda0, dtype=float).copy()
-    if lam.ndim == 0:
-        lam = lam.reshape(1)
-    p = spec.p
-    if lam.shape != (p,):
-        raise InvalidConfig(f"lambda0 has shape {lam.shape}, expected ({p},)")
+    lam = check_lambda(spec, lambda0).copy()
     rng = np.random.default_rng(cfg.seed)
 
     def batch_oracle(points):
@@ -227,7 +223,7 @@ def run_hozog(
 
     calls = 0
     for t in range(cfg.iterations):
-        directions = sample_directions(p, cfg.q, cfg.direction_scheme, rng)
+        directions = sample_directions(spec.p, cfg.q, cfg.direction_scheme, rng)
         try:
             base = evaluate(spec, lam)
             grad = estimate_hyper_gradient(

@@ -16,7 +16,7 @@ from hozog.data_io import (
     serialize_libsvm,
     split_2_1_1,
 )
-from hozog.errors import InsufficientData, ParseError, SingleClass
+from hozog.errors import InsufficientData, ParseError
 
 
 class TestParse:
@@ -122,12 +122,6 @@ class TestRoundTrip:
             fh.write(serialize_libsvm(ds))
         assert load_libsvm(path) == ds
 
-    def test_plain_load_with_declared_features(self, tmp_path):
-        path = tmp_path / "data.libsvm"
-        path.write_text("1 1:1.0\n-1 2:2.0\n")
-        ds = load_libsvm(path, n_features=10)
-        assert ds.n_features == 10
-
     def test_csr_shape_and_values(self):
         ds = parse_libsvm("1 1:0.5 3:2.0\n-1 2:1.0\n")
         mat = ds.to_csr()
@@ -157,7 +151,7 @@ class TestBinarize:
         assert {label for label, _ in out.rows} == {-1.0, 1.0}
 
     def test_single_class_rejected(self):
-        with pytest.raises(SingleClass):
+        with pytest.raises(InsufficientData):
             binarize(parse_libsvm("1 1:1\n1 1:2\n"), seed=0)
 
     def test_deterministic_per_seed(self):

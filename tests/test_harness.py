@@ -520,6 +520,7 @@ class TestConfigValidation:
             cfg = synthetic_config(tmp_path, inner={"steps": 10})
             if section == "random_search":
                 cfg["method"] = "random_search"
+                del cfg["hozog"]
             if section == "":
                 cfg.update(value)
             else:
@@ -581,3 +582,168 @@ class TestCli:
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["bound"] >= payload["empirical_max_ratio"] >= 0.0
         assert payload["samples"] == 200
+
+    @pytest.mark.parametrize(
+        "case, code, prefix",
+        [
+            ("data names a directory", 2, "config error: config field 'problem.data'"),
+            ("data is not UTF-8", 1, "parse error: line 2, column 1:"),
+            ("parse-data of a missing path", 1, "error: "),
+            ("parse-data of a directory", 1, "error: "),
+            ("parse-data of a file that is not UTF-8", 1, "parse error: line 2, column 1:"),
+            ("config names a directory", 2, "config error: config field 'config'"),
+            ("config is not UTF-8", 2, "config error: config field 'config'"),
+        ],
+    )
+    def test_unreadable_file_is_one_line_and_an_exit_code(
+        self, tmp_path, capsys, case, code, prefix
+    ):
+        (tmp_path / "dir").mkdir()
+        bad = tmp_path / "bad.libsvm"
+        bad.write_bytes(b"1 1:1.0\n\xff\xfe 1:2.0\n")
+        data = {"data names a directory": tmp_path / "dir", "data is not UTF-8": bad}
+        config = write_config(
+            tmp_path,
+            {
+                "method": "hozog",
+                "problem": {"kind": "logreg", "data": str(data.get(case, bad))},
+                "hozog": {"iterations": 1},
+                "output": str(tmp_path / "trace.csv"),
+            },
+        )
+        (tmp_path / "latin1.json").write_bytes(b'{"method": "\xe9"}')
+        argv = {
+            "parse-data of a missing path": ["parse-data", "--input", str(tmp_path / "none")],
+            "parse-data of a directory": ["parse-data", "--input", str(tmp_path / "dir")],
+            "parse-data of a file that is not UTF-8": ["parse-data", "--input", str(bad)],
+            "config names a directory": ["run", "--config", str(tmp_path / "dir")],
+            "config is not UTF-8": ["run", "--config", str(tmp_path / "latin1.json")],
+        }.get(case, ["run", "--config", str(config)])
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert cli_main(argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_an_os_error_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        def unreadable(path):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr("hozog.data_io.load_libsvm", unreadable)
+        assert cli_main(["parse-data", "--input", str(tmp_path / "x.libsvm")]) == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied")
+
+    def test_expansive_lipschitz_report_is_rejected_before_sampling(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("empirical_lipschitz must not be called")
+
+        monkeypatch.setattr("hozog.harness.cli.empirical_lipschitz", never)
+        cfg = lipschitz_report_config(tmp_path)
+        cfg["inner"] = {"variant": "gd", "steps": 50, "lr": 1.0}
+        cfg["n_pairs"] = 20000
+        path = write_config(tmp_path, cfg)
+        assert cli_main(["lipschitz-report", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config field 'inner.lr'" in err and "expansive" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_multiclass_logreg_needs_binarize_seed(self, tmp_path, capsys, multiclass_file):
+        cfg = {
+            "method": "hozog",
+            "problem": {"kind": "logreg", "data": str(multiclass_file), "binarize_seed": 3},
+            "inner": {"steps": 10},
+            "hozog": {"q": 1, "iterations": 2},
+            "output": str(tmp_path / "trace.csv"),
+        }
+        path = write_config(tmp_path, cfg)
+        assert cli_main(["run", "--config", str(path)]) == 0
+        assert len(read_trace(tmp_path / "trace.csv")) == 3
+        del cfg["problem"]["binarize_seed"]
+        cfg["output"] = str(tmp_path / "other.csv")
+        path = write_config(tmp_path, cfg)
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert "config field 'problem.binarize_seed'" in capsys.readouterr().err
+        assert not (tmp_path / "other.csv").exists()
+
+
+class TestOutputNames:
+    def test_close_sweep_values_write_distinct_files(self, tmp_path, capsys):
+        path = write_config(tmp_path, synthetic_config(tmp_path, output=str(tmp_path / "sw.csv")))
+        argv = ["sweep", "--config", str(path), "--axis", "mu", "--values", "0.1,0.1000001"]
+        assert cli_main(argv) == 0
+        assert "mu=0.1000001: ok" in capsys.readouterr().out
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.json",
+            "sw_mu0.1.csv",
+            "sw_mu0.1.manifest.json",
+            "sw_mu0.1000001.csv",
+            "sw_mu0.1000001.manifest.json",
+        ]
+
+    def test_sweep_tags_are_the_printed_values(self, tmp_path, capsys):
+        path = write_config(tmp_path, synthetic_config(tmp_path, output=str(tmp_path / "sw.csv")))
+        assert cli_main(["sweep", "--config", str(path), "--axis", "mu", "--values", "1"]) == 0
+        assert f"mu=1.0: ok -> {tmp_path / 'sw_mu1.0.csv'}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("values", ["0.1,0.1", "1,1.0"])
+    def test_a_repeated_value_is_rejected_before_the_first_run(self, tmp_path, capsys, values):
+        path = write_config(tmp_path, synthetic_config(tmp_path))
+        assert cli_main(["sweep", "--config", str(path), "--axis", "mu", "--values", values]) == 2
+        assert "config field 'values'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_an_output_without_csv_keeps_its_manifest_apart(self, tmp_path):
+        cfg = config_from_dict(synthetic_config(tmp_path, output=str(tmp_path / "run")))
+        statuses = sweep(cfg, "mu", [0.1, 0.2])
+        assert [s["ok"] for s in statuses] == [True, True]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run_mu0.1",
+            "run_mu0.1.manifest.json",
+            "run_mu0.2",
+            "run_mu0.2.manifest.json",
+        ]
+
+    @pytest.mark.parametrize(
+        "output, manifest",
+        [
+            ("trace.csv", "trace.manifest.json"),
+            ("run", "run.manifest.json"),
+            ("run.1", "run.1.manifest.json"),
+            ("a.csv.csv", "a.csv.manifest.json"),
+        ],
+    )
+    def test_manifest_name(self, tmp_path, output, manifest):
+        cfg = config_from_dict(synthetic_config(tmp_path, output=str(tmp_path / output)))
+        assert run_experiment(cfg)["manifest"] == str(tmp_path / manifest)
+        assert (tmp_path / manifest).is_file()
+
+
+class TestRandomSearchRun:
+    def test_takes_no_hozog_section(self, tmp_path, capsys):
+        cfg = {
+            "method": "random_search",
+            "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
+            "random_search": {"budget": 3},
+            "hozog": {"seed": 5, "gamma": 123, "iterations": 99},
+            "output": str(tmp_path / "rs.csv"),
+        }
+        path = write_config(tmp_path, cfg)
+        assert cli_main(["run", "--config", str(path)]) == 2
+        assert "config field 'hozog'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_manifest_has_no_hozog_section(self, tmp_path):
+        cfg = config_from_dict(
+            {
+                "method": "random_search",
+                "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
+                "random_search": {"budget": 3, "seed": 4},
+                "output": str(tmp_path / "rs.csv"),
+            }
+        )
+        manifest = json.loads(Path(run_experiment(cfg)["manifest"]).read_text(encoding="utf-8"))
+        assert "hozog" not in manifest["config"]
+        assert manifest["config"]["random_search"]["seed"] == 4

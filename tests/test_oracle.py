@@ -6,6 +6,7 @@ import pytest
 from hozog import (
     DimensionMismatch,
     InnerSolver,
+    InvalidConfig,
     NonFiniteObjective,
     evaluate,
     evaluate_batch,
@@ -108,7 +109,7 @@ class TestFunctionObjective:
         assert spec.p == 2
 
     def test_bounds_validation(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidConfig):
             function_objective(lambda lam: 0.0, p=2, bounds=[[0.0, 1.0]])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidConfig):
             function_objective(lambda lam: 0.0, p=1, bounds=[[float("nan"), 1.0]])

@@ -7,7 +7,7 @@ import pytest
 
 from hozog import InnerSolver, InvalidConfig, evaluate
 from hozog.data_io import SparseDataset, random_classification_dataset, split_2_1_1
-from hozog.errors import DimensionMismatch, EmptySplit, InsufficientData
+from hozog.errors import DimensionMismatch, InsufficientData
 from hozog.problems import (
     HyperCleanProblem,
     LogRegProblem,
@@ -106,7 +106,7 @@ class TestLogReg:
     def test_empty_validation_split(self):
         train = _tiny_dataset([(1.0, ((1, 1.0),)), (-1.0, ((1, -1.0),))])
         empty = _tiny_dataset([])
-        with pytest.raises(EmptySplit):
+        with pytest.raises(InsufficientData):
             LogRegProblem.from_datasets(train, empty, train)
 
     def test_declared_bounds(self):
@@ -177,7 +177,7 @@ class TestLogRegTestError:
 
     def test_empty_test_split(self):
         prob = self._problem([])
-        with pytest.raises(EmptySplit):
+        with pytest.raises(InsufficientData):
             logreg_test_error(prob, np.zeros(prob.d))
 
 

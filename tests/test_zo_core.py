@@ -316,6 +316,30 @@ class TestRunHozog:
         assert all(-1.0 <= v <= 1.0 for v in trail)
         assert out[0] == 1.0  # descent on -10x pushes to the upper bound
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        p=st.integers(1, 4),
+        q=st.integers(1, 4),
+        gamma=st.floats(1e-3, 1e3),
+        scheme=st.sampled_from(["sphere", "gaussian"]),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_iterates_stay_inside_declared_bounds(self, p, q, gamma, scheme, seed, data):
+        lo = np.array(data.draw(st.lists(st.floats(-5.0, 4.0), min_size=p, max_size=p)))
+        hi = lo + np.array(data.draw(st.lists(st.floats(0.01, 5.0), min_size=p, max_size=p)))
+        slope = np.array(data.draw(st.lists(st.floats(-10.0, 10.0), min_size=p, max_size=p)))
+        lam0 = lo + (hi - lo) * data.draw(st.floats(0.0, 1.0))
+        spec = function_objective(
+            lambda lam: float(slope @ lam + np.sin(lam).sum()), p=p, bounds=np.c_[lo, hi]
+        )
+        cfg = ZoConfig(q=q, mu=0.01, gamma=gamma, iterations=8, seed=seed, direction_scheme=scheme)
+        trail = []
+        out = run_hozog(spec, lam0, cfg, recorder=lambda e: trail.append(e.hyperparams))
+        assert len(trail) == 9
+        for lam in [*trail, out]:
+            assert np.all(lo <= lam) and np.all(lam <= hi)
+
     def test_nonfinite_objective_carries_meta_iteration(self):
         state = {"n": 0}
 

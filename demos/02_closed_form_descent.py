@@ -20,7 +20,7 @@ final = run_hozog(spec, [2.0], cfg, recorder=lambda e: trail.append(e))
 
 print(f"{'iter':>4}  {'lam':>9}  {'f(lam)':>12}")
 for event in trail:
-    if event.meta_iter % 10 == 0 or event.final:
+    if event.meta_iter % 10 == 0 or event.evaluation is None:
         f = event.evaluation.f_value if event.evaluation else spec.value(event.hyperparams)
         print(f"{event.meta_iter:4d}  {event.hyperparams[0]:9.5f}  {f:12.3e}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import gzip
 import io
 import math
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,11 +146,16 @@ def load_libsvm(path) -> SparseDataset:
 
     Bytes that are not UTF-8 are kept as lone surrogates, so they fail the
     grammar as a :class:`~hozog.errors.ParseError` at their own line and
-    column (or are ignored inside a comment).
+    column (or are ignored inside a comment).  A ``*.gz`` file that is cut
+    short or whose compressed data is damaged raises ``gzip.BadGzipFile``
+    (an ``OSError``) naming the file.
     """
     opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_libsvm(fh)
+    try:
+        with opener(path, "rt", encoding="utf-8", errors="surrogateescape") as fh:
+            return parse_libsvm(fh)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as err:
+        raise gzip.BadGzipFile(f"{path}: damaged gzip data ({err})") from err
 
 
 def serialize_libsvm(ds: SparseDataset) -> str:

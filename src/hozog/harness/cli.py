@@ -108,8 +108,9 @@ def _cmd_lipschitz(args) -> int:
     with config_field("box"):
         check_box(cfg.box, spec.p)
     bound = None
-    if cfg.problem["kind"] == "synthetic":
-        # the bound's precondition is checked before any point is sampled
+    if cfg.problem["kind"] == "synthetic" and cfg.inner.variant == "gd":
+        # the bound models the GD step map; its precondition is checked
+        # before any point is sampled
         with config_field("inner.lr"):
             jacs = synthetic_step_jacobians(
                 c=cfg.problem["c"],

@@ -17,8 +17,9 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from ..errors import InvalidConfig
 from ..oracle import Evaluation, ObjectiveSpec, evaluate, evaluate_batch
-from ..zo_core import IterationEvent, ZoConfig, estimate_hyper_gradient, sample_directions
+from ..zo_core import IterationEvent, ZoConfig, combine_differences, sample_directions
 
 __all__ = ["TraceRecord", "MetricSample", "compute_metrics", "TraceWriter", "TRACE_COLUMNS"]
 
@@ -79,49 +80,41 @@ def compute_metrics(
     f = evaluation.f_value
     new_min = min(history_min, f)
     directions = sample_directions(spec.p, probe.q, probe.direction_scheme, metrics_rng)
-    estimate = estimate_hyper_gradient(
-        lam,
-        lambda _: f,
-        probe,
-        directions,
-        batch_oracle=lambda points: [e.f_value for e in evaluate_batch(spec, points)],
-    )
+    perturbed = evaluate_batch(spec, lam + probe.mu * directions)
+    estimate = combine_differences(f, np.array([e.f_value for e in perturbed]), directions, probe)
     test_err = spec.problem.test_metric(evaluation.model)
     return MetricSample(
         f_value=f,
         suboptimality=f - new_min,
-        grad_norm_est=estimate.norm,
+        grad_norm_est=float(np.linalg.norm(estimate.vector)),
         test_error=math.nan if test_err is None else float(test_err),
         metric_calls=calls,
         history_min=new_min,
     )
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 class TraceWriter:
     """Single-writer CSV trace sink, flushed per record.
 
     Consumes :class:`~hozog.zo_core.IterationEvent`s.  Rows are written on
-    the metric cadence (every ``cadence``-th meta-iteration) and always for
-    a final event; skipped events still feed the running minimum so
+    the metric cadence (every ``cadence``-th meta-iteration, ``cadence`` an
+    integer >= 1) and always for the final event, the one without an
+    evaluation; skipped events still feed the running minimum so
     suboptimality stays correct.  The gradient-norm probe uses ``probe``'s
     q, mu and direction scheme, on a stream seeded from its seed.
     ``records`` counts the rows written.
     """
 
     def __init__(self, path, method: str, spec: ObjectiveSpec, probe: ZoConfig, cadence: int = 1):
+        if isinstance(cadence, bool) or not isinstance(cadence, int) or cadence < 1:
+            raise InvalidConfig(f"cadence must be an integer >= 1, got {cadence!r}")
         self._fh = open(path, "w", newline="")
         self._fh.write(",".join(TRACE_COLUMNS) + "\n")
         self._fh.flush()
         self.method = method
         self.spec = spec
         self.probe = probe
-        self.cadence = max(1, int(cadence))
+        self.cadence = cadence
         self._metrics_rng = np.random.default_rng([int(probe.seed), _METRICS_STREAM])
         self._history_min = math.inf
         self._start = time.perf_counter()
@@ -131,10 +124,8 @@ class TraceWriter:
 
     def __call__(self, event: IterationEvent) -> None:
         self.optimizer_calls = max(self.optimizer_calls, event.optimizer_calls)
-        on_cadence = event.meta_iter % self.cadence == 0
-        if not (event.final or on_cadence):
-            if event.evaluation is not None:
-                self._history_min = min(self._history_min, event.evaluation.f_value)
+        if event.evaluation is not None and event.meta_iter % self.cadence != 0:
+            self._history_min = min(self._history_min, event.evaluation.f_value)
             return
         sample = compute_metrics(
             self.spec,
@@ -159,7 +150,7 @@ class TraceWriter:
         )
         self.records += 1
         self._fh.write(
-            ",".join(_fmt(getattr(record, col)) for col in TRACE_COLUMNS) + "\n"
+            ",".join(str(getattr(record, col)) for col in TRACE_COLUMNS) + "\n"
         )
         self._fh.flush()
 

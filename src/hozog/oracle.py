@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,6 +60,14 @@ class ObjectiveSpec:
     def p(self) -> int:
         return self.problem.p
 
+    # built lazily: a second InnerSolver per spec doubles a small spec's set-up time
+    @cached_property
+    def solver(self) -> InnerSolver:
+        """``inner`` started at its ``w0``, else at zero; built once, on first use."""
+        if self.inner.w0 is not None:
+            return self.inner
+        return dataclasses.replace(self.inner, w0=np.zeros(self.problem.d))
+
     def value(self, lam: np.ndarray) -> float:
         """Plain-callable view of the objective, f(lam)."""
         return evaluate(self, lam).f_value
@@ -93,10 +102,7 @@ def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
     if spec.inner is None:
         w = problem.exact_solution(lam)
     else:
-        alg = spec.inner
-        if alg.w0 is None:
-            alg = dataclasses.replace(alg, w0=np.zeros(problem.d))
-        w = solve(problem.inner_loss_grad, alg, lam)
+        w = solve(problem.inner_loss_grad, spec.solver, lam)
     f = float(problem.outer_value(w, lam))
     if not np.isfinite(f):
         raise NonFiniteObjective(

@@ -71,7 +71,10 @@ class SyntheticBilevel:
         return (w - self.c) + 2.0 * _exp(lam[0]) * w
 
     def outer_value(self, w: np.ndarray, lam: np.ndarray) -> float:
-        return 0.5 * (float(w[0]) - self.w_star) ** 2
+        try:
+            return 0.5 * (float(w[0]) - self.w_star) ** 2
+        except OverflowError:  # a float power past the double range raises, not gives inf
+            return math.inf
 
     def test_metric(self, w: np.ndarray):
         return None

@@ -16,12 +16,12 @@ E[u u^T] = I, so that scheme uses the Gaussian-smoothing scale 1/(mu*q)
 
 The q+1 evaluations of a meta-iteration are independent of each other and
 run one after another.  All directions are drawn up-front from a single
-seeded stream as one (q, p) block, and the combine is one numpy reduction
-over that block.  It adds the q weighted rows in direction-index order
-(for p = 1 numpy sums the single column pairwise), whatever order the
-oracle computed the values in, and it calls no BLAS routine, so its result
-does not depend on the BLAS build or thread count.  The trajectory is
-therefore a deterministic function of (spec, lambda0, config).
+seeded stream as one (q, p) block.  :func:`combine_differences` is plain
+arithmetic over values the caller already holds: one numpy reduction over
+that block, adding the q weighted rows in direction-index order (for p = 1
+numpy sums the single column pairwise) and calling no BLAS routine, so its
+result does not depend on the BLAS build or thread count.  The trajectory
+is therefore a deterministic function of (spec, lambda0, config).
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ __all__ = [
     "GradientEstimate",
     "IterationEvent",
     "sample_directions",
+    "combine_differences",
     "estimate_hyper_gradient",
     "hozog_step",
     "run_hozog",
@@ -85,14 +86,9 @@ class ZoConfig:
 
 @dataclass(frozen=True)
 class GradientEstimate:
-    """An averaged zeroth-order hyper-gradient and its oracle-call cost."""
+    """An averaged zeroth-order hyper-gradient; it costs q+1 oracle values."""
 
     vector: np.ndarray
-    eval_count: int
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
 
 
 @dataclass(frozen=True)
@@ -100,8 +96,8 @@ class IterationEvent:
     """What a trace recorder sees once per meta-iteration.
 
     ``evaluation`` is the base oracle evaluation at this iterate, reusable
-    by the recorder at no extra oracle cost; it is None on the final event
-    (the returned lambda_T, which the loop itself never evaluates).
+    by the recorder at no extra oracle cost; it is None exactly on the final
+    event (the returned lambda_T, which the loop itself never evaluates).
     ``optimizer_calls`` is the cumulative optimizer-driven oracle count.
     """
 
@@ -110,7 +106,6 @@ class IterationEvent:
     evaluation: Evaluation | None
     gradient: GradientEstimate | None
     optimizer_calls: int
-    final: bool = False
 
 
 def sample_directions(p: int, q: int, scheme: str, rng: np.random.Generator) -> np.ndarray:
@@ -135,24 +130,29 @@ def sample_directions(p: int, q: int, scheme: str, rng: np.random.Generator) -> 
     return u / norms[:, None]
 
 
-def estimate_hyper_gradient(
-    lam: np.ndarray,
-    oracle,
-    cfg: ZoConfig,
-    directions: np.ndarray,
-    batch_oracle=None,
+def combine_differences(
+    f_base: float, values: np.ndarray, directions: np.ndarray, cfg: ZoConfig
 ) -> GradientEstimate:
-    """Averaged zeroth-order hyper-gradient at lam from a pre-drawn direction set.
+    """The averaged estimate from f(lam) and the q values f(lam + mu*u_i).
 
-    ``oracle`` is a plain callable f(lam) -> float.  ``batch_oracle``, when
-    given, maps the (q, p) array of perturbed points to their q values.  The
-    oracle is asked for f(lam) once, reused across all difference terms, so
-    a caller that already holds f(lam) can pass it as ``lambda _: value``.
-    f(lam) is checked before any perturbed point runs; a non-finite
-    perturbed value names the first such point.  The q weighted directions
-    are summed by one numpy reduction over the (q, p) block (no BLAS), so
-    the estimate does not depend on the order the values were computed in.
-    The estimate accounts for q+1 oracle values.
+    ``directions`` holds the u_i as its rows.  Plain arithmetic: the q
+    weighted directions are summed by one numpy reduction over the (q, p)
+    block (no BLAS), in direction-index order.
+    """
+    dim_scale = directions.shape[1] if cfg.direction_scheme == "sphere" else 1
+    scale = dim_scale / (cfg.mu * cfg.q)
+    vector = ((np.asarray(values) - f_base)[:, None] * directions).sum(axis=0) * scale
+    return GradientEstimate(vector=vector)
+
+
+def estimate_hyper_gradient(
+    lam: np.ndarray, oracle, cfg: ZoConfig, directions: np.ndarray
+) -> GradientEstimate:
+    """Averaged zeroth-order hyper-gradient of a plain callable f(lam) -> float.
+
+    f is called at lam, then at each perturbed point in direction-index
+    order: q+1 calls.  f(lam) is checked before any perturbed point runs; a
+    non-finite perturbed value names the first such point.
     """
     lam = np.asarray(lam, dtype=float)
     p = lam.shape[0]
@@ -164,14 +164,9 @@ def estimate_hyper_gradient(
     f_base = float(oracle(lam))
     _require_finite(np.array([f_base]), lam[None])
     points = lam + cfg.mu * directions
-    if batch_oracle is None:
-        batch_oracle = lambda xs: [oracle(x) for x in xs]
-    values = np.array([float(v) for v in batch_oracle(points)])
+    values = np.array([float(oracle(x)) for x in points])
     _require_finite(values, points)
-    dim_scale = p if cfg.direction_scheme == "sphere" else 1
-    scale = dim_scale / (cfg.mu * cfg.q)
-    vector = ((values - f_base)[:, None] * directions).sum(axis=0) * scale
-    return GradientEstimate(vector=vector, eval_count=cfg.q + 1)
+    return combine_differences(f_base, values, directions, cfg)
 
 
 def _require_finite(values: np.ndarray, points: np.ndarray) -> None:
@@ -217,22 +212,18 @@ def run_hozog(
     """
     lam = check_lambda(spec, lambda0).copy()
     rng = np.random.default_rng(cfg.seed)
-
-    def batch_oracle(points):
-        return [e.f_value for e in evaluate_batch(spec, points)]
-
     calls = 0
     for t in range(cfg.iterations):
         directions = sample_directions(spec.p, cfg.q, cfg.direction_scheme, rng)
         try:
             base = evaluate(spec, lam)
-            grad = estimate_hyper_gradient(
-                lam, lambda _: base.f_value, cfg, directions, batch_oracle=batch_oracle
-            )
+            perturbed = evaluate_batch(spec, lam + cfg.mu * directions)
         except NonFiniteObjective as err:
             err.meta_iter = t
             raise
-        calls += grad.eval_count
+        values = np.array([e.f_value for e in perturbed])
+        grad = combine_differences(base.f_value, values, directions, cfg)
+        calls += cfg.q + 1
         if recorder is not None:
             recorder(
                 IterationEvent(
@@ -254,7 +245,6 @@ def run_hozog(
                 evaluation=None,
                 gradient=None,
                 optimizer_calls=calls,
-                final=True,
             )
         )
     return lam

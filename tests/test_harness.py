@@ -1,5 +1,6 @@
 """Harness tests: metrics, traces, configs, runner, sweep, CLI."""
 
+import gzip
 import json
 import math
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 from hozog import InnerSolver, ZoConfig, evaluate, function_objective
 from hozog.data_io import random_classification_dataset, serialize_libsvm
-from hozog.errors import ConfigError
+from hozog.errors import ConfigError, InvalidConfig
 from hozog.harness import (
     TRACE_COLUMNS,
     TraceWriter,
@@ -105,6 +106,15 @@ class TestComputeMetrics:
         assert (fresh.metric_calls, reused.metric_calls) == (4, 3)
 
 
+class TestTraceWriter:
+    @pytest.mark.parametrize("cadence", [0, -1, 2.7, 2.0, True, "2"])
+    def test_a_cadence_that_is_not_a_positive_integer_is_rejected(self, tmp_path, cadence):
+        spec = function_objective(lambda lam: 1.0, p=1)
+        with pytest.raises(InvalidConfig, match="cadence must be an integer >= 1"):
+            TraceWriter(tmp_path / "t.csv", "hozog", spec, probe_config(1, 0.1), cadence=cadence)
+        assert not (tmp_path / "t.csv").exists()
+
+
 def synthetic_config(tmp_path, **overrides):
     cfg = {
         "method": "hozog",
@@ -125,6 +135,24 @@ def lipschitz_report_config(tmp_path):
         "n_pairs": 200,
         "seed": 0,
         "output": str(tmp_path / "report.json"),
+    }
+
+
+def hyperclean_config(tmp_path, data, lambda0):
+    return {
+        "method": "hozog",
+        "problem": {
+            "kind": "hyperclean",
+            "data": str(data),
+            "n_train": 40,
+            "n_val": 40,
+            "n_test": 40,
+            "n_groups": 4,
+        },
+        "inner": {"steps": 5},
+        "hozog": {"q": 1, "iterations": 1},
+        "lambda0": lambda0,
+        "output": str(tmp_path / "hc.csv"),
     }
 
 
@@ -312,6 +340,33 @@ class TestRunExperiment:
         rows = read_trace(cfg.output)
         assert len(rows) == 4
         assert all(np.isfinite(float(r["test_error"])) for r in rows)
+
+    def test_list_lambda0_runs_and_is_recorded(self, tmp_path, multiclass_file):
+        cfg = config_from_dict(hyperclean_config(tmp_path, multiclass_file, [0.5, -0.5, 1.0, 0.0]))
+        summary = run_experiment(cfg)
+        config = json.loads(Path(summary["manifest"]).read_text(encoding="utf-8"))["config"]
+        assert config["lambda0"] == [0.5, -0.5, 1.0, 0.0]
+        assert len(read_trace(cfg.output)) == 2
+
+    @pytest.mark.parametrize("lambda0", [[], [0.0, 0.0]])
+    def test_lambda0_of_the_wrong_length_names_it(self, tmp_path, capsys, multiclass_file, lambda0):
+        path = write_config(tmp_path, hyperclean_config(tmp_path, multiclass_file, lambda0))
+        assert cli_main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config field 'lambda0': has {len(lambda0)} entries, problem has p=4" in err
+        assert not (tmp_path / "hc.csv").exists()
+
+    def test_random_search_in_which_every_sample_diverges(self, tmp_path, capsys):
+        cfg = {
+            "method": "random_search",
+            "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
+            "inner": {"variant": "gd", "steps": 500, "lr": 10.0},
+            "random_search": {"budget": 5, "box": [[0.0, 1.0]], "seed": 0},
+            "output": str(tmp_path / "rs.csv"),
+        }
+        path = write_config(tmp_path, cfg)
+        assert cli_main(["run", "--config", str(path)]) == 3
+        assert "every random-search sample diverged" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -564,6 +619,33 @@ class TestCli:
         out = capsys.readouterr().out
         assert "mu=0.001: ok" in out
 
+    @pytest.mark.parametrize(
+        "steps, reason",
+        [
+            (500, "inner solve diverged"),
+            # 50 steps leave a finite iterate whose squared outer loss overflows
+            (50, "objective is not finite"),
+        ],
+    )
+    def test_sweep_reports_a_failed_value_and_exits_three(self, tmp_path, capsys, steps, reason):
+        cfg = synthetic_config(tmp_path, inner={"variant": "gd", "steps": steps, "lr": 0.1})
+        path = write_config(tmp_path, cfg)
+        argv = ["sweep", "--config", str(path), "--axis", "mu", "--values", "0.01,10"]
+        assert cli_main(argv) == 3
+        out = capsys.readouterr().out
+        assert "mu=0.01: ok" in out
+        assert f"mu=10.0: FAILED ({reason}" in out
+
+    def test_sweep_values_that_are_not_numbers_name_values(self, tmp_path, capsys):
+        path = write_config(tmp_path, synthetic_config(tmp_path))
+        assert cli_main(["sweep", "--config", str(path), "--axis", "mu", "--values", "a,b"]) == 2
+        assert "config field 'values'" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    def test_parse_data_without_summary(self, tmp_path, logreg_file, capsys):
+        assert cli_main(["parse-data", "--input", str(logreg_file)]) == 0
+        assert capsys.readouterr().out == "ok: 120 rows\n"
+
     def test_parse_data_summary(self, tmp_path, logreg_file, capsys):
         assert cli_main(["parse-data", "--input", str(logreg_file), "--summary"]) == 0
         out = capsys.readouterr().out
@@ -583,6 +665,18 @@ class TestCli:
         assert payload["bound"] >= payload["empirical_max_ratio"] >= 0.0
         assert payload["samples"] == 200
 
+    @pytest.mark.parametrize("lr", [0.3, 0.1])
+    def test_lipschitz_report_of_an_adam_solve_has_no_bound(self, tmp_path, capsys, lr):
+        # the product bound models the GD step map, whose precondition
+        # (lr 0.3 is expansive over the box) says nothing about Adam
+        cfg = lipschitz_report_config(tmp_path)
+        cfg["inner"] = {"variant": "adam", "steps": 20, "lr": lr}
+        path = write_config(tmp_path, cfg, name="lip.json")
+        assert cli_main(["lipschitz-report", "--config", str(path)]) == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["bound"] is None
+        assert payload["samples"] == 200 and payload["empirical_max_ratio"] > 0.0
+
     @pytest.mark.parametrize(
         "case, code, prefix",
         [
@@ -593,6 +687,10 @@ class TestCli:
             ("parse-data of a file that is not UTF-8", 1, "parse error: line 2, column 1:"),
             ("config names a directory", 2, "config error: config field 'config'"),
             ("config is not UTF-8", 2, "config error: config field 'config'"),
+            ("data is a cut gzip", 1, "error: {cut}: damaged gzip data (Compressed file ended"),
+            ("data is a damaged gzip", 1, "error: {damaged}: damaged gzip data (Error -3"),
+            ("parse-data of a cut gzip", 1, "error: {cut}: damaged gzip data (Compressed"),
+            ("parse-data of a damaged gzip", 1, "error: {damaged}: damaged gzip data (Error -3"),
         ],
     )
     def test_unreadable_file_is_one_line_and_an_exit_code(
@@ -601,7 +699,18 @@ class TestCli:
         (tmp_path / "dir").mkdir()
         bad = tmp_path / "bad.libsvm"
         bad.write_bytes(b"1 1:1.0\n\xff\xfe 1:2.0\n")
-        data = {"data names a directory": tmp_path / "dir", "data is not UTF-8": bad}
+        text = "".join(f"{(-1) ** i} 1:{i}.5 2:{i * 7}\n" for i in range(300))
+        packed = gzip.compress(text.encode(), mtime=0)
+        cut, damaged = tmp_path / "cut.libsvm.gz", tmp_path / "damaged.libsvm.gz"
+        cut.write_bytes(packed[: len(packed) // 2])
+        damaged.write_bytes(packed[:40] + bytes(20) + packed[60:])
+        prefix = prefix.format(cut=cut, damaged=damaged)
+        data = {
+            "data names a directory": tmp_path / "dir",
+            "data is not UTF-8": bad,
+            "data is a cut gzip": cut,
+            "data is a damaged gzip": damaged,
+        }
         config = write_config(
             tmp_path,
             {
@@ -618,6 +727,8 @@ class TestCli:
             "parse-data of a file that is not UTF-8": ["parse-data", "--input", str(bad)],
             "config names a directory": ["run", "--config", str(tmp_path / "dir")],
             "config is not UTF-8": ["run", "--config", str(tmp_path / "latin1.json")],
+            "parse-data of a cut gzip": ["parse-data", "--input", str(cut)],
+            "parse-data of a damaged gzip": ["parse-data", "--input", str(damaged)],
         }.get(case, ["run", "--config", str(config)])
         before = sorted(p.name for p in tmp_path.iterdir())
         assert cli_main(argv) == code

@@ -60,6 +60,19 @@ class TestEvaluate:
         with pytest.raises(NonFiniteObjective):
             evaluate(spec, np.array([np.nan]))
 
+    def test_the_spec_builds_its_solver_once(self, monkeypatch):
+        spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=50, lr=0.1))
+        first = evaluate(spec, np.array([0.3]))
+        np.testing.assert_array_equal(spec.solver.w0, np.zeros(1))
+        given = InnerSolver(steps=50, lr=0.1, w0=np.array([0.5]))
+        assert make_synthetic(3.0, 1.0, inner=given).solver is given
+
+        def rebuilt(self):
+            raise AssertionError("evaluate must not rebuild the inner solver")
+
+        monkeypatch.setattr(InnerSolver, "__post_init__", rebuilt)
+        assert evaluate(spec, np.array([0.3])).f_value == first.f_value
+
 
 class TestEvaluateBatch:
     def test_batch_of_one_equals_evaluate(self):

@@ -79,9 +79,15 @@ class TestEstimateHyperGradient:
     def test_constant_oracle_gives_zero_vector(self):
         cfg = ZoConfig(q=8, mu=0.05, gamma=1.0, iterations=0)
         dirs = sample_directions(3, 8, "sphere", rng(4))
-        est = estimate_hyper_gradient(np.zeros(3), lambda lam: 3.7, cfg, dirs)
+        calls = []
+
+        def constant(lam):
+            calls.append(lam)
+            return 3.7
+
+        est = estimate_hyper_gradient(np.zeros(3), constant, cfg, dirs)
         np.testing.assert_array_equal(est.vector, np.zeros(3))
-        assert est.eval_count == 9
+        assert len(calls) == 9
 
     def test_hand_arithmetic_quadratic(self):
         # (1/0.01) * ((2.01)^2 - 4) * 1 = 4.01 with u = +1
@@ -121,22 +127,6 @@ class TestEstimateHyperGradient:
         est_g = estimate_hyper_gradient(lam, g, cfg, dirs).vector
         est_combo = estimate_hyper_gradient(lam, combo, cfg, dirs).vector
         np.testing.assert_allclose(est_combo, alpha * est_f + beta * est_g, rtol=1e-12, atol=1e-12)
-
-    def test_completion_order_does_not_change_result(self):
-        f = lambda lam: float(np.cos(lam[0]) * lam[1] - lam[2] ** 3)
-        cfg = ZoConfig(q=9, mu=0.02, gamma=1.0, iterations=0)
-        dirs = sample_directions(3, 9, "sphere", rng(7))
-        lam = np.array([0.1, 0.7, -0.3])
-
-        def reversed_batch(points):
-            values = [None] * len(points)
-            for i in reversed(range(len(points))):
-                values[i] = f(points[i])
-            return values
-
-        direct = estimate_hyper_gradient(lam, f, cfg, dirs)
-        shuffled = estimate_hyper_gradient(lam, f, cfg, dirs, batch_oracle=reversed_batch)
-        np.testing.assert_array_equal(direct.vector, shuffled.vector)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -306,7 +296,7 @@ class TestRunHozog:
         events = []
         run_hozog(spec, [0.3], cfg, recorder=events.append)
         assert count["n"] == 7 * (4 + 1)
-        assert events[-1].final and events[-1].optimizer_calls == 7 * 5
+        assert events[-1].evaluation is None and events[-1].optimizer_calls == 7 * 5
 
     def test_bounds_clamp_each_step(self):
         spec = function_objective(lambda lam: float(-10.0 * lam[0]), p=1, bounds=[[-1.0, 1.0]])

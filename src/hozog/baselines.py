@@ -43,10 +43,10 @@ def random_search(
     Consumes exactly ``budget`` oracle evaluations and returns the sampled
     point with the smallest objective.  All samples are pre-drawn from the
     seeded stream and evaluated in sample-index order, so the result is
-    deterministic.  A sample whose evaluation diverges is logged and
-    skipped rather than killing the search, but it still counts against the
-    budget.  ``max_workers`` is accepted for compatibility and has no
-    effect.
+    deterministic.  A sample whose evaluation diverges is logged (at debug
+    level) and skipped rather than killing the search, but it still counts
+    against the budget.  ``max_workers`` is accepted for compatibility and
+    has no effect.
     """
     check_box(cfg.box, spec.p)
     rng = np.random.default_rng(cfg.seed)
@@ -58,7 +58,7 @@ def random_search(
         try:
             outcome = evaluate(spec, lam)
         except NonFiniteObjective:
-            logger.warning("random search: non-finite objective at sample %d, skipping", index)
+            logger.debug("random search: non-finite objective at sample %d, skipping", index)
             continue
         if outcome.f_value < best_f:
             best_f = outcome.f_value

@@ -7,6 +7,10 @@ individual failure modes apart.
 
 from __future__ import annotations
 
+import sys
+
+import numpy as np
+
 
 class HozogError(Exception):
     """Base class for every error raised by this package."""
@@ -54,3 +58,9 @@ class ConfigError(HozogError):
         super().__init__(f"config field '{field}': {reason}")
         self.field = field
         self.reason = reason
+
+
+def array_text(arr) -> str:
+    """``arr`` for an error message: past 8 entries summarised, on one line."""
+    text = np.array2string(np.asarray(arr), threshold=8, max_line_width=sys.maxsize)
+    return text.replace("\n", "")

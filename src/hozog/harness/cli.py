@@ -25,7 +25,6 @@ from collections import Counter
 
 from ..errors import ConfigError, HozogError, NonFiniteObjective, ParseError
 from ..lipschitz import empirical_lipschitz, lipschitz_product_bound, synthetic_step_jacobians
-from ..oracle import check_box
 from .config import config_field, lipschitz_config, load_config, read_json
 from .runner import SWEEP_AXES, build_objective, run_experiment, sweep
 
@@ -105,8 +104,6 @@ def _cmd_parse_data(args) -> int:
 def _cmd_lipschitz(args) -> int:
     cfg = lipschitz_config(read_json(args.config))
     spec = build_objective(cfg)
-    with config_field("box"):
-        check_box(cfg.box, spec.p)
     bound = None
     if cfg.problem["kind"] == "synthetic" and cfg.inner.variant == "gd":
         # the bound models the GD step map; its precondition is checked

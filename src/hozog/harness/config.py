@@ -10,18 +10,19 @@ failure is a :class:`~hozog.errors.ConfigError` naming ``section.key``.
 
 A section that configures a runtime object becomes that object at load
 time, over the defaults below, which are the only copy of them in the
-harness: ``inner`` an :class:`~hozog.inner_solvers.InnerSolver` and
-``hozog`` a :class:`~hozog.zo_core.ZoConfig`.  The keys of
-``random_search`` go through :class:`~hozog.baselines.RandomSearchConfig`
-the same way; its box default is the runner's, since it needs the built
-problem's bounds.  Each value is checked here against its field's declared
-type (an int field takes no bool or float, a float field takes an int) and
-by the class's own range check, so each range is written once; no number
-may be NaN or infinite; a box goes through :func:`~hozog.oracle.check_box`.
-A value no class checks (problem sizes and seeds, ``metric_every``, the
-report's ``n_pairs`` and seed, and the problem's ``0 < w_star < c`` and
-``n_groups <= n_train``) is checked here, so a bad value is a config
-error before any data is read.  A run takes only its method's section.
+harness: ``inner`` an :class:`~hozog.inner_solvers.InnerSolver`,
+``hozog`` a :class:`~hozog.zo_core.ZoConfig` and ``random_search`` a
+:class:`~hozog.baselines.RandomSearchConfig` (its box defaults to the
+logreg bounds for logreg, else to [-5, 5] per coordinate).  Each value is
+checked here against its field's declared type (an int field takes no
+bool or float, a float field takes an int) and by the class's own range
+check, so each range is written once; no number may be NaN or infinite; a
+box goes through :func:`~hozog.oracle.check_box`.  The rest is checked
+here too: problem sizes and seeds, ``metric_every``, the report's
+``n_pairs`` and seed, ``0 < w_star < c``, ``n_groups <= n_train``, and
+each length set by the problem's p (:func:`problem_p`), that of a list
+``lambda0`` and both boxes' row counts.  So a bad value is a config error
+before any data is read.  A run takes only its method's section.
 A synthetic problem runs its ``inner`` solver when the section is
 present and its exact inner solution otherwise.  ``max_workers`` is
 still accepted and checked (an integer >= 1) so that existing configs
@@ -37,14 +38,17 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from ..baselines import RandomSearchConfig
 from ..errors import ConfigError, InvalidConfig
 from ..inner_solvers import InnerSolver
 from ..oracle import check_box
 from ..problems import SyntheticBilevel
+from ..problems.logreg import LOGREG_BOUNDS
 from ..zo_core import ZoConfig
 
-__all__ = ["ExperimentConfig", "LipschitzConfig", "load_config"]
+__all__ = ["ExperimentConfig", "LipschitzConfig", "load_config", "problem_p"]
 
 _TOP_KEYS = {
     "method",
@@ -81,9 +85,6 @@ _INNER_DEFAULTS = {
 # keys a hozog section leaves out (seed and direction_scheme keep ZoConfig's);
 # also, on the run's own seed, the metrics probe of a random-search run
 HOZOG_DEFAULTS = ZoConfig(q=1, mu=0.01, gamma=0.05, iterations=0)
-# budget has no default and box's is the runner's; these stand in for them
-# while the keys a random_search section does give are checked
-_RS_BASE = RandomSearchConfig(budget=1, box=[[0.0, 1.0]])
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,7 @@ class ExperimentConfig:
     problem: dict
     inner: InnerSolver | None
     hozog: ZoConfig | None
-    random_search: dict | None
+    random_search: RandomSearchConfig | None
     lambda0: float | list
     output: str
     metric_every: int
@@ -232,17 +233,25 @@ def _problem(problem) -> dict:
     return problem
 
 
+def problem_p(problem: dict) -> int:
+    """The length of lambda for a checked problem section."""
+    return problem["n_groups"] if problem["kind"] == "hyperclean" else 1
+
+
 def _inner(section, kind: str) -> InnerSolver | None:
     if section is None and kind == "synthetic":
         return None
     return _section({} if section is None else section, "inner", _INNER_DEFAULTS[kind])
 
 
-def _random_search(section) -> dict:
-    checked = _section(section, "random_search", _RS_BASE)
+def _random_search(section, kind: str, p: int) -> RandomSearchConfig:
+    box = LOGREG_BOUNDS.copy() if kind == "logreg" else np.tile([-5.0, 5.0], (p, 1))
+    # budget has no default: a section without one fails _require below
+    rs = _section(section, "random_search", RandomSearchConfig(budget=1, box=box))
     _require(section, "budget", "random_search")
-    box = checked.box.tolist() if "box" in section else None
-    return {"budget": checked.budget, "box": box, "seed": checked.seed}
+    with config_field("random_search.box"):
+        check_box(rs.box, p)
+    return rs
 
 
 def _output(value, name: str) -> str:
@@ -277,12 +286,13 @@ def config_from_dict(raw) -> ExperimentConfig:
     if method not in ("hozog", "random_search"):
         raise ConfigError("method", f"must be 'hozog' or 'random_search', got {method!r}")
     problem = _problem(_require(raw, "problem", ""))
+    p = problem_p(problem)
     inner = _inner(raw.get("inner"), problem["kind"])
     hozog = random_search = None
     if method == "hozog":
         hozog = _section(_require(raw, "hozog", ""), "hozog", HOZOG_DEFAULTS)
     else:
-        random_search = _random_search(_require(raw, "random_search", ""))
+        random_search = _random_search(_require(raw, "random_search", ""), problem["kind"], p)
     other = "random_search" if method == "hozog" else "hozog"
     if other in raw:
         raise ConfigError(other, f"only a {other} run takes this section")
@@ -290,6 +300,8 @@ def config_from_dict(raw) -> ExperimentConfig:
     lambda0 = raw.get("lambda0", 0.0)
     if isinstance(lambda0, list):
         lambda0 = [_number(v, "lambda0") for v in lambda0]
+        if len(lambda0) != p:
+            raise ConfigError("lambda0", f"has {len(lambda0)} entries, problem has p={p}")
     else:
         lambda0 = _number(lambda0, "lambda0")
     _int(raw.get("max_workers", 1), "max_workers", minimum=1)
@@ -308,9 +320,8 @@ def config_from_dict(raw) -> ExperimentConfig:
 def lipschitz_config(raw) -> LipschitzConfig:
     """Validate a ``lipschitz-report`` config with the experiment config's section checks.
 
-    ``n_pairs >= 1`` and lo < hi in each box row are checked here, before
-    the objective is built; the box's row count needs the built problem's
-    p and is checked by the CLI before any point is sampled.
+    ``n_pairs >= 1``, lo < hi in each box row and one row per
+    hyperparameter are checked here, before the objective is built.
     """
     _top_level(raw, _LIPSCHITZ_KEYS)
     problem = _problem(_require(raw, "problem", ""))
@@ -318,7 +329,7 @@ def lipschitz_config(raw) -> LipschitzConfig:
     _int(raw.get("max_workers", 1), "max_workers", minimum=1)
     box = _box(_require(raw, "box", ""), "box")
     with config_field("box"):
-        check_box(box)
+        check_box(box, problem_p(problem))
     return LipschitzConfig(
         problem=problem,
         inner=inner,

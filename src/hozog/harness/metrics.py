@@ -83,10 +83,12 @@ def compute_metrics(
     perturbed = evaluate_batch(spec, lam + probe.mu * directions)
     estimate = combine_differences(f, np.array([e.f_value for e in perturbed]), directions, probe)
     test_err = spec.problem.test_metric(evaluation.model)
+    with np.errstate(over="ignore"):  # finite entries near 1e300 have an infinite norm
+        grad_norm = float(np.linalg.norm(estimate.vector))
     return MetricSample(
         f_value=f,
         suboptimality=f - new_min,
-        grad_norm_est=float(np.linalg.norm(estimate.vector)),
+        grad_norm_est=grad_norm,
         test_error=math.nan if test_err is None else float(test_err),
         metric_calls=calls,
         history_min=new_min,
@@ -119,11 +121,9 @@ class TraceWriter:
         self._history_min = math.inf
         self._start = time.perf_counter()
         self.metric_calls = 0
-        self.optimizer_calls = 0
         self.records = 0
 
     def __call__(self, event: IterationEvent) -> None:
-        self.optimizer_calls = max(self.optimizer_calls, event.optimizer_calls)
         if event.evaluation is not None and event.meta_iter % self.cadence != 0:
             self._history_min = min(self._history_min, event.evaluation.f_value)
             return

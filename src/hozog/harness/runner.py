@@ -17,10 +17,10 @@ import numpy as np
 import scipy
 
 from .. import __version__
-from ..baselines import RandomSearchConfig, random_search
+from ..baselines import random_search
 from ..data_io import binarize, load_libsvm, split_2_1_1
 from ..errors import ConfigError, HozogError
-from ..oracle import ObjectiveSpec, check_box
+from ..oracle import ObjectiveSpec
 from ..problems import (
     LogRegProblem,
     hyperclean_objective,
@@ -29,7 +29,7 @@ from ..problems import (
     make_synthetic,
 )
 from ..zo_core import run_hozog
-from .config import HOZOG_DEFAULTS, ExperimentConfig, LipschitzConfig, config_field, with_hozog
+from .config import HOZOG_DEFAULTS, ExperimentConfig, LipschitzConfig, with_hozog
 from .metrics import TraceWriter
 
 __all__ = ["build_objective", "run_experiment", "sweep", "SWEEP_AXES"]
@@ -69,29 +69,7 @@ def build_objective(cfg: ExperimentConfig | LipschitzConfig) -> ObjectiveSpec:
     return hyperclean_objective(prob, cfg.inner)
 
 
-def _resolve_lambda0(cfg: ExperimentConfig, p: int) -> np.ndarray:
-    lam0 = cfg.lambda0
-    if isinstance(lam0, float):
-        return np.full(p, lam0)
-    arr = np.asarray(lam0, dtype=float)
-    if arr.shape != (p,):
-        raise ConfigError("lambda0", f"has {arr.size} entries, problem has p={p}")
-    return arr
-
-
-def _rs_config(cfg: ExperimentConfig, spec: ObjectiveSpec) -> RandomSearchConfig:
-    box = cfg.random_search["box"]
-    if box is None:
-        # the tasks without declared bounds still need a sampling box
-        box = spec.bounds if spec.bounds is not None else np.tile([-5.0, 5.0], (spec.p, 1))
-    with config_field("random_search.box"):
-        check_box(box, spec.p)
-    return RandomSearchConfig(**{**cfg.random_search, "box": box})
-
-
-def _write_manifest(
-    path: str, cfg: ExperimentConfig, rs: RandomSearchConfig | None, result: dict
-) -> None:
+def _write_manifest(path: str, cfg: ExperimentConfig, result: dict) -> None:
     """Write the resolved config (what ran, defaults filled in) and the library versions.
 
     A section the run did not use is left out, as a config file leaves it out.
@@ -99,8 +77,8 @@ def _write_manifest(
     config = dataclasses.asdict(cfg)
     if cfg.inner is not None:
         del config["inner"]["w0"]  # not a config key
-    if rs is not None:
-        config["random_search"] = {**dataclasses.asdict(rs), "box": rs.box.tolist()}
+    if cfg.random_search is not None:
+        config["random_search"]["box"] = cfg.random_search.box.tolist()
     manifest = {
         "config": {key: value for key, value in config.items() if value is not None},
         "result": result,
@@ -124,27 +102,27 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     diverging runs; the CLI maps those to exit codes 2 and 3.
     """
     spec = build_objective(cfg)
-    lam0 = _resolve_lambda0(cfg, spec.p)
-    probe, rs = cfg.hozog, None
-    if cfg.method == "random_search":
-        rs = _rs_config(cfg, spec)
-        probe = dataclasses.replace(HOZOG_DEFAULTS, seed=rs.seed)
+    if cfg.method == "hozog":
+        probe, calls = cfg.hozog, cfg.hozog.iterations * (cfg.hozog.q + 1)
+    else:
+        probe = dataclasses.replace(HOZOG_DEFAULTS, seed=cfg.random_search.seed)
+        calls = cfg.random_search.budget  # diverged samples count against it
     with TraceWriter(
         cfg.output, method=cfg.method, spec=spec, probe=probe, cadence=cfg.metric_every
     ) as writer:
         if cfg.method == "hozog":
-            final = run_hozog(spec, lam0, cfg.hozog, recorder=writer)
+            final = run_hozog(spec, np.full(spec.p, cfg.lambda0), cfg.hozog, recorder=writer)
         else:
-            final = random_search(spec, rs, recorder=writer)
+            final = random_search(spec, cfg.random_search, recorder=writer)
         summary = {
             "final_lambda": [float(v) for v in final],
             "records": writer.records,
-            "oracle_calls_optimizer": writer.optimizer_calls,
+            "oracle_calls_optimizer": calls,
             "oracle_calls_metrics": writer.metric_calls,
             "trace": str(cfg.output),
         }
     manifest_path = cfg.output.removesuffix(".csv") + ".manifest.json"
-    _write_manifest(manifest_path, cfg, rs, summary)
+    _write_manifest(manifest_path, cfg, summary)
     summary["manifest"] = manifest_path
     return summary
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteObjective
+from .errors import InvalidConfig, NonFiniteObjective, array_text
 
 __all__ = ["InnerSolver", "solve", "trajectory"]
 
@@ -103,7 +103,7 @@ def solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
         if not np.all(np.isfinite(w)):
             raise NonFiniteObjective(
                 f"inner solve diverged (iterate is non-finite after {alg.steps} inner "
-                f"steps) at lam={np.array2string(np.asarray(lam), threshold=8)}",
+                f"steps) at lam={array_text(lam)}",
                 hyperparams=lam,
             )
     return w

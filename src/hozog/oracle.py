@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, NonFiniteObjective
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteObjective, array_text
 from .inner_solvers import InnerSolver, solve
 
 __all__ = ["ObjectiveSpec", "Evaluation", "evaluate", "evaluate_batch", "function_objective"]
@@ -31,7 +31,7 @@ def check_box(box, p: int | None = None) -> np.ndarray:
     arr = np.atleast_2d(np.asarray(box, dtype=float))
     rows = arr.shape[0] if p is None else p
     if arr.shape != (rows, 2) or not np.all(arr[:, 0] < arr[:, 1]):
-        got = np.array2string(arr, threshold=8)
+        got = array_text(arr)
         raise InvalidConfig(f"box must be ({rows}, 2) with lo < hi in each row, got {got}")
     return arr
 
@@ -106,7 +106,7 @@ def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
     f = float(problem.outer_value(w, lam))
     if not np.isfinite(f):
         raise NonFiniteObjective(
-            f"objective is not finite at lam={np.array2string(lam, threshold=8)}",
+            f"objective is not finite at lam={array_text(lam)}",
             hyperparams=lam,
         )
     return Evaluation(f_value=f, model=w)

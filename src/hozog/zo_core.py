@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteObjective
+from .errors import InvalidConfig, NonFiniteObjective, array_text
 from .oracle import Evaluation, ObjectiveSpec, check_lambda, evaluate, evaluate_batch
 
 __all__ = [
@@ -175,7 +175,7 @@ def _require_finite(values: np.ndarray, points: np.ndarray) -> None:
     if bad.any():
         i = int(np.argmax(bad))
         raise NonFiniteObjective(
-            f"oracle returned {values[i]} at lam={np.array2string(points[i], threshold=8)}",
+            f"oracle returned {values[i]} at lam={array_text(points[i])}",
             hyperparams=points[i],
         )
 

@@ -12,6 +12,7 @@ from hozog import (
     RandomSearchConfig,
     ZoConfig,
     empirical_lipschitz,
+    estimate_hyper_gradient,
     evaluate,
     function_objective,
     random_search,
@@ -98,6 +99,27 @@ def test_diverging_solve_names_its_steps_and_lambda():
         "inner solve diverged (iterate is non-finite after 400 inner steps) at lam=[2.]"
     )
     np.testing.assert_array_equal(excinfo.value.hyperparams, [2.0])
+
+
+_LAM40 = np.random.default_rng(0).standard_normal(40) * 1e5
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve(
+            lambda w, lam: -2.0 * w, InnerSolver(steps=2000, lr=1.0, w0=np.ones(1)), _LAM40
+        ),
+        lambda: evaluate(function_objective(lambda lam: np.inf, p=40), _LAM40),
+        lambda: estimate_hyper_gradient(_LAM40, lambda lam: np.nan, _ZO, np.eye(40)[:1]),
+    ],
+    ids=["inner_solvers.solve", "oracle.evaluate", "zo_core.estimate_hyper_gradient"],
+)
+def test_a_long_lambda_is_summarised_on_one_line(call):
+    with pytest.raises(NonFiniteObjective) as excinfo:
+        call()
+    message = str(excinfo.value)
+    assert "..." in message and "\n" not in message, message
 
 
 def test_a_nonfinite_lambda0_fails_before_the_first_iteration():

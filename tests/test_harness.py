@@ -3,6 +3,9 @@
 import gzip
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,7 @@ from hozog.harness import (
     sweep,
 )
 from hozog.harness.cli import main as cli_main
-from hozog.harness.config import config_from_dict
+from hozog.harness.config import config_from_dict, problem_p
 from hozog.harness.runner import build_objective
 from hozog.problems import make_synthetic
 
@@ -348,7 +351,7 @@ class TestRunExperiment:
         assert config["lambda0"] == [0.5, -0.5, 1.0, 0.0]
         assert len(read_trace(cfg.output)) == 2
 
-    @pytest.mark.parametrize("lambda0", [[], [0.0, 0.0]])
+    @pytest.mark.parametrize("lambda0", [[], [0.0, 0.0], [0.0] * 5])
     def test_lambda0_of_the_wrong_length_names_it(self, tmp_path, capsys, multiclass_file, lambda0):
         path = write_config(tmp_path, hyperclean_config(tmp_path, multiclass_file, lambda0))
         assert cli_main(["run", "--config", str(path)]) == 2
@@ -356,7 +359,7 @@ class TestRunExperiment:
         assert f"config field 'lambda0': has {len(lambda0)} entries, problem has p=4" in err
         assert not (tmp_path / "hc.csv").exists()
 
-    def test_random_search_in_which_every_sample_diverges(self, tmp_path, capsys):
+    def test_random_search_in_which_every_sample_diverges(self, tmp_path):
         cfg = {
             "method": "random_search",
             "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
@@ -365,8 +368,45 @@ class TestRunExperiment:
             "output": str(tmp_path / "rs.csv"),
         }
         path = write_config(tmp_path, cfg)
-        assert cli_main(["run", "--config", str(path)]) == 3
-        assert "every random-search sample diverged" in capsys.readouterr().err
+        # a separate process: pytest's log capture would hide what logging
+        # prints to stderr when no handler is configured
+        roots = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, roots))}
+        done = subprocess.run(
+            [sys.executable, "-m", "hozog.harness.cli", "run", "--config", str(path)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 3
+        assert done.stderr.startswith("non-finite objective: every random-search sample")
+        assert done.stderr.count("\n") == 1, done.stderr
+
+    @pytest.mark.parametrize(
+        "steps",
+        [
+            # samples 4 and 5 diverge, so the last recorded event is sample 3
+            3000,
+            # every sample is finite, but the probe's estimates at samples 4
+            # and 5 reach 1e298 and their norm overflows to inf
+            500,
+        ],
+    )
+    def test_random_search_summary_counts_its_whole_budget(self, tmp_path, capsys, steps):
+        cfg = {
+            "method": "random_search",
+            "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
+            "inner": {"variant": "gd", "steps": steps, "lr": 0.5},
+            "random_search": {"budget": 6, "box": [[0.0, 1.0]], "seed": 0},
+            "output": str(tmp_path / "rs.csv"),
+        }
+        path = write_config(tmp_path, cfg)
+        assert cli_main(["run", "--config", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "optimizer calls: 6," in captured.out
+        manifest = json.loads((tmp_path / "rs.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["result"]["oracle_calls_optimizer"] == 6
 
 
 class TestSweep:
@@ -558,6 +598,7 @@ class TestConfigValidation:
                 "problem",
             ),
             ("random_search", {"budget": 5, "box": [[-1.0, 1.0], [-1.0, 1.0]]}, "random_search.box"),
+            ("random_search", {"budget": 5, "box": [[0.0, 1.0], [1.0, 0.0]]}, "random_search.box"),
             ("lipschitz-report", {"box": [[-2.0, 2.0], [-2.0, 2.0]]}, "box"),
             # a hozog run has no use for a random_search section
             ("", {"random_search": {"budget": 5}}, "random_search"),
@@ -582,8 +623,30 @@ class TestConfigValidation:
                 cfg[section] = {**cfg.get(section, {}), **value} if isinstance(value, dict) else value
         path = write_config(tmp_path, cfg)
         assert cli_main([command, "--config", str(path)]) == 2
-        assert f"config field '{field}'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err and err.count("\n") == 1, err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("kind", ["synthetic", "logreg", "hyperclean"])
+    def test_p_and_default_box_match_the_built_problem(self, tmp_path, multiclass_file, kind):
+        problem = {
+            "synthetic": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
+            "logreg": {"kind": "logreg", "data": str(multiclass_file), "binarize_seed": 0},
+            "hyperclean": hyperclean_config(tmp_path, multiclass_file, 0.0)["problem"],
+        }[kind]
+        cfg = config_from_dict(
+            {
+                "method": "random_search",
+                "problem": problem,
+                "random_search": {"budget": 1},
+                "output": str(tmp_path / "rs.csv"),
+            }
+        )
+        spec = build_objective(cfg)
+        assert problem_p(cfg.problem) == spec.p
+        # the declared bounds where the problem has them, else [-5, 5] per coordinate
+        expected = np.tile([-5.0, 5.0], (spec.p, 1)) if spec.bounds is None else spec.bounds
+        np.testing.assert_array_equal(cfg.random_search.box, expected)
 
     def test_load_config_from_file(self, tmp_path):
         path = write_config(tmp_path, synthetic_config(tmp_path))
@@ -736,6 +799,35 @@ class TestCli:
         assert err.startswith(prefix) and err.count("\n") == 1, err
         assert "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "command, change, field",
+        [
+            ("run", {"lambda0": [0.0, 0.0]}, "lambda0"),
+            (
+                "run",
+                {"method": "random_search", "random_search": {"budget": 2, "box": [[0, 1]]}},
+                "random_search.box",
+            ),
+            ("lipschitz-report", {"box": [[0.0, 1.0]] * 3}, "box"),
+        ],
+    )
+    def test_a_length_that_needs_p_fails_before_the_data_is_read(
+        self, tmp_path, capsys, command, change, field
+    ):
+        bad = tmp_path / "bad.libsvm"
+        bad.write_text("1 1:1.0 oops\n")
+        cfg = {**hyperclean_config(tmp_path, bad, 0.0), **change}
+        if command == "lipschitz-report":
+            cfg = {key: cfg[key] for key in ("problem", "inner", "box")}
+        elif cfg["method"] == "random_search":
+            del cfg["hozog"]
+        path = write_config(tmp_path, cfg)
+        assert cli_main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config field '{field}'"), err
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.libsvm", "config.json"]
 
     def test_an_os_error_is_an_error_line(self, tmp_path, capsys, monkeypatch):
         def unreadable(path):

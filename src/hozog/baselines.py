@@ -18,10 +18,10 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class RandomSearchConfig:
-    """Evaluation budget, sampling box (one [lo, hi] per coordinate), seed."""
+    """Evaluation budget, sampling box (a tuple of one (lo, hi) per coordinate), seed."""
 
     budget: int
-    box: np.ndarray
+    box: tuple
     seed: int = 0
 
     def __post_init__(self):
@@ -29,7 +29,7 @@ class RandomSearchConfig:
             raise InvalidConfig(f"budget must be >= 1, got {self.budget}")
         if self.seed < 0:
             raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
-        object.__setattr__(self, "box", check_box(self.box))
+        object.__setattr__(self, "box", tuple(map(tuple, check_box(self.box).tolist())))
 
 
 def random_search(
@@ -48,9 +48,9 @@ def random_search(
     against the budget.  ``max_workers`` is accepted for compatibility and
     has no effect.
     """
-    check_box(cfg.box, spec.p)
+    box = check_box(cfg.box, spec.p)
     rng = np.random.default_rng(cfg.seed)
-    lo, hi = cfg.box[:, 0], cfg.box[:, 1]
+    lo, hi = box[:, 0], box[:, 1]
     samples = lo + (hi - lo) * rng.random((cfg.budget, spec.p))
     best_lam = None
     best_f = np.inf

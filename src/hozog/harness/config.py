@@ -38,8 +38,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from ..baselines import RandomSearchConfig
 from ..errors import ConfigError, InvalidConfig
 from ..inner_solvers import InnerSolver
@@ -82,8 +80,7 @@ _INNER_DEFAULTS = {
     "logreg": InnerSolver(steps=150, lr=0.1, variant="adam"),
     "hyperclean": InnerSolver(steps=4000, lr=0.05, variant="gd"),
 }
-# keys a hozog section leaves out (seed and direction_scheme keep ZoConfig's);
-# also, on the run's own seed, the metrics probe of a random-search run
+# keys a hozog section leaves out (seed and direction_scheme keep ZoConfig's)
 HOZOG_DEFAULTS = ZoConfig(q=1, mu=0.01, gamma=0.05, iterations=0)
 
 
@@ -144,7 +141,7 @@ def _box(value, name: str) -> list:
 
 
 # dataclass field annotation (a string under postponed evaluation) -> check
-_TYPE_CHECKS = {"int": _int, "float": _number, "str": _string, "np.ndarray": _box}
+_TYPE_CHECKS = {"int": _int, "float": _number, "str": _string, "tuple": _box}
 
 
 @contextmanager
@@ -245,7 +242,7 @@ def _inner(section, kind: str) -> InnerSolver | None:
 
 
 def _random_search(section, kind: str, p: int) -> RandomSearchConfig:
-    box = LOGREG_BOUNDS.copy() if kind == "logreg" else np.tile([-5.0, 5.0], (p, 1))
+    box = LOGREG_BOUNDS if kind == "logreg" else [(-5.0, 5.0)] * p
     # budget has no default: a section without one fails _require below
     rs = _section(section, "random_search", RandomSearchConfig(budget=1, box=box))
     _require(section, "budget", "random_search")

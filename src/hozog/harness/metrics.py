@@ -1,12 +1,13 @@
 """Per-record experiment metrics and the CSV trace writer.
 
 Every written record carries the objective value, suboptimality against
-the running minimum of explored iterates, a gradient-norm estimate from a
-fresh zeroth-order probe on a metrics-dedicated random stream (its base
-value is the record's own f, so the probe adds q evaluations), and the
-problem's test metric.  Oracle calls spent on metrics are tallied apart
-from the optimizer's own calls so that cost comparisons between methods
-stay honest.
+the running minimum of explored iterates, the norm of the hyper-gradient
+estimate the optimizer stepped along from that iterate (NaN where there is
+none: on the final lambda_T record and on every random-search record), and
+the problem's test metric.  Metrics reuse what the optimizer computed; their
+only oracle call is the evaluation of the final record's iterate, tallied
+apart from the optimizer's own calls so that cost comparisons between
+methods stay honest.
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from ..errors import InvalidConfig
-from ..oracle import Evaluation, ObjectiveSpec, evaluate, evaluate_batch
-from ..zo_core import IterationEvent, ZoConfig, combine_differences, sample_directions
+from ..oracle import Evaluation, ObjectiveSpec, evaluate
+from ..zo_core import GradientEstimate, IterationEvent
 
 __all__ = ["TraceRecord", "MetricSample", "compute_metrics", "TraceWriter", "TRACE_COLUMNS"]
-
-# sub-stream tag so metric randomness never collides with optimizer seeds
-_METRICS_STREAM = 0x6D657472
 
 
 @dataclass(frozen=True)
@@ -59,32 +57,29 @@ def compute_metrics(
     spec: ObjectiveSpec,
     lam: np.ndarray,
     history_min: float,
-    probe: ZoConfig,
-    metrics_rng: np.random.Generator,
     evaluation: Evaluation | None = None,
+    gradient: GradientEstimate | None = None,
 ) -> MetricSample:
     """Metric fields for one iterate.
 
     ``history_min`` is the running minimum of f over previously explored
     iterates (+inf before the first); suboptimality is measured against the
     updated minimum, so the incumbent record scores exactly zero.  The
-    gradient-norm estimate uses ``probe``'s q, mu and direction scheme (its
-    gamma, iterations and seed play no part); it reuses f(lam) and consumes
-    q metric-only oracle calls; evaluating f when ``evaluation`` is absent
-    adds one more.
+    gradient norm is that of ``gradient``, NaN without one.  Evaluating f
+    when ``evaluation`` is absent is the only oracle call, and the only
+    metric call.
     """
-    calls = probe.q
+    calls = 0
     if evaluation is None:
         evaluation = evaluate(spec, lam)
-        calls += 1
+        calls = 1
     f = evaluation.f_value
     new_min = min(history_min, f)
-    directions = sample_directions(spec.p, probe.q, probe.direction_scheme, metrics_rng)
-    perturbed = evaluate_batch(spec, lam + probe.mu * directions)
-    estimate = combine_differences(f, np.array([e.f_value for e in perturbed]), directions, probe)
     test_err = spec.problem.test_metric(evaluation.model)
-    with np.errstate(over="ignore"):  # finite entries near 1e300 have an infinite norm
-        grad_norm = float(np.linalg.norm(estimate.vector))
+    grad_norm = math.nan
+    if gradient is not None:
+        with np.errstate(over="ignore"):  # finite entries near 1e300 have an infinite norm
+            grad_norm = float(np.linalg.norm(gradient.vector))
     return MetricSample(
         f_value=f,
         suboptimality=f - new_min,
@@ -102,12 +97,10 @@ class TraceWriter:
     the metric cadence (every ``cadence``-th meta-iteration, ``cadence`` an
     integer >= 1) and always for the final event, the one without an
     evaluation; skipped events still feed the running minimum so
-    suboptimality stays correct.  The gradient-norm probe uses ``probe``'s
-    q, mu and direction scheme, on a stream seeded from its seed.
-    ``records`` counts the rows written.
+    suboptimality stays correct.  ``records`` counts the rows written.
     """
 
-    def __init__(self, path, method: str, spec: ObjectiveSpec, probe: ZoConfig, cadence: int = 1):
+    def __init__(self, path, method: str, spec: ObjectiveSpec, cadence: int = 1):
         if isinstance(cadence, bool) or not isinstance(cadence, int) or cadence < 1:
             raise InvalidConfig(f"cadence must be an integer >= 1, got {cadence!r}")
         self._fh = open(path, "w", newline="")
@@ -115,9 +108,7 @@ class TraceWriter:
         self._fh.flush()
         self.method = method
         self.spec = spec
-        self.probe = probe
         self.cadence = cadence
-        self._metrics_rng = np.random.default_rng([int(probe.seed), _METRICS_STREAM])
         self._history_min = math.inf
         self._start = time.perf_counter()
         self.metric_calls = 0
@@ -131,9 +122,8 @@ class TraceWriter:
             self.spec,
             event.hyperparams,
             self._history_min,
-            self.probe,
-            self._metrics_rng,
             evaluation=event.evaluation,
+            gradient=event.gradient,
         )
         self._history_min = sample.history_min
         self.metric_calls += sample.metric_calls

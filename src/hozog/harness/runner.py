@@ -28,8 +28,8 @@ from ..problems import (
     make_hyperclean,
     make_synthetic,
 )
-from ..zo_core import run_hozog
-from .config import HOZOG_DEFAULTS, ExperimentConfig, LipschitzConfig, with_hozog
+from ..zo_core import IterationEvent, run_hozog
+from .config import ExperimentConfig, LipschitzConfig, with_hozog
 from .metrics import TraceWriter
 
 __all__ = ["build_objective", "run_experiment", "sweep", "SWEEP_AXES"]
@@ -77,8 +77,6 @@ def _write_manifest(path: str, cfg: ExperimentConfig, result: dict) -> None:
     config = dataclasses.asdict(cfg)
     if cfg.inner is not None:
         del config["inner"]["w0"]  # not a config key
-    if cfg.random_search is not None:
-        config["random_search"]["box"] = cfg.random_search.box.tolist()
     manifest = {
         "config": {key: value for key, value in config.items() if value is not None},
         "result": result,
@@ -102,18 +100,16 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     diverging runs; the CLI maps those to exit codes 2 and 3.
     """
     spec = build_objective(cfg)
-    if cfg.method == "hozog":
-        probe, calls = cfg.hozog, cfg.hozog.iterations * (cfg.hozog.q + 1)
-    else:
-        probe = dataclasses.replace(HOZOG_DEFAULTS, seed=cfg.random_search.seed)
-        calls = cfg.random_search.budget  # diverged samples count against it
-    with TraceWriter(
-        cfg.output, method=cfg.method, spec=spec, probe=probe, cadence=cfg.metric_every
-    ) as writer:
+    with TraceWriter(cfg.output, method=cfg.method, spec=spec, cadence=cfg.metric_every) as writer:
         if cfg.method == "hozog":
+            calls = cfg.hozog.iterations * (cfg.hozog.q + 1)
             final = run_hozog(spec, np.full(spec.p, cfg.lambda0), cfg.hozog, recorder=writer)
         else:
+            calls = cfg.random_search.budget  # diverged samples count against it
             final = random_search(spec, cfg.random_search, recorder=writer)
+            # the last row, like hozog's lambda_T row, carries what the whole run spent
+            writer(IterationEvent(meta_iter=calls, hyperparams=final, evaluation=None,
+                                  gradient=None, optimizer_calls=calls))
         summary = {
             "final_lambda": [float(v) for v in final],
             "records": writer.records,

@@ -98,6 +98,8 @@ class IterationEvent:
     ``evaluation`` is the base oracle evaluation at this iterate, reusable
     by the recorder at no extra oracle cost; it is None exactly on the final
     event (the returned lambda_T, which the loop itself never evaluates).
+    ``gradient`` is the estimate the step from this iterate follows, None
+    on the final event and from a method that makes none.
     ``optimizer_calls`` is the cumulative optimizer-driven oracle count.
     """
 

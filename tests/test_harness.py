@@ -11,7 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hozog import InnerSolver, ZoConfig, evaluate, function_objective
+from hozog import (
+    GradientEstimate,
+    InnerSolver,
+    ZoConfig,
+    evaluate,
+    function_objective,
+    run_hozog,
+)
 from hozog.data_io import random_classification_dataset, serialize_libsvm
 from hozog.errors import ConfigError, InvalidConfig
 from hozog.harness import (
@@ -30,45 +37,38 @@ from hozog.problems import make_synthetic
 from conftest import read_trace, rows_excluding_wall_time
 
 
-def metrics_rng():
-    return np.random.default_rng(99)
-
-
-def probe_config(q, mu):
-    return ZoConfig(q=q, mu=mu, gamma=1.0, iterations=0)
-
-
 class TestComputeMetrics:
     def test_first_record_suboptimality_is_zero(self):
         spec = make_synthetic(3.0, 1.0)
-        sample = compute_metrics(
-            spec, np.array([1.0]), math.inf, probe=probe_config(1, 0.01), metrics_rng=metrics_rng()
-        )
+        sample = compute_metrics(spec, np.array([1.0]), math.inf)
         assert sample.suboptimality == 0.0
-        assert sample.metric_calls == 2  # f itself plus the q-call probe
+        assert sample.metric_calls == 1  # f itself, the only metric call
 
     def test_running_minimum_sequence(self):
         # f-values 5, 3, 4 against the running minimum give 0, 0, 1
-        rng = metrics_rng()
         history = math.inf
         subopts = []
         for f_known in (5.0, 3.0, 4.0):
             # a fixed-value oracle per step isolates the bookkeeping
             spec_step = function_objective(lambda lam, v=f_known: v, p=1)
-            sample = compute_metrics(
-                spec_step, np.zeros(1), history, probe=probe_config(1, 0.01), metrics_rng=rng
-            )
+            sample = compute_metrics(spec_step, np.zeros(1), history)
             history = sample.history_min
             subopts.append(sample.suboptimality)
         assert subopts == [0.0, 0.0, 1.0]
         assert history == 3.0
 
-    def test_constant_oracle_zero_gradient_norm(self):
-        spec = function_objective(lambda lam: 2.5, p=3)
-        sample = compute_metrics(
-            spec, np.zeros(3), math.inf, probe=probe_config(4, 0.1), metrics_rng=metrics_rng()
-        )
-        assert sample.grad_norm_est == 0.0
+    def test_gradient_norm_is_the_given_estimates_norm(self):
+        spec = function_objective(lambda lam: 2.5, p=2)
+        estimate = GradientEstimate(vector=np.array([3.0, -4.0]))
+        assert compute_metrics(spec, np.zeros(2), math.inf, gradient=estimate).grad_norm_est == 5.0
+        assert math.isnan(compute_metrics(spec, np.zeros(2), math.inf).grad_norm_est)
+
+    def test_an_overflowing_norm_is_inf_without_a_warning(self):
+        # filterwarnings=error turns a RuntimeWarning from the norm into a failure
+        spec = function_objective(lambda lam: 2.5, p=2)
+        estimate = GradientEstimate(vector=np.array([1e300, 1e300]))
+        sample = compute_metrics(spec, np.zeros(2), math.inf, gradient=estimate)
+        assert sample.grad_norm_est == math.inf
 
     def test_reuses_provided_evaluation(self):
         count = {"n": 0}
@@ -80,33 +80,17 @@ class TestComputeMetrics:
         spec = function_objective(f, p=1)
         ev = evaluate(spec, np.zeros(1))
         count["n"] = 0
-        sample = compute_metrics(
-            spec,
-            np.zeros(1),
-            math.inf,
-            probe=probe_config(2, 0.1),
-            metrics_rng=metrics_rng(),
-            evaluation=ev,
-        )
-        assert count["n"] == 2  # only the q perturbed points of the probe
-        assert sample.metric_calls == 2
+        sample = compute_metrics(spec, np.zeros(1), math.inf, evaluation=ev)
+        assert count["n"] == 0
+        assert sample.metric_calls == 0
 
-    def test_provided_evaluation_leaves_gradient_estimate_unchanged(self):
+    def test_provided_evaluation_gives_the_fresh_sample(self):
         spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=50, lr=0.1))
         lam = np.array([0.4])
-        fresh = compute_metrics(
-            spec, lam, math.inf, probe=probe_config(3, 0.01), metrics_rng=metrics_rng()
-        )
-        reused = compute_metrics(
-            spec,
-            lam,
-            math.inf,
-            probe=probe_config(3, 0.01),
-            metrics_rng=metrics_rng(),
-            evaluation=evaluate(spec, lam),
-        )
-        assert reused.grad_norm_est == fresh.grad_norm_est
-        assert (fresh.metric_calls, reused.metric_calls) == (4, 3)
+        fresh = compute_metrics(spec, lam, math.inf)
+        reused = compute_metrics(spec, lam, math.inf, evaluation=evaluate(spec, lam))
+        assert (reused.f_value, reused.history_min) == (fresh.f_value, fresh.history_min)
+        assert (fresh.metric_calls, reused.metric_calls) == (1, 0)
 
 
 class TestTraceWriter:
@@ -114,7 +98,7 @@ class TestTraceWriter:
     def test_a_cadence_that_is_not_a_positive_integer_is_rejected(self, tmp_path, cadence):
         spec = function_objective(lambda lam: 1.0, p=1)
         with pytest.raises(InvalidConfig, match="cadence must be an integer >= 1"):
-            TraceWriter(tmp_path / "t.csv", "hozog", spec, probe_config(1, 0.1), cadence=cadence)
+            TraceWriter(tmp_path / "t.csv", "hozog", spec, cadence=cadence)
         assert not (tmp_path / "t.csv").exists()
 
 
@@ -276,10 +260,49 @@ class TestRunExperiment:
         )
         summary = run_experiment(cfg)
         rows = read_trace(cfg.output)
-        assert len(rows) == 30
+        assert len(rows) == 31  # one per sample, then the incumbent's
         assert summary["oracle_calls_optimizer"] == 30
         subopts = [float(r["suboptimality"]) for r in rows]
         assert min(subopts) == 0.0
+        last = rows[-1]
+        assert (last["meta_iter"], last["oracle_calls_optimizer"]) == ("30", "30")
+        assert float(last["f_value"]) == min(float(r["f_value"]) for r in rows)
+        # random search makes no gradient estimate
+        assert all(math.isnan(float(r["grad_norm_est"])) for r in rows)
+        assert [r["oracle_calls_metrics"] for r in rows] == ["0"] * 30 + ["1"]
+
+    def test_random_search_last_row_counts_the_whole_budget_under_a_cadence(self, tmp_path):
+        # the cadence skips the last sample, 29, yet the last row says 30
+        cfg = config_from_dict(
+            {
+                "method": "random_search",
+                "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
+                "random_search": {"budget": 30, "box": [[-5.0, 5.0]], "seed": 3},
+                "output": str(tmp_path / "rs.csv"),
+                "metric_every": 7,
+            }
+        )
+        summary = run_experiment(cfg)
+        rows = read_trace(cfg.output)
+        assert [int(r["meta_iter"]) for r in rows] == [0, 7, 14, 21, 28, 30]
+        manifest = json.loads(Path(summary["manifest"]).read_text(encoding="utf-8"))
+        assert manifest["result"]["oracle_calls_optimizer"] == 30
+        assert rows[-1]["oracle_calls_optimizer"] == "30"
+
+    def test_hozog_trace_carries_the_optimizers_own_estimate(self, tmp_path):
+        cfg = config_from_dict(
+            synthetic_config(tmp_path, inner={"variant": "gd", "steps": 30, "lr": 0.1})
+        )
+        run_experiment(cfg)
+        rows = read_trace(cfg.output)
+        events = []
+        spec = build_objective(cfg)
+        run_hozog(spec, np.full(spec.p, cfg.lambda0), cfg.hozog, recorder=events.append)
+        norms = [float(np.linalg.norm(e.gradient.vector)) for e in events[:-1]]
+        assert [float(r["grad_norm_est"]) for r in rows[:-1]] == norms
+        assert len(norms) == 20 and all(n > 0.0 for n in norms)
+        assert math.isnan(float(rows[-1]["grad_norm_est"]))
+        assert [r["oracle_calls_metrics"] for r in rows] == ["0"] * 20 + ["1"]
 
     def test_equal_budget_axes_align(self, tmp_path):
         # T*(q+1) optimizer calls for hozog == budget for random search
@@ -385,10 +408,10 @@ class TestRunExperiment:
     @pytest.mark.parametrize(
         "steps",
         [
-            # samples 4 and 5 diverge, so the last recorded event is sample 3
+            # samples 4 and 5 diverge, so the last sample to record is 3
             3000,
-            # every sample is finite, but the probe's estimates at samples 4
-            # and 5 reach 1e298 and their norm overflows to inf
+            # every sample is finite, though f reaches 3e243 and 2e298 at
+            # samples 4 and 5
             500,
         ],
     )
@@ -407,6 +430,25 @@ class TestRunExperiment:
         assert "optimizer calls: 6," in captured.out
         manifest = json.loads((tmp_path / "rs.manifest.json").read_text(encoding="utf-8"))
         assert manifest["result"]["oracle_calls_optimizer"] == 6
+        last = read_trace(tmp_path / "rs.csv")[-1]
+        assert (last["meta_iter"], last["oracle_calls_optimizer"]) == ("6", "6")
+
+    def test_random_search_runs_where_every_sample_is_finite(self, tmp_path, capsys):
+        # f is finite at all 4 samples but not at 0.4127, sample 0 plus 0.01,
+        # a point only a gradient probe would evaluate
+        cfg = {
+            "method": "random_search",
+            "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
+            "inner": {"variant": "gd", "steps": 40000, "lr": 0.5},
+            "random_search": {"budget": 4, "box": [[0.398, 0.4054]], "seed": 0},
+            "output": str(tmp_path / "rs.csv"),
+        }
+        path = write_config(tmp_path, cfg)
+        assert cli_main(["run", "--config", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+        rows = read_trace(tmp_path / "rs.csv")
+        assert len(rows) == 5
+        assert all(math.isfinite(float(r["f_value"])) for r in rows)
 
 
 class TestSweep:
@@ -647,6 +689,17 @@ class TestConfigValidation:
         # the declared bounds where the problem has them, else [-5, 5] per coordinate
         expected = np.tile([-5.0, 5.0], (spec.p, 1)) if spec.bounds is None else spec.bounds
         np.testing.assert_array_equal(cfg.random_search.box, expected)
+
+    def test_random_search_configs_compare_by_value(self, tmp_path):
+        raw = {
+            "method": "random_search",
+            "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
+            "random_search": {"budget": 4, "box": [[0.0, 1.0]]},
+            "output": str(tmp_path / "rs.csv"),
+        }
+        assert config_from_dict(raw) == config_from_dict(raw)
+        other = {**raw, "random_search": {"budget": 4, "box": [[0.0, 2.0]]}}
+        assert config_from_dict(raw) != config_from_dict(other)
 
     def test_load_config_from_file(self, tmp_path):
         path = write_config(tmp_path, synthetic_config(tmp_path))

@@ -1,12 +1,11 @@
 """Experiment orchestration: configs, metrics, traces, CLI."""
 
 from .config import ExperimentConfig, load_config
-from .metrics import TRACE_COLUMNS, MetricSample, TraceRecord, TraceWriter, compute_metrics
+from .metrics import TRACE_COLUMNS, TraceRecord, TraceWriter, compute_metrics
 from .runner import build_objective, run_experiment, sweep
 
 __all__ = [
     "ExperimentConfig",
-    "MetricSample",
     "TRACE_COLUMNS",
     "TraceRecord",
     "TraceWriter",

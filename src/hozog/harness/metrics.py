@@ -4,10 +4,11 @@ Every written record carries the objective value, suboptimality against
 the running minimum of explored iterates, the norm of the hyper-gradient
 estimate the optimizer stepped along from that iterate (NaN where there is
 none: on the final lambda_T record and on every random-search record), and
-the problem's test metric.  Metrics reuse what the optimizer computed; their
-only oracle call is the evaluation of the final record's iterate, tallied
-apart from the optimizer's own calls so that cost comparisons between
-methods stay honest.
+the problem's test metric.  Metrics reuse what the optimizer computed, and
+the writer keeps the incumbent's evaluation, so their only oracle call is
+the evaluation of a final iterate that is not the incumbent: one for a
+hozog run at most, none for random search.  It is tallied apart from the
+optimizer's calls so that cost comparisons between methods stay honest.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from ..errors import InvalidConfig
 from ..oracle import Evaluation, ObjectiveSpec, evaluate
 from ..zo_core import GradientEstimate, IterationEvent
 
-__all__ = ["TraceRecord", "MetricSample", "compute_metrics", "TraceWriter", "TRACE_COLUMNS"]
+__all__ = ["TraceRecord", "compute_metrics", "TraceWriter", "TRACE_COLUMNS"]
 
 
 @dataclass(frozen=True)
@@ -43,51 +44,38 @@ class TraceRecord:
 TRACE_COLUMNS = tuple(f.name for f in fields(TraceRecord))
 
 
-@dataclass(frozen=True)
-class MetricSample:
-    f_value: float
-    suboptimality: float
-    grad_norm_est: float
-    test_error: float
-    metric_calls: int
-    history_min: float
-
-
 def compute_metrics(
     spec: ObjectiveSpec,
     lam: np.ndarray,
-    history_min: float,
+    best_f: float,
     evaluation: Evaluation | None = None,
     gradient: GradientEstimate | None = None,
-) -> MetricSample:
-    """Metric fields for one iterate.
+) -> tuple[dict, int]:
+    """The four metric columns of one iterate's record, and the oracle calls they took.
 
-    ``history_min`` is the running minimum of f over previously explored
-    iterates (+inf before the first); suboptimality is measured against the
-    updated minimum, so the incumbent record scores exactly zero.  The
-    gradient norm is that of ``gradient``, NaN without one.  Evaluating f
-    when ``evaluation`` is absent is the only oracle call, and the only
-    metric call.
+    ``best_f`` is the smallest f over explored iterates (+inf before the
+    first); suboptimality is measured against it or against this iterate's
+    f, whichever is smaller, so the incumbent record scores exactly zero.
+    The gradient norm is that of ``gradient``, NaN without one.  Evaluating
+    f when ``evaluation`` is absent is the only oracle call, so the count
+    is 0 or 1.
     """
     calls = 0
     if evaluation is None:
         evaluation = evaluate(spec, lam)
         calls = 1
     f = evaluation.f_value
-    new_min = min(history_min, f)
     test_err = spec.problem.test_metric(evaluation.model)
     grad_norm = math.nan
     if gradient is not None:
         with np.errstate(over="ignore"):  # finite entries near 1e300 have an infinite norm
             grad_norm = float(np.linalg.norm(gradient.vector))
-    return MetricSample(
-        f_value=f,
-        suboptimality=f - new_min,
-        grad_norm_est=grad_norm,
-        test_error=math.nan if test_err is None else float(test_err),
-        metric_calls=calls,
-        history_min=new_min,
-    )
+    return {
+        "f_value": f,
+        "suboptimality": f - min(best_f, f),
+        "grad_norm_est": grad_norm,
+        "test_error": math.nan if test_err is None else float(test_err),
+    }, calls
 
 
 class TraceWriter:
@@ -96,8 +84,10 @@ class TraceWriter:
     Consumes :class:`~hozog.zo_core.IterationEvent`s.  Rows are written on
     the metric cadence (every ``cadence``-th meta-iteration, ``cadence`` an
     integer >= 1) and always for the final event, the one without an
-    evaluation; skipped events still feed the running minimum so
-    suboptimality stays correct.  ``records`` counts the rows written.
+    evaluation.  Every event with an evaluation, skipped or not, may become
+    the incumbent (the first with the smallest f), so suboptimality stays
+    correct; a final event whose lambda equals the incumbent's reuses its
+    evaluation.  ``records`` counts the rows written.
     """
 
     def __init__(self, path, method: str, spec: ObjectiveSpec, cadence: int = 1):
@@ -109,34 +99,33 @@ class TraceWriter:
         self.method = method
         self.spec = spec
         self.cadence = cadence
-        self._history_min = math.inf
+        self._incumbent: IterationEvent | None = None
         self._start = time.perf_counter()
         self.metric_calls = 0
         self.records = 0
 
     def __call__(self, event: IterationEvent) -> None:
-        if event.evaluation is not None and event.meta_iter % self.cadence != 0:
-            self._history_min = min(self._history_min, event.evaluation.f_value)
-            return
-        sample = compute_metrics(
-            self.spec,
-            event.hyperparams,
-            self._history_min,
-            evaluation=event.evaluation,
-            gradient=event.gradient,
+        best = self._incumbent
+        evaluation = event.evaluation
+        if evaluation is not None:
+            if best is None or evaluation.f_value < best.evaluation.f_value:
+                self._incumbent = best = event
+            if event.meta_iter % self.cadence != 0:
+                return
+        elif best is not None and np.array_equal(event.hyperparams, best.hyperparams):
+            evaluation = best.evaluation
+        best_f = math.inf if best is None else best.evaluation.f_value
+        columns, calls = compute_metrics(
+            self.spec, event.hyperparams, best_f, evaluation, event.gradient
         )
-        self._history_min = sample.history_min
-        self.metric_calls += sample.metric_calls
+        self.metric_calls += calls
         record = TraceRecord(
             method=self.method,
             meta_iter=event.meta_iter,
             oracle_calls_optimizer=event.optimizer_calls,
             oracle_calls_metrics=self.metric_calls,
             wall_time_s=time.perf_counter() - self._start,
-            f_value=sample.f_value,
-            suboptimality=sample.suboptimality,
-            grad_norm_est=sample.grad_norm_est,
-            test_error=sample.test_error,
+            **columns,
         )
         self.records += 1
         self._fh.write(

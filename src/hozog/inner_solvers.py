@@ -37,12 +37,13 @@ class InnerSolver:
     ``steps`` applications of the variant's update rule starting from ``w0``
     (the zero vector when ``w0`` is None), with fixed learning rate ``lr``.
     Adam uses bias-corrected first/second moments with the usual constants.
+    A given ``w0`` (1-D) is held as a tuple of floats: solvers compare by value.
     """
 
     steps: int
     lr: float
     variant: str = "gd"
-    w0: np.ndarray | None = None
+    w0: tuple | None = None
 
     def __post_init__(self):
         if self.steps < 0:
@@ -51,18 +52,23 @@ class InnerSolver:
             raise InvalidConfig(f"lr must be > 0, got {self.lr}")
         if self.variant not in _VARIANTS:
             raise InvalidConfig(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
+        if self.w0 is not None:
+            w0 = np.asarray(self.w0, dtype=float)
+            if w0.ndim != 1:
+                raise InvalidConfig(f"w0 must be 1-D, got shape {w0.shape}")
+            object.__setattr__(self, "w0", tuple(w0.tolist()))
 
 
 def _require_w0(alg: InnerSolver) -> np.ndarray:
     if alg.w0 is None:
         raise InvalidConfig("solver has no w0; set one or solve through an objective")
-    return np.asarray(alg.w0, dtype=float)
+    return np.array(alg.w0)
 
 
 def _gd_steps(loss_grad, alg: InnerSolver, lam: np.ndarray):
     """Yield w_0, w_1, ..., w_T of full-batch gradient descent."""
     lr = alg.lr
-    w = _require_w0(alg).copy()
+    w = _require_w0(alg)
     yield w
     for _ in range(alg.steps):
         w = w - lr * loss_grad(w, lam)
@@ -72,7 +78,7 @@ def _gd_steps(loss_grad, alg: InnerSolver, lam: np.ndarray):
 def _adam_steps(loss_grad, alg: InnerSolver, lam: np.ndarray):
     """Yield w_0, w_1, ..., w_T of Adam (bias-corrected moments, zero-initialized)."""
     lr = alg.lr
-    w = _require_w0(alg).copy()
+    w = _require_w0(alg)
     m = np.zeros_like(w)
     v = np.zeros_like(w)
     yield w

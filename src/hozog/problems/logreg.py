@@ -28,6 +28,11 @@ __all__ = ["LogRegProblem", "logreg_objective", "logreg_test_error"]
 LOGREG_BOUNDS = np.array([[-10.0, 10.0]])
 
 
+def _ridge(lam: np.ndarray) -> float:
+    # the ridge weight exp(lam), capped like the synthetic problem's
+    return np.exp(min(float(lam[0]), _EXP_CAP))
+
+
 def _log_loss_sum(margins: np.ndarray) -> float:
     # log(1 + exp(-m)), stable for both signs of m
     return float(np.logaddexp(0.0, -margins).sum())
@@ -82,15 +87,13 @@ class LogRegProblem:
 
     def inner_loss(self, w: np.ndarray, lam: np.ndarray) -> float:
         margins = self.y_train * (self.x_train @ w)
-        reg = np.exp(min(float(lam[0]), _EXP_CAP))
-        return _log_loss_sum(margins) + reg * float(w @ w)
+        return _log_loss_sum(margins) + _ridge(lam) * float(w @ w)
 
     def inner_loss_grad(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
         margins = self.y_train * (self.x_train @ w)
         # d/dm log(1+e^-m) = -sigmoid(-m)
         coeff = -self.y_train * expit(-margins)
-        reg = np.exp(min(float(lam[0]), _EXP_CAP))
-        return self.x_train.T @ coeff + 2.0 * reg * w
+        return self.x_train.T @ coeff + 2.0 * _ridge(lam) * w
 
     def outer_value(self, w: np.ndarray, lam: np.ndarray) -> float:
         return _log_loss_sum(self.y_val * (self.x_val @ w))

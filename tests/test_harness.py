@@ -6,14 +6,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hozog import (
     GradientEstimate,
     InnerSolver,
+    IterationEvent,
     ZoConfig,
     evaluate,
     function_objective,
@@ -40,35 +44,37 @@ from conftest import read_trace, rows_excluding_wall_time
 class TestComputeMetrics:
     def test_first_record_suboptimality_is_zero(self):
         spec = make_synthetic(3.0, 1.0)
-        sample = compute_metrics(spec, np.array([1.0]), math.inf)
-        assert sample.suboptimality == 0.0
-        assert sample.metric_calls == 1  # f itself, the only metric call
+        columns, calls = compute_metrics(spec, np.array([1.0]), math.inf)
+        assert set(columns) == set(TRACE_COLUMNS) - set(TRACE_COLUMNS[:5])
+        assert columns["suboptimality"] == 0.0
+        assert calls == 1  # f itself, the only metric call
 
     def test_running_minimum_sequence(self):
         # f-values 5, 3, 4 against the running minimum give 0, 0, 1
-        history = math.inf
+        best = math.inf
         subopts = []
         for f_known in (5.0, 3.0, 4.0):
             # a fixed-value oracle per step isolates the bookkeeping
             spec_step = function_objective(lambda lam, v=f_known: v, p=1)
-            sample = compute_metrics(spec_step, np.zeros(1), history)
-            history = sample.history_min
-            subopts.append(sample.suboptimality)
+            columns, _ = compute_metrics(spec_step, np.zeros(1), best)
+            best = min(best, columns["f_value"])
+            subopts.append(columns["suboptimality"])
         assert subopts == [0.0, 0.0, 1.0]
-        assert history == 3.0
+        assert best == 3.0
 
     def test_gradient_norm_is_the_given_estimates_norm(self):
         spec = function_objective(lambda lam: 2.5, p=2)
         estimate = GradientEstimate(vector=np.array([3.0, -4.0]))
-        assert compute_metrics(spec, np.zeros(2), math.inf, gradient=estimate).grad_norm_est == 5.0
-        assert math.isnan(compute_metrics(spec, np.zeros(2), math.inf).grad_norm_est)
+        columns, _ = compute_metrics(spec, np.zeros(2), math.inf, gradient=estimate)
+        assert columns["grad_norm_est"] == 5.0
+        assert math.isnan(compute_metrics(spec, np.zeros(2), math.inf)[0]["grad_norm_est"])
 
     def test_an_overflowing_norm_is_inf_without_a_warning(self):
         # filterwarnings=error turns a RuntimeWarning from the norm into a failure
         spec = function_objective(lambda lam: 2.5, p=2)
         estimate = GradientEstimate(vector=np.array([1e300, 1e300]))
-        sample = compute_metrics(spec, np.zeros(2), math.inf, gradient=estimate)
-        assert sample.grad_norm_est == math.inf
+        columns, _ = compute_metrics(spec, np.zeros(2), math.inf, gradient=estimate)
+        assert columns["grad_norm_est"] == math.inf
 
     def test_reuses_provided_evaluation(self):
         count = {"n": 0}
@@ -80,17 +86,18 @@ class TestComputeMetrics:
         spec = function_objective(f, p=1)
         ev = evaluate(spec, np.zeros(1))
         count["n"] = 0
-        sample = compute_metrics(spec, np.zeros(1), math.inf, evaluation=ev)
+        _, calls = compute_metrics(spec, np.zeros(1), math.inf, evaluation=ev)
         assert count["n"] == 0
-        assert sample.metric_calls == 0
+        assert calls == 0
 
-    def test_provided_evaluation_gives_the_fresh_sample(self):
+    def test_provided_evaluation_gives_the_fresh_columns(self):
         spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=50, lr=0.1))
         lam = np.array([0.4])
-        fresh = compute_metrics(spec, lam, math.inf)
-        reused = compute_metrics(spec, lam, math.inf, evaluation=evaluate(spec, lam))
-        assert (reused.f_value, reused.history_min) == (fresh.f_value, fresh.history_min)
-        assert (fresh.metric_calls, reused.metric_calls) == (1, 0)
+        fresh, fresh_calls = compute_metrics(spec, lam, -1.0)
+        reused, reused_calls = compute_metrics(spec, lam, -1.0, evaluation=evaluate(spec, lam))
+        assert reused == fresh
+        assert fresh["suboptimality"] > 0.0
+        assert (fresh_calls, reused_calls) == (1, 0)
 
 
 class TestTraceWriter:
@@ -100,6 +107,71 @@ class TestTraceWriter:
         with pytest.raises(InvalidConfig, match="cadence must be an integer >= 1"):
             TraceWriter(tmp_path / "t.csv", "hozog", spec, cadence=cadence)
         assert not (tmp_path / "t.csv").exists()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        # a few repeated values make ties likely
+        fs=st.lists(
+            st.sampled_from([-1.0, 0.0, 2.0]) | st.floats(-1e6, 1e6), min_size=1, max_size=25
+        ),
+        cadence=st.integers(1, 6),
+        final_f=st.none() | st.floats(-1e6, 1e6),
+    )
+    def test_rows_and_suboptimality_follow_the_incumbent(self, fs, cadence, final_f):
+        # sample i sits at lambda = i; a final_f of None puts the final
+        # event at the incumbent's lambda, else at a fresh lambda = n
+        n = len(fs)
+        values = [*fs, final_f]
+        calls = []
+
+        def f(lam):
+            calls.append(lam[0])
+            return values[int(lam[0])]
+
+        spec = function_objective(f, p=1)
+        evaluations = [evaluate(spec, np.array([float(i)])) for i in range(n)]
+        calls.clear()
+        best = int(np.argmin(fs))  # the first smallest f
+        final_lam = float(best if final_f is None else n)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            with TraceWriter(path, "random_search", spec, cadence=cadence) as writer:
+                for i, ev in enumerate(evaluations):
+                    writer(IterationEvent(meta_iter=i, hyperparams=np.array([float(i)]),
+                                          evaluation=ev, gradient=None, optimizer_calls=i + 1))
+                writer(IterationEvent(meta_iter=n, hyperparams=np.array([final_lam]),
+                                      evaluation=None, gradient=None, optimizer_calls=n))
+            rows = read_trace(path)
+        written = [i for i in range(n) if i % cadence == 0] + [n]
+        assert [int(r["meta_iter"]) for r in rows] == written
+        assert writer.records == len(written)
+        last_f = fs[best] if final_f is None else final_f
+        seen = [*fs, last_f]
+        for row, i in zip(rows, written):
+            assert float(row["f_value"]) == seen[i]
+            assert float(row["suboptimality"]) == seen[i] - min(seen[: i + 1])
+        if best % cadence == 0:
+            assert float(rows[written.index(best)]["suboptimality"]) == 0.0
+        metric_calls = 0 if final_f is None else 1
+        assert calls == ([] if final_f is None else [float(n)])
+        counts = [int(r["oracle_calls_metrics"]) for r in rows]
+        assert counts == [0] * (len(rows) - 1) + [metric_calls]
+        assert writer.metric_calls == metric_calls
+        if final_f is None:
+            assert float(rows[-1]["suboptimality"]) == 0.0
+
+    def test_a_hozog_run_pinned_at_a_bound_ends_on_its_incumbent(self, tmp_path):
+        # f = lam with a large step: lambda_1 onwards is clipped to the bound 0
+        spec = function_objective(lambda lam: float(lam[0]), p=1, bounds=[[0, 1]])
+        cfg = ZoConfig(q=1, mu=0.01, gamma=10.0, iterations=3, seed=0)
+        with TraceWriter(tmp_path / "t.csv", "hozog", spec) as writer:
+            final = run_hozog(spec, np.array([0.5]), cfg, recorder=writer)
+        rows = read_trace(tmp_path / "t.csv")
+        assert final[0] == 0.0
+        assert [r["f_value"] for r in rows] == ["0.5", "0.0", "0.0", "0.0"]
+        assert [r["suboptimality"] for r in rows] == ["0.0"] * 4
+        assert [r["oracle_calls_metrics"] for r in rows] == ["0"] * 4
+        assert writer.metric_calls == 0
 
 
 def synthetic_config(tmp_path, **overrides):
@@ -269,7 +341,12 @@ class TestRunExperiment:
         assert float(last["f_value"]) == min(float(r["f_value"]) for r in rows)
         # random search makes no gradient estimate
         assert all(math.isnan(float(r["grad_norm_est"])) for r in rows)
-        assert [r["oracle_calls_metrics"] for r in rows] == ["0"] * 30 + ["1"]
+        # the last row is the incumbent, whose evaluation the trace already holds
+        assert [r["oracle_calls_metrics"] for r in rows] == ["0"] * 31
+        assert summary["oracle_calls_metrics"] == 0
+        manifest = json.loads(Path(summary["manifest"]).read_text(encoding="utf-8"))
+        assert manifest["result"]["oracle_calls_metrics"] == 0
+        assert manifest["result"]["oracle_calls_optimizer"] == 30
 
     def test_random_search_last_row_counts_the_whole_budget_under_a_cadence(self, tmp_path):
         # the cadence skips the last sample, 29, yet the last row says 30

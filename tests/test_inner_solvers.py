@@ -30,6 +30,20 @@ class TestConfig:
         with pytest.raises(InvalidConfig):
             solve(quad_grad, InnerSolver(steps=1, lr=0.5), np.zeros(1))
 
+    def test_solvers_compare_and_hash_by_w0_value(self):
+        a = InnerSolver(steps=5, lr=0.1, w0=np.array([0.5, -1.0]))
+        b = InnerSolver(steps=5, lr=0.1, w0=[0.5, -1.0])
+        assert a == b and hash(a) == hash(b)
+        assert a.w0 == (0.5, -1.0)
+        for other in ([0.5, 3.0], [0.5], None):
+            c = InnerSolver(steps=5, lr=0.1, w0=other)
+            assert a != c and hash(a) != hash(c)
+
+    @pytest.mark.parametrize("w0", [np.float64(1.0), np.zeros((2, 1)), np.zeros((0, 3))])
+    def test_w0_that_is_not_1d_is_rejected(self, w0):
+        with pytest.raises(InvalidConfig, match="w0 must be 1-D"):
+            InnerSolver(steps=1, lr=0.1, w0=w0)
+
 
 class TestGdSolve:
     def test_zero_steps_returns_w0(self):

@@ -1,4 +1,5 @@
-"""Dataset ingestion: LIBSVM text parsing, label binarization, 2:1:1 splits.
+"""Dataset ingestion: LIBSVM text parsing, label binarization, 2:1:1 splits,
+and the one choice of dense or CSR storage for the splits' design matrices.
 
 The accepted line grammar is strict::
 
@@ -27,6 +28,7 @@ from .errors import InsufficientData, ParseError
 
 __all__ = [
     "SparseDataset",
+    "design_matrices",
     "parse_libsvm",
     "load_libsvm",
     "serialize_libsvm",
@@ -34,6 +36,13 @@ __all__ = [
     "split_2_1_1",
     "random_classification_dataset",
 ]
+
+# Splits that store at least this share of their entries are held dense.
+# Measured on one logreg gradient (Intel Xeon, BLAS at one thread), as the
+# dense speed-up over CSR: at 1000x40, 1.8x to 3.8x at every density from
+# 0.02 to 1.0; at 1000x1000, 0.14x at density 0.02 and 0.74x at 0.3 (CSR
+# wins), then 1.27x at 0.5 and 2.63x at 1.0 (dense wins).
+DENSE_MIN_DENSITY = 0.5
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,10 @@ class SparseDataset:
         )
 
     def to_csr(self, n_features: int | None = None) -> sp.csr_matrix:
-        """Feature matrix as CSR; columns are 0-based (libsvm index 1 -> column 0)."""
+        """Feature matrix as CSR; columns are 0-based (libsvm index 1 -> column 0).
+
+        Every listed pair is a stored entry, an explicit ``idx:0`` included.
+        """
         n_cols = n_features if n_features is not None else self.n_features
         data, indices, indptr = [], [], [0]
         for _, feats in self.rows:
@@ -75,6 +87,22 @@ class SparseDataset:
             (np.asarray(data, dtype=float), indices, indptr),
             shape=(len(self.rows), n_cols),
         )
+
+
+def design_matrices(*splits: SparseDataset) -> tuple:
+    """The splits' feature matrices, all dense ``ndarray`` or all CSR.
+
+    One decision for all splits: they are dense when together they store at
+    least ``DENSE_MIN_DENSITY`` of their entries, else CSR.  Every matrix
+    has the widest split's feature count.
+    """
+    n_features = max(ds.n_features for ds in splits)
+    mats = tuple(ds.to_csr(n_features) for ds in splits)
+    stored = sum(m.nnz for m in mats)
+    entries = sum(m.shape[0] for m in mats) * n_features
+    if stored >= DENSE_MIN_DENSITY * entries:
+        return tuple(m.toarray() for m in mats)
+    return mats
 
 
 def _parse_float(token: str, line_no: int, col: int, what: str) -> float:

@@ -99,7 +99,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     counts).  Raises ConfigError for bad configs and NonFiniteObjective for
     diverging runs; the CLI maps those to exit codes 2 and 3.
     """
-    spec = build_objective(cfg)
+    return _run(cfg, build_objective(cfg))
+
+
+def _run(cfg: ExperimentConfig, spec: ObjectiveSpec) -> dict:
+    """``run_experiment`` on an objective already built from ``cfg``."""
     with TraceWriter(cfg.output, method=cfg.method, spec=spec, cadence=cfg.metric_every) as writer:
         if cfg.method == "hozog":
             calls = cfg.hozog.iterations * (cfg.hozog.q + 1)
@@ -129,9 +133,10 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
     All runs share every other setting, including seeds.  Every value is
     checked as a hozog config value before the first run; a ConfigError
     names the first bad one, or ``values`` when one repeats.  Each run's
-    output adds ``_<axis><repr(value)>`` to the stem of ``cfg.output``.  A
-    failing run is reported in the returned status list but does not stop
-    the others.
+    output adds ``_<axis><repr(value)>`` to the stem of ``cfg.output``.  The
+    objective is built once, since no swept axis changes it.  A failing run
+    is reported in the returned status list but does not stop the others;
+    when building fails, every value reports that error.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError("axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
@@ -143,13 +148,17 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
     resolved = [getattr(run_cfg.hozog, axis) for run_cfg in runs]
     if len(set(resolved)) != len(resolved):
         raise ConfigError("values", f"a value repeats: {resolved}")
+    try:
+        spec = build_objective(cfg)
+    except HozogError as err:
+        return [{"value": value, "ok": False, "error": str(err)} for value in resolved]
     out = Path(cfg.output)
     statuses = []
     for run_cfg, value in zip(runs, resolved):
         output = str(out.with_name(f"{out.stem}_{axis}{value!r}{out.suffix}"))
         run_cfg = dataclasses.replace(run_cfg, output=output)
         try:
-            summary = run_experiment(run_cfg)
+            summary = _run(run_cfg, spec)
             statuses.append({"value": value, "ok": True, "trace": summary["trace"]})
         except HozogError as err:
             statuses.append({"value": value, "ok": False, "error": str(err)})

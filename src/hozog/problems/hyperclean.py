@@ -159,6 +159,8 @@ def make_hyperclean(
     classes, y_all = np.unique(dataset.labels, return_inverse=True)
     if classes.size < 2:
         raise InsufficientData("need at least two classes")
+    # CSR even for dense data, unlike logreg's design_matrices: the check in
+    # bench/workloads.py calls toarray() on these splits (ROADMAP item 1)
     x_all = dataset.to_csr()
 
     rng = np.random.default_rng(corruption_seed)

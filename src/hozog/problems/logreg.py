@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from ..data_io import SparseDataset
+from ..data_io import SparseDataset, design_matrices
 from ..errors import DimensionMismatch, InsufficientData
 from ..inner_solvers import InnerSolver
 from ..oracle import ObjectiveSpec
@@ -40,13 +40,17 @@ def _log_loss_sum(margins: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class LogRegProblem:
-    """Train/val/test design matrices (CSR) and {-1,+1} label vectors."""
+    """Train/val/test design matrices (dense or CSR) and {-1,+1} label vectors.
 
-    x_train: sp.csr_matrix
+    The kernels only use ``@``, so either storage works; ``from_datasets``
+    picks one for all three splits with :func:`~hozog.data_io.design_matrices`.
+    """
+
+    x_train: np.ndarray | sp.csr_matrix
     y_train: np.ndarray
-    x_val: sp.csr_matrix
+    x_val: np.ndarray | sp.csr_matrix
     y_val: np.ndarray
-    x_test: sp.csr_matrix
+    x_test: np.ndarray | sp.csr_matrix
     y_test: np.ndarray
 
     p = 1
@@ -71,13 +75,13 @@ class LogRegProblem:
     def from_datasets(
         cls, train: SparseDataset, val: SparseDataset, test: SparseDataset
     ) -> "LogRegProblem":
-        n_features = max(train.n_features, val.n_features, test.n_features)
+        x_train, x_val, x_test = design_matrices(train, val, test)
         return cls(
-            x_train=train.to_csr(n_features),
+            x_train=x_train,
             y_train=train.labels,
-            x_val=val.to_csr(n_features),
+            x_val=x_val,
             y_val=val.labels,
-            x_test=test.to_csr(n_features),
+            x_test=x_test,
             y_test=test.labels,
         )
 

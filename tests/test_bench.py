@@ -1,18 +1,26 @@
-"""The benchmark's traced run still finds every seam it wraps in the package."""
+"""Every benchmark workload's traced run still finds every seam it wraps in the package."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+from workloads import WORKLOADS  # noqa: E402
 
 
-def test_traced_logreg_run_passes_its_checks():
-    # the tracer patches functions in metrics, zo_core and oracle by name, so a
-    # trim that drops one of them fails here rather than in the benchmark
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_traced_run_passes_its_checks(workload):
+    # the tracer patches functions in metrics, zo_core, oracle, baselines,
+    # lipschitz and the problem classes by name, so a trim that drops one of
+    # them fails here rather than in the benchmark; each workload's output
+    # check also runs against the problem's current storage
     done = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "logreg_traced",
+        [sys.executable, "bench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--trace", "1"],
         cwd=ROOT,
         capture_output=True,
@@ -21,7 +29,8 @@ def test_traced_logreg_run_passes_its_checks():
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True
-    metrics = result["metrics"]
-    # the metrics' one evaluation per run is the final iterate, new to the optimizer
-    assert metrics["harness.metrics.probe_evals"]["value"] == 1
-    assert metrics["harness.metrics.redundant_evals"]["value"] == 0
+    if workload == "logreg_traced":
+        metrics = result["metrics"]
+        # the metrics' one evaluation per run is the final iterate, new to the optimizer
+        assert metrics["harness.metrics.probe_evals"]["value"] == 1
+        assert metrics["harness.metrics.redundant_evals"]["value"] == 0

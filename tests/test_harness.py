@@ -33,6 +33,7 @@ from hozog.harness import (
     run_experiment,
     sweep,
 )
+from hozog.harness import runner
 from hozog.harness.cli import main as cli_main
 from hozog.harness.config import config_from_dict, problem_p
 from hozog.harness.runner import build_objective
@@ -545,6 +546,44 @@ class TestSweep:
         assert rows_excluding_wall_time(statuses[0]["trace"]) == rows_excluding_wall_time(
             direct.output
         )
+
+    def test_logreg_sweep_reads_the_data_once(self, tmp_path, logreg_file, monkeypatch):
+        loads = []
+        load = runner.load_libsvm
+        monkeypatch.setattr(runner, "load_libsvm", lambda path: loads.append(path) or load(path))
+        raw = {
+            "method": "hozog",
+            "problem": {"kind": "logreg", "data": str(logreg_file)},
+            "inner": {"variant": "gd", "steps": 20, "lr": 0.02},
+            "hozog": {"q": 1, "mu": 0.01, "gamma": 0.01, "iterations": 3, "seed": 1},
+            "lambda0": 0.0,
+            "output": str(tmp_path / "sweep.csv"),
+        }
+        statuses = sweep(config_from_dict(raw), "q", [1, 2, 3])
+        assert len(loads) == 1
+        # each value's trace is the one its own run_experiment writes
+        for status, q in zip(statuses, (1, 2, 3)):
+            direct = config_from_dict(
+                {**raw, "hozog": {**raw["hozog"], "q": q}, "output": str(tmp_path / f"q{q}.csv")}
+            )
+            run_experiment(direct)
+            assert rows_excluding_wall_time(status["trace"]) == rows_excluding_wall_time(
+                direct.output
+            )
+
+    def test_a_problem_that_fails_to_build_fails_every_value(self, tmp_path, multiclass_file):
+        cfg = config_from_dict(
+            {
+                "method": "hozog",
+                "problem": {"kind": "logreg", "data": str(multiclass_file)},
+                "hozog": {"q": 1, "iterations": 2},
+                "output": str(tmp_path / "sweep.csv"),
+            }
+        )
+        statuses = sweep(cfg, "mu", [0.01, 0.1])
+        assert [(s["value"], s["ok"]) for s in statuses] == [(0.01, False), (0.1, False)]
+        assert all("problem.binarize_seed" in s["error"] for s in statuses)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["multi.libsvm"]
 
     def test_errors_isolate_per_run(self, tmp_path):
         cfg = config_from_dict(

@@ -1,12 +1,21 @@
 """Problem-instance tests: closed-form synthetic, logistic regression, hyper-cleaning."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hozog import InnerSolver, InvalidConfig, evaluate
-from hozog.data_io import SparseDataset, random_classification_dataset, split_2_1_1
+from hozog.data_io import (
+    SparseDataset,
+    design_matrices,
+    random_classification_dataset,
+    split_2_1_1,
+)
 from hozog.errors import DimensionMismatch, InsufficientData
 from hozog.problems import (
     HyperCleanProblem,
@@ -179,6 +188,90 @@ class TestLogRegTestError:
         prob = self._problem([])
         with pytest.raises(InsufficientData):
             logreg_test_error(prob, np.zeros(prob.d))
+
+
+def _rows_storing(n_rows, stored, n_features):
+    # rows that each store their first `stored` of n_features columns
+    row = (1.0, tuple((j + 1, 1.0 + j) for j in range(stored)))
+    return SparseDataset(rows=(row,) * n_rows, n_features=n_features)
+
+
+@st.composite
+def _splits(draw):
+    n_features = draw(st.integers(1, 5))
+    row = st.lists(st.integers(1, n_features), unique=True).map(
+        lambda idx: (1.0, tuple((i, float(i)) for i in sorted(idx)))
+    )
+    return tuple(
+        SparseDataset(rows=tuple(draw(st.lists(row, max_size=4))), n_features=n_features)
+        for _ in range(3)
+    )
+
+
+class TestStorage:
+    """Dense and CSR design matrices give the same objective; one helper picks."""
+
+    # Dense and CSR products differ only in summation order.
+    RTOL = 1e-12
+
+    @pytest.mark.parametrize(
+        "inner",
+        [InnerSolver(steps=150, lr=0.1, variant="adam"), InnerSolver(steps=150, lr=2e-5)],
+        ids=["adam", "gd"],
+    )
+    def test_dense_and_csr_values_agree(self, inner):
+        data = random_classification_dataset(400, 20, seed=5, class_sep=2.0, noise_flip=0.05)
+        dense = LogRegProblem.from_datasets(*split_2_1_1(data, seed=0))
+        assert isinstance(dense.x_train, np.ndarray)
+        csr = dataclasses.replace(
+            dense,
+            x_train=sp.csr_matrix(dense.x_train),
+            x_val=sp.csr_matrix(dense.x_val),
+            x_test=sp.csr_matrix(dense.x_test),
+        )
+        f_dense, f_csr = [], []
+        for lam in np.linspace(-10.0, 10.0, 21):
+            f_dense.append(evaluate(logreg_objective(dense, inner), np.array([lam])).f_value)
+            f_csr.append(evaluate(logreg_objective(csr, inner), np.array([lam])).f_value)
+        np.testing.assert_allclose(f_dense, f_csr, rtol=self.RTOL, atol=0.0)
+        assert np.ptp(f_dense) > 1.0  # the grid spans values, not one constant
+
+    def test_sparse_data_stays_csr(self):
+        splits = [_rows_storing(4, 1, 4)] * 3  # density 0.25
+        assert all(sp.issparse(m) for m in design_matrices(*splits))
+
+    def test_half_density_is_dense(self):
+        splits = [_rows_storing(2, 2, 4)] * 3  # density exactly 0.5
+        assert all(isinstance(m, np.ndarray) for m in design_matrices(*splits))
+
+    def test_one_storage_decides_for_all_splits(self):
+        # a dense train split is stored CSR when the splits together are sparse
+        train = _rows_storing(2, 4, 4)
+        sparse = _rows_storing(10, 1, 4)
+        x_train, x_val, x_test = design_matrices(train, sparse, sparse)
+        assert sp.issparse(x_train) and sp.issparse(x_val) and sp.issparse(x_test)
+
+    def test_empty_test_split(self):
+        train, val = _rows_storing(2, 4, 4), _rows_storing(1, 4, 4)
+        empty = SparseDataset(rows=())
+        x_train, x_val, x_test = design_matrices(train, val, empty)
+        assert isinstance(x_test, np.ndarray) and x_test.shape == (0, 4)
+        prob = LogRegProblem.from_datasets(train, val, empty)
+        assert isinstance(prob.x_test, np.ndarray)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_splits())
+    def test_splits_share_one_storage_and_keep_their_values(self, splits):
+        mats = design_matrices(*splits)
+        assert len({type(m) for m in mats}) == 1
+        stored = sum(len(feats) for ds in splits for _, feats in ds.rows)
+        entries = sum(len(ds) for ds in splits) * splits[0].n_features
+        assert isinstance(mats[0], np.ndarray) == (2 * stored >= entries)
+        for ds, m in zip(splits, mats):
+            assert m.shape == (len(ds), ds.n_features)
+            np.testing.assert_array_equal(
+                m if isinstance(m, np.ndarray) else m.toarray(), ds.to_csr().toarray()
+            )
 
 
 class TestGroupWeightedMean:

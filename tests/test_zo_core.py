@@ -115,18 +115,33 @@ class TestEstimateHyperGradient:
         est = estimate_hyper_gradient(np.zeros(3), lambda lam: float(a @ lam), cfg, dirs)
         assert np.linalg.norm(est.vector - a) < 0.01 * np.linalg.norm(a)
 
-    def test_linearity_in_the_oracle(self):
-        f = lambda lam: float(np.sin(lam[0]) + lam[1] ** 2)
-        g = lambda lam: float(np.exp(0.3 * lam[0]) - lam[1])
-        alpha, beta = 1.7, -0.4
-        combo = lambda lam: alpha * f(lam) + beta * g(lam)
-        cfg = ZoConfig(q=16, mu=0.01, gamma=1.0, iterations=0)
-        dirs = sample_directions(2, 16, "sphere", rng(6))
-        lam = np.array([0.3, -1.2])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        p=st.integers(1, 6),
+        q=st.integers(1, 40),
+        scheme=st.sampled_from(["sphere", "gaussian"]),
+        alpha=st.floats(-5.0, 5.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-3),
+        beta=st.floats(-5.0, 5.0).filter(lambda c: c == 0.0 or abs(c) >= 1e-3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_linearity_in_the_oracle(self, p, q, scheme, alpha, beta, seed):
+        # est(alpha f + beta g) = alpha est(f) + beta est(g) up to the rounding
+        # of the combined values.  f and g vanish at lam, so their values are
+        # of size mu |grad| and that rounding stays far below 1e-12 relative
+        # to the two terms' size.
+        stream = rng(seed)
+        dirs = sample_directions(p, q, scheme, stream)
+        lam = stream.standard_normal(p)
+        a = stream.standard_normal(p)
+        f = lambda x: float(np.sin(a @ (x - lam)) + (x - lam) @ (x - lam))
+        g = lambda x: float(np.expm1(0.3 * a @ (x - lam)) - np.sum(x - lam))
+        combo = lambda x: alpha * f(x) + beta * g(x)
+        cfg = ZoConfig(q=q, mu=0.01, gamma=1.0, iterations=0, direction_scheme=scheme)
         est_f = estimate_hyper_gradient(lam, f, cfg, dirs).vector
         est_g = estimate_hyper_gradient(lam, g, cfg, dirs).vector
         est_combo = estimate_hyper_gradient(lam, combo, cfg, dirs).vector
-        np.testing.assert_allclose(est_combo, alpha * est_f + beta * est_g, rtol=1e-12, atol=1e-12)
+        size = abs(alpha) * np.linalg.norm(est_f) + abs(beta) * np.linalg.norm(est_g)
+        assert np.all(np.abs(est_combo - (alpha * est_f + beta * est_g)) <= 1e-12 * size)
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -20,9 +20,11 @@ final = run_hozog(spec, [2.0], cfg, recorder=lambda e: trail.append(e))
 
 print(f"{'iter':>4}  {'lam':>9}  {'f(lam)':>12}")
 for event in trail:
-    if event.meta_iter % 10 == 0 or event.evaluation is None:
-        f = event.evaluation.f_value if event.evaluation else spec.value(event.hyperparams)
+    if event.meta_iter % 10 == 0:
+        f = event.evaluation.f_value
         print(f"{event.meta_iter:4d}  {event.hyperparams[0]:9.5f}  {f:12.3e}")
+# the recorder sees evaluated iterates only; lambda_T is the return value
+print(f"{cfg.iterations:4d}  {final[0]:9.5f}  {spec.value(final):12.3e}")
 
 print(f"\n|lam_T - lam*| = {abs(final[0] - lam_star):.2e}")
 print(f"oracle calls: {trail[-1].optimizer_calls} (= T * (q+1))")

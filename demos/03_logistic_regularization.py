@@ -28,7 +28,7 @@ final = run_hozog(
     ZoConfig(q=q, mu=0.01, gamma=0.05, iterations=iterations, seed=0),
     recorder=lambda e: descent_trail.append(e),
 )
-descent_f = [e.evaluation.f_value for e in descent_trail if e.evaluation is not None]
+descent_f = [e.evaluation.f_value for e in descent_trail]
 
 search_f = []
 incumbent = random_search(

@@ -64,15 +64,8 @@ def random_search(
             best_f = outcome.f_value
             best_lam = lam.copy()
         if recorder is not None:
-            recorder(
-                IterationEvent(
-                    meta_iter=index,
-                    hyperparams=lam.copy(),
-                    evaluation=outcome,
-                    gradient=None,
-                    optimizer_calls=index + 1,
-                )
-            )
+            recorder(IterationEvent(meta_iter=index, hyperparams=lam.copy(), evaluation=outcome,
+                                    gradient=None, optimizer_calls=index + 1))
     if best_lam is None:
         raise NonFiniteObjective("every random-search sample diverged")
     return best_lam

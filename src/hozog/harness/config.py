@@ -254,9 +254,11 @@ def _random_search(section, kind: str, p: int) -> RandomSearchConfig:
 def _output(value, name: str) -> str:
     if not isinstance(value, str) or not value:
         raise ConfigError(name, "must be a non-empty path string")
-    parent = Path(value).parent
-    if str(parent) not in ("", ".") and not parent.exists():
-        raise ConfigError(name, f"directory does not exist: {parent}")
+    path = Path(value)
+    if not path.parent.is_dir():
+        raise ConfigError(name, f"no such directory: {path.parent}")
+    if path.is_dir():
+        raise ConfigError(name, f"is a directory: {value}")
     return value
 
 

@@ -28,7 +28,7 @@ from ..problems import (
     make_hyperclean,
     make_synthetic,
 )
-from ..zo_core import IterationEvent, run_hozog
+from ..zo_core import run_hozog
 from .config import ExperimentConfig, LipschitzConfig, with_hozog
 from .metrics import TraceWriter
 
@@ -106,14 +106,13 @@ def _run(cfg: ExperimentConfig, spec: ObjectiveSpec) -> dict:
     """``run_experiment`` on an objective already built from ``cfg``."""
     with TraceWriter(cfg.output, method=cfg.method, spec=spec, cadence=cfg.metric_every) as writer:
         if cfg.method == "hozog":
-            calls = cfg.hozog.iterations * (cfg.hozog.q + 1)
+            meta_iter, calls = cfg.hozog.iterations, cfg.hozog.iterations * (cfg.hozog.q + 1)
             final = run_hozog(spec, np.full(spec.p, cfg.lambda0), cfg.hozog, recorder=writer)
         else:
-            calls = cfg.random_search.budget  # diverged samples count against it
+            meta_iter = calls = cfg.random_search.budget  # diverged samples count against it
             final = random_search(spec, cfg.random_search, recorder=writer)
-            # the last row, like hozog's lambda_T row, carries what the whole run spent
-            writer(IterationEvent(meta_iter=calls, hyperparams=final, evaluation=None,
-                                  gradient=None, optimizer_calls=calls))
+        # the last row, at the returned lambda, carries what the whole run spent
+        writer.finish(final, meta_iter, calls)
         summary = {
             "final_lambda": [float(v) for v in final],
             "records": writer.records,

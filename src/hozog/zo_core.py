@@ -93,19 +93,17 @@ class GradientEstimate:
 
 @dataclass(frozen=True)
 class IterationEvent:
-    """What a trace recorder sees once per meta-iteration.
+    """One evaluated iterate, as a trace recorder sees it.
 
-    ``evaluation`` is the base oracle evaluation at this iterate, reusable
-    by the recorder at no extra oracle cost; it is None exactly on the final
-    event (the returned lambda_T, which the loop itself never evaluates).
-    ``gradient`` is the estimate the step from this iterate follows, None
-    on the final event and from a method that makes none.
+    ``evaluation`` is the oracle evaluation at ``hyperparams``, reusable by
+    the recorder at no extra oracle cost.  ``gradient`` is the estimate the
+    step from this iterate follows, None from a method that makes none.
     ``optimizer_calls`` is the cumulative optimizer-driven oracle count.
     """
 
     meta_iter: int
     hyperparams: np.ndarray
-    evaluation: Evaluation | None
+    evaluation: Evaluation
     gradient: GradientEstimate | None
     optimizer_calls: int
 
@@ -203,8 +201,9 @@ def run_hozog(
     """Run T meta-iterations of zeroth-order hyper-gradient descent.
 
     Returns lambda_T.  The recorder, when given, is called with one
-    :class:`IterationEvent` per meta-iteration (covering the pre-update
-    iterate and its base evaluation) plus a final event for lambda_T.
+    :class:`IterationEvent` per meta-iteration: the pre-update iterate, its
+    base evaluation and the estimate it steps along.  lambda_T is never
+    evaluated by the loop, so it is the return value only.
     Optimizer-driven oracle calls total exactly T*(q+1); anything else is
     the recorder's own business.  A non-finite objective aborts the run
     with the meta-iteration index attached: a silently clipped estimate
@@ -227,26 +226,9 @@ def run_hozog(
         grad = combine_differences(base.f_value, values, directions, cfg)
         calls += cfg.q + 1
         if recorder is not None:
-            recorder(
-                IterationEvent(
-                    meta_iter=t,
-                    hyperparams=lam.copy(),
-                    evaluation=base,
-                    gradient=grad,
-                    optimizer_calls=calls,
-                )
-            )
+            recorder(IterationEvent(meta_iter=t, hyperparams=lam.copy(), evaluation=base,
+                                    gradient=grad, optimizer_calls=calls))
         lam = hozog_step(lam, grad.vector, cfg.gamma)
         if spec.bounds is not None:
             lam = np.clip(lam, spec.bounds[:, 0], spec.bounds[:, 1])
-    if recorder is not None:
-        recorder(
-            IterationEvent(
-                meta_iter=cfg.iterations,
-                hyperparams=lam.copy(),
-                evaluation=None,
-                gradient=None,
-                optimizer_calls=calls,
-            )
-        )
     return lam

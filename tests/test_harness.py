@@ -45,10 +45,9 @@ from conftest import read_trace, rows_excluding_wall_time
 class TestComputeMetrics:
     def test_first_record_suboptimality_is_zero(self):
         spec = make_synthetic(3.0, 1.0)
-        columns, calls = compute_metrics(spec, np.array([1.0]), math.inf)
-        assert set(columns) == set(TRACE_COLUMNS) - set(TRACE_COLUMNS[:5])
+        columns = compute_metrics(spec, np.array([1.0]), math.inf)
+        assert list(columns) == list(TRACE_COLUMNS[5:])
         assert columns["suboptimality"] == 0.0
-        assert calls == 1  # f itself, the only metric call
 
     def test_running_minimum_sequence(self):
         # f-values 5, 3, 4 against the running minimum give 0, 0, 1
@@ -57,7 +56,7 @@ class TestComputeMetrics:
         for f_known in (5.0, 3.0, 4.0):
             # a fixed-value oracle per step isolates the bookkeeping
             spec_step = function_objective(lambda lam, v=f_known: v, p=1)
-            columns, _ = compute_metrics(spec_step, np.zeros(1), best)
+            columns = compute_metrics(spec_step, np.zeros(1), best)
             best = min(best, columns["f_value"])
             subopts.append(columns["suboptimality"])
         assert subopts == [0.0, 0.0, 1.0]
@@ -66,15 +65,15 @@ class TestComputeMetrics:
     def test_gradient_norm_is_the_given_estimates_norm(self):
         spec = function_objective(lambda lam: 2.5, p=2)
         estimate = GradientEstimate(vector=np.array([3.0, -4.0]))
-        columns, _ = compute_metrics(spec, np.zeros(2), math.inf, gradient=estimate)
+        columns = compute_metrics(spec, np.zeros(2), math.inf, gradient=estimate)
         assert columns["grad_norm_est"] == 5.0
-        assert math.isnan(compute_metrics(spec, np.zeros(2), math.inf)[0]["grad_norm_est"])
+        assert math.isnan(compute_metrics(spec, np.zeros(2), math.inf)["grad_norm_est"])
 
     def test_an_overflowing_norm_is_inf_without_a_warning(self):
         # filterwarnings=error turns a RuntimeWarning from the norm into a failure
         spec = function_objective(lambda lam: 2.5, p=2)
         estimate = GradientEstimate(vector=np.array([1e300, 1e300]))
-        columns, _ = compute_metrics(spec, np.zeros(2), math.inf, gradient=estimate)
+        columns = compute_metrics(spec, np.zeros(2), math.inf, gradient=estimate)
         assert columns["grad_norm_est"] == math.inf
 
     def test_reuses_provided_evaluation(self):
@@ -87,18 +86,18 @@ class TestComputeMetrics:
         spec = function_objective(f, p=1)
         ev = evaluate(spec, np.zeros(1))
         count["n"] = 0
-        _, calls = compute_metrics(spec, np.zeros(1), math.inf, evaluation=ev)
+        compute_metrics(spec, np.zeros(1), math.inf, evaluation=ev)
         assert count["n"] == 0
-        assert calls == 0
+        compute_metrics(spec, np.zeros(1), math.inf)
+        assert count["n"] == 1  # f itself, the only call without an evaluation
 
     def test_provided_evaluation_gives_the_fresh_columns(self):
         spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=50, lr=0.1))
         lam = np.array([0.4])
-        fresh, fresh_calls = compute_metrics(spec, lam, -1.0)
-        reused, reused_calls = compute_metrics(spec, lam, -1.0, evaluation=evaluate(spec, lam))
+        fresh = compute_metrics(spec, lam, -1.0)
+        reused = compute_metrics(spec, lam, -1.0, evaluation=evaluate(spec, lam))
         assert reused == fresh
         assert fresh["suboptimality"] > 0.0
-        assert (fresh_calls, reused_calls) == (1, 0)
 
 
 class TestTraceWriter:
@@ -120,7 +119,7 @@ class TestTraceWriter:
     )
     def test_rows_and_suboptimality_follow_the_incumbent(self, fs, cadence, final_f):
         # sample i sits at lambda = i; a final_f of None puts the final
-        # event at the incumbent's lambda, else at a fresh lambda = n
+        # row at the incumbent's lambda, else at a fresh lambda = n
         n = len(fs)
         values = [*fs, final_f]
         calls = []
@@ -140,8 +139,7 @@ class TestTraceWriter:
                 for i, ev in enumerate(evaluations):
                     writer(IterationEvent(meta_iter=i, hyperparams=np.array([float(i)]),
                                           evaluation=ev, gradient=None, optimizer_calls=i + 1))
-                writer(IterationEvent(meta_iter=n, hyperparams=np.array([final_lam]),
-                                      evaluation=None, gradient=None, optimizer_calls=n))
+                writer.finish(np.array([final_lam]), meta_iter=n, optimizer_calls=n)
             rows = read_trace(path)
         written = [i for i in range(n) if i % cadence == 0] + [n]
         assert [int(r["meta_iter"]) for r in rows] == written
@@ -167,6 +165,7 @@ class TestTraceWriter:
         cfg = ZoConfig(q=1, mu=0.01, gamma=10.0, iterations=3, seed=0)
         with TraceWriter(tmp_path / "t.csv", "hozog", spec) as writer:
             final = run_hozog(spec, np.array([0.5]), cfg, recorder=writer)
+            writer.finish(final, meta_iter=3, optimizer_calls=3 * 2)
         rows = read_trace(tmp_path / "t.csv")
         assert final[0] == 0.0
         assert [r["f_value"] for r in rows] == ["0.5", "0.0", "0.0", "0.0"]
@@ -376,7 +375,7 @@ class TestRunExperiment:
         events = []
         spec = build_objective(cfg)
         run_hozog(spec, np.full(spec.p, cfg.lambda0), cfg.hozog, recorder=events.append)
-        norms = [float(np.linalg.norm(e.gradient.vector)) for e in events[:-1]]
+        norms = [float(np.linalg.norm(e.gradient.vector)) for e in events]
         assert [float(r["grad_norm_est"]) for r in rows[:-1]] == norms
         assert len(norms) == 20 and all(n > 0.0 for n in norms)
         assert math.isnan(float(rows[-1]["grad_norm_est"]))
@@ -1005,6 +1004,34 @@ class TestCli:
         monkeypatch.setattr("hozog.data_io.load_libsvm", unreadable)
         assert cli_main(["parse-data", "--input", str(tmp_path / "x.libsvm")]) == 1
         assert capsys.readouterr().err.startswith("error: [Errno 13] Permission denied")
+
+    @pytest.mark.parametrize("command", ["run", "lipschitz-report"])
+    @pytest.mark.parametrize(
+        "output, reason",
+        [
+            ("dir", "is a directory"),
+            ("file.txt/out.csv", "no such directory"),
+            ("missing/out.csv", "no such directory"),
+        ],
+    )
+    def test_an_output_that_cannot_be_written_fails_before_the_data_is_read(
+        self, tmp_path, capsys, command, output, reason
+    ):
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file.txt").write_text("")
+        bad = tmp_path / "bad.libsvm"
+        bad.write_text("1 1:1.0 oops\n")
+        cfg = {**hyperclean_config(tmp_path, bad, 0.0), "output": str(tmp_path / output)}
+        if command == "lipschitz-report":
+            cfg = {"problem": cfg["problem"], "inner": cfg["inner"], "output": cfg["output"],
+                   "box": [[0.0, 1.0]] * 4}
+        path = write_config(tmp_path, cfg)
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert cli_main([command, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config field 'output'") and reason in err, err
+        assert err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
 
     def test_expansive_lipschitz_report_is_rejected_before_sampling(
         self, tmp_path, capsys, monkeypatch

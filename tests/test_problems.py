@@ -467,6 +467,16 @@ class TestHypercleanObjective:
         total = float((fracs * sizes).sum())
         assert total == pytest.approx(prob.corrupted.sum())
 
+    def test_one_group_per_row_scores_each_row_through_its_group(self):
+        # with n_groups == n_train, group_ids is a permutation of the rows:
+        # lambda_g weighs the row whose group id is g, not row g
+        ds = _blob_dataset(60, 2, seed=12)
+        prob = make_hyperclean(ds, 30, 15, 15, 30, corruption_seed=6)
+        fracs = group_corruption_fractions(prob)
+        np.testing.assert_array_equal(fracs[prob.group_ids], prob.corrupted)
+        # this seed's permutation is not the identity, so row-indexed scoring fails
+        assert not np.array_equal(fracs, prob.corrupted)
+
 
 class TestPerSampleCrossEntropy:
     def test_uniform_model(self):

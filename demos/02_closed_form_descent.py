@@ -6,7 +6,7 @@ known best hyperparameter lam* = ln((c/w* - 1)/2).  Here the full outer
 loop runs against the exact oracle and we watch the iterates walk to lam*.
 """
 
-from hozog import ZoConfig, run_hozog
+from hozog import ZoConfig, evaluate, run_hozog
 from hozog.problems import make_synthetic, synthetic_optimum
 
 c, w_star = 3.0, 1.0
@@ -24,7 +24,7 @@ for event in trail:
         f = event.evaluation.f_value
         print(f"{event.meta_iter:4d}  {event.hyperparams[0]:9.5f}  {f:12.3e}")
 # the recorder sees evaluated iterates only; lambda_T is the return value
-print(f"{cfg.iterations:4d}  {final[0]:9.5f}  {spec.value(final):12.3e}")
+print(f"{cfg.iterations:4d}  {final[0]:9.5f}  {evaluate(spec, final).f_value:12.3e}")
 
 print(f"\n|lam_T - lam*| = {abs(final[0] - lam_star):.2e}")
 print(f"oracle calls: {trail[-1].optimizer_calls} (= T * (q+1))")

@@ -30,7 +30,6 @@ from .lipschitz import (
 )
 from .oracle import Evaluation, ObjectiveSpec, evaluate, evaluate_batch, function_objective
 from .zo_core import (
-    GradientEstimate,
     IterationEvent,
     ZoConfig,
     estimate_hyper_gradient,
@@ -45,7 +44,6 @@ __all__ = [
     "ConfigError",
     "DimensionMismatch",
     "Evaluation",
-    "GradientEstimate",
     "HozogError",
     "InnerSolver",
     "InsufficientData",

@@ -22,7 +22,7 @@ import numpy as np
 
 from ..errors import InvalidConfig
 from ..oracle import Evaluation, ObjectiveSpec, evaluate
-from ..zo_core import GradientEstimate, IterationEvent
+from ..zo_core import IterationEvent
 
 __all__ = ["compute_metrics", "TraceWriter", "TRACE_COLUMNS"]
 
@@ -37,7 +37,7 @@ def compute_metrics(
     lam: np.ndarray,
     best_f: float,
     evaluation: Evaluation | None = None,
-    gradient: GradientEstimate | None = None,
+    gradient: np.ndarray | None = None,
 ) -> dict:
     """The four metric columns of one iterate's record.
 
@@ -54,7 +54,7 @@ def compute_metrics(
     grad_norm = math.nan
     if gradient is not None:
         with np.errstate(over="ignore"):  # finite entries near 1e300 have an infinite norm
-            grad_norm = float(np.linalg.norm(gradient.vector))
+            grad_norm = float(np.linalg.norm(gradient))
     return {
         "f_value": f,
         "suboptimality": f - min(best_f, f),

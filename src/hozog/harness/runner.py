@@ -133,9 +133,10 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
     checked as a hozog config value before the first run; a ConfigError
     names the first bad one, or ``values`` when one repeats.  Each run's
     output adds ``_<axis><repr(value)>`` to the stem of ``cfg.output``.  The
-    objective is built once, since no swept axis changes it.  A failing run
-    is reported in the returned status list but does not stop the others;
-    when building fails, every value reports that error.
+    objective is built once, since no swept axis changes it.  A failing run,
+    one whose output cannot be opened included, is reported in the returned
+    status list but does not stop the others; when building fails, every
+    value reports that error.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError("axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
@@ -159,6 +160,6 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
         try:
             summary = _run(run_cfg, spec)
             statuses.append({"value": value, "ok": True, "trace": summary["trace"]})
-        except HozogError as err:
+        except (HozogError, OSError) as err:
             statuses.append({"value": value, "ok": False, "error": str(err)})
     return statuses

@@ -12,6 +12,7 @@ identical results, which the finite-difference estimator depends on.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,10 +69,6 @@ class ObjectiveSpec:
             return self.inner
         return dataclasses.replace(self.inner, w0=np.zeros(self.problem.d))
 
-    def value(self, lam: np.ndarray) -> float:
-        """Plain-callable view of the objective, f(lam)."""
-        return evaluate(self, lam).f_value
-
 
 @dataclass(frozen=True)
 class Evaluation:
@@ -90,7 +87,7 @@ def check_lambda(spec: ObjectiveSpec, lam) -> np.ndarray:
         raise DimensionMismatch(
             f"hyperparameter vector has shape {arr.shape}, expected ({spec.p},)"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteObjective("hyperparameter vector is not finite", hyperparams=arr)
     return arr
 
@@ -104,7 +101,7 @@ def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
     else:
         w = solve(problem.inner_loss_grad, spec.solver, lam)
     f = float(problem.outer_value(w, lam))
-    if not np.isfinite(f):
+    if not math.isfinite(f):
         raise NonFiniteObjective(
             f"objective is not finite at lam={array_text(lam)}",
             hyperparams=lam,
@@ -139,9 +136,10 @@ class _FunctionProblem:
 
 
 def function_objective(fn, p: int, bounds=None) -> ObjectiveSpec:
-    """Wrap an analytic callable as an ObjectiveSpec (no inner solve).
+    """Wrap a plain callable f(lam) -> float as an ObjectiveSpec (no inner solve).
 
-    Used for closed-form oracles in tests and for driving the outer loop
-    with scripted objectives.
+    This is the way to estimate a plain callable: the estimator and the
+    outer loop take an ObjectiveSpec, and the wrapped f goes through
+    :func:`evaluate` like any other objective, finiteness check included.
     """
     return ObjectiveSpec(problem=_FunctionProblem(fn, p), inner=None, bounds=bounds)

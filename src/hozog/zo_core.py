@@ -14,14 +14,19 @@ directions are available behind the config enum; they already have
 E[u u^T] = I, so that scheme uses the Gaussian-smoothing scale 1/(mu*q)
 (Nesterov & Spokoiny 2017) instead.
 
-The q+1 evaluations of a meta-iteration are independent of each other and
-run one after another.  All directions are drawn up-front from a single
-seeded stream as one (q, p) block.  :func:`combine_differences` is plain
-arithmetic over values the caller already holds: one numpy reduction over
-that block, adding the q weighted rows in direction-index order (for p = 1
-numpy sums the single column pairwise) and calling no BLAS routine, so its
-result does not depend on the BLAS build or thread count.  The trajectory
-is therefore a deterministic function of (spec, lambda0, config).
+:func:`estimate_hyper_gradient` is the one estimator, and each
+meta-iteration of :func:`run_hozog` steps along it.  Its q+1 evaluations
+go through :func:`~hozog.oracle.evaluate` and
+:func:`~hozog.oracle.evaluate_batch`; they are independent of each other
+and run one after another.  A plain callable f(lam) is estimated through
+:func:`~hozog.oracle.function_objective`.  All directions are drawn
+up-front from a single seeded stream as one (q, p) block.
+:func:`combine_differences` is plain arithmetic over the values already
+evaluated: one numpy reduction over that block, adding the q weighted rows
+in direction-index order (for p = 1 numpy sums the single column pairwise)
+and calling no BLAS routine, so its result does not depend on the BLAS
+build or thread count.  The trajectory is therefore a deterministic
+function of (spec, lambda0, config).
 """
 
 from __future__ import annotations
@@ -30,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteObjective, array_text
+from .errors import InvalidConfig, NonFiniteObjective
 from .oracle import Evaluation, ObjectiveSpec, check_lambda, evaluate, evaluate_batch
 
 __all__ = [
     "ZoConfig",
-    "GradientEstimate",
     "IterationEvent",
     "sample_directions",
     "combine_differences",
@@ -85,13 +89,6 @@ class ZoConfig:
 
 
 @dataclass(frozen=True)
-class GradientEstimate:
-    """An averaged zeroth-order hyper-gradient; it costs q+1 oracle values."""
-
-    vector: np.ndarray
-
-
-@dataclass(frozen=True)
 class IterationEvent:
     """One evaluated iterate, as a trace recorder sees it.
 
@@ -104,7 +101,7 @@ class IterationEvent:
     meta_iter: int
     hyperparams: np.ndarray
     evaluation: Evaluation
-    gradient: GradientEstimate | None
+    gradient: np.ndarray | None
     optimizer_calls: int
 
 
@@ -132,7 +129,7 @@ def sample_directions(p: int, q: int, scheme: str, rng: np.random.Generator) -> 
 
 def combine_differences(
     f_base: float, values: np.ndarray, directions: np.ndarray, cfg: ZoConfig
-) -> GradientEstimate:
+) -> np.ndarray:
     """The averaged estimate from f(lam) and the q values f(lam + mu*u_i).
 
     ``directions`` holds the u_i as its rows.  Plain arithmetic: the q
@@ -141,43 +138,29 @@ def combine_differences(
     """
     dim_scale = directions.shape[1] if cfg.direction_scheme == "sphere" else 1
     scale = dim_scale / (cfg.mu * cfg.q)
-    vector = ((np.asarray(values) - f_base)[:, None] * directions).sum(axis=0) * scale
-    return GradientEstimate(vector=vector)
+    return ((np.asarray(values) - f_base)[:, None] * directions).sum(axis=0) * scale
 
 
 def estimate_hyper_gradient(
-    lam: np.ndarray, oracle, cfg: ZoConfig, directions: np.ndarray
-) -> GradientEstimate:
-    """Averaged zeroth-order hyper-gradient of a plain callable f(lam) -> float.
+    spec: ObjectiveSpec, lam: np.ndarray, cfg: ZoConfig, directions: np.ndarray
+) -> tuple[Evaluation, np.ndarray]:
+    """The averaged hyper-gradient of ``spec`` at ``lam`` from q+1 evaluations.
 
-    f is called at lam, then at each perturbed point in direction-index
-    order: q+1 calls.  f(lam) is checked before any perturbed point runs; a
-    non-finite perturbed value names the first such point.
+    ``directions`` holds the q directions u_i as its (q, p) rows.  lam is
+    evaluated first, then each lam + mu*u_i in direction-index order, so a
+    non-finite value raises from :func:`~hozog.oracle.evaluate` at the base
+    point before any perturbed point runs, else at the first bad perturbed
+    point.  Returns the base evaluation and the estimate.
     """
-    lam = np.asarray(lam, dtype=float)
-    p = lam.shape[0]
     directions = np.asarray(directions, dtype=float)
-    if directions.ndim != 2 or directions.shape != (cfg.q, p):
+    if directions.shape != (cfg.q, spec.p):
         raise InvalidConfig(
-            f"direction set has shape {directions.shape}, expected ({cfg.q}, {p})"
+            f"direction set has shape {directions.shape}, expected ({cfg.q}, {spec.p})"
         )
-    f_base = float(oracle(lam))
-    _require_finite(np.array([f_base]), lam[None])
-    points = lam + cfg.mu * directions
-    values = np.array([float(oracle(x)) for x in points])
-    _require_finite(values, points)
-    return combine_differences(f_base, values, directions, cfg)
-
-
-def _require_finite(values: np.ndarray, points: np.ndarray) -> None:
-    """Raise on the first non-finite value, naming the point it came from."""
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise NonFiniteObjective(
-            f"oracle returned {values[i]} at lam={array_text(points[i])}",
-            hyperparams=points[i],
-        )
+    base = evaluate(spec, lam)
+    perturbed = evaluate_batch(spec, lam + cfg.mu * directions)
+    values = np.array([e.f_value for e in perturbed])
+    return base, combine_differences(base.f_value, values, directions, cfg)
 
 
 def hozog_step(lam: np.ndarray, grad: np.ndarray, gamma: float) -> np.ndarray:
@@ -200,10 +183,11 @@ def run_hozog(
 ) -> np.ndarray:
     """Run T meta-iterations of zeroth-order hyper-gradient descent.
 
-    Returns lambda_T.  The recorder, when given, is called with one
-    :class:`IterationEvent` per meta-iteration: the pre-update iterate, its
-    base evaluation and the estimate it steps along.  lambda_T is never
-    evaluated by the loop, so it is the return value only.
+    Returns lambda_T.  Each meta-iteration steps along
+    :func:`estimate_hyper_gradient`.  The recorder, when given, is called
+    with one :class:`IterationEvent` per meta-iteration: the pre-update
+    iterate, its base evaluation and the estimate it steps along.  lambda_T
+    is never evaluated by the loop, so it is the return value only.
     Optimizer-driven oracle calls total exactly T*(q+1); anything else is
     the recorder's own business.  A non-finite objective aborts the run
     with the meta-iteration index attached: a silently clipped estimate
@@ -217,18 +201,15 @@ def run_hozog(
     for t in range(cfg.iterations):
         directions = sample_directions(spec.p, cfg.q, cfg.direction_scheme, rng)
         try:
-            base = evaluate(spec, lam)
-            perturbed = evaluate_batch(spec, lam + cfg.mu * directions)
+            base, grad = estimate_hyper_gradient(spec, lam, cfg, directions)
         except NonFiniteObjective as err:
             err.meta_iter = t
             raise
-        values = np.array([e.f_value for e in perturbed])
-        grad = combine_differences(base.f_value, values, directions, cfg)
         calls += cfg.q + 1
         if recorder is not None:
             recorder(IterationEvent(meta_iter=t, hyperparams=lam.copy(), evaluation=base,
                                     gradient=grad, optimizer_calls=calls))
-        lam = hozog_step(lam, grad.vector, cfg.gamma)
+        lam = hozog_step(lam, grad, cfg.gamma)
         if spec.bounds is not None:
             lam = np.clip(lam, spec.bounds[:, 0], spec.bounds[:, 1])
     return lam

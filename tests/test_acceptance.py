@@ -17,6 +17,8 @@ from hozog import (
     RandomSearchConfig,
     ZoConfig,
     estimate_hyper_gradient,
+    evaluate,
+    function_objective,
     lipschitz_product_bound,
     empirical_lipschitz,
     random_search,
@@ -62,7 +64,7 @@ def test_criterion_1_estimator_linear_correctness():
     """Sphere-direction estimates are unbiased for a linear objective."""
     t0 = time.perf_counter()
     a = np.array([1.0, -2.0, 0.5, 3.0])
-    f = lambda lam: float(a @ lam)
+    spec = function_objective(lambda lam: float(a @ lam), p=4)
     n = 100_000
     rng = np.random.default_rng(2024)
 
@@ -74,21 +76,21 @@ def test_criterion_1_estimator_linear_correctness():
     single_mean = np.mean(
         [
             estimate_hyper_gradient(
-                np.zeros(4), f, ZoConfig(q=1, mu=0.01, gamma=1.0, iterations=0), small[i : i + 1]
-            ).vector
+                spec, np.zeros(4), ZoConfig(q=1, mu=0.01, gamma=1.0, iterations=0), small[i : i + 1]
+            )[1]
             for i in range(500)
         ],
         axis=0,
     )
-    batched = estimate_hyper_gradient(
-        np.zeros(4), f, ZoConfig(q=500, mu=0.01, gamma=1.0, iterations=0), small
-    ).vector
+    _, batched = estimate_hyper_gradient(
+        spec, np.zeros(4), ZoConfig(q=500, mu=0.01, gamma=1.0, iterations=0), small
+    )
     np.testing.assert_allclose(single_mean, batched, rtol=1e-12)
 
-    est = estimate_hyper_gradient(
-        np.zeros(4), f, ZoConfig(q=n, mu=0.01, gamma=1.0, iterations=0), directions
+    _, est = estimate_hyper_gradient(
+        spec, np.zeros(4), ZoConfig(q=n, mu=0.01, gamma=1.0, iterations=0), directions
     )
-    err = est.vector - a
+    err = est - a
     tol = 0.01 * float(np.linalg.norm(a))
     elapsed = time.perf_counter() - t0
     ok = np.all(np.abs(err) <= tol) and np.linalg.norm(err) <= tol and elapsed < 5.0
@@ -105,8 +107,6 @@ def test_criterion_2_estimator_vs_analytic_gradient():
     t0 = time.perf_counter()
     c, w_star, mu, q, repeats = 3.0, 1.0, 1e-3, 64, 1000
     spec = make_synthetic(c, w_star)
-    problem = spec.problem
-    f = lambda lam: problem.outer_value(problem.exact_solution(lam), lam)
     cfg = ZoConfig(q=q, mu=mu, gamma=1.0, iterations=0)
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -116,7 +116,7 @@ def test_criterion_2_estimator_vs_analytic_gradient():
         total = 0.0
         for _ in range(repeats):
             dirs = sample_directions(1, q, "sphere", rng)
-            total += estimate_hyper_gradient(lam, f, cfg, dirs).vector[0]
+            total += estimate_hyper_gradient(spec, lam, cfg, dirs)[1][0]
         mean = total / repeats
         true = synthetic_analytic_hypergradient(c, w_star, lam0)
         tol = max(5 * mu, 0.02 * abs(true))
@@ -139,7 +139,7 @@ def test_criterion_3_convergence_on_closed_form():
     spec = make_synthetic(3.0, 1.0)
     cfg = ZoConfig(q=3, mu=1e-3, gamma=1.0, iterations=500, seed=11)
     lam = run_hozog(spec, [2.0], cfg)
-    f_final = spec.value(lam)
+    f_final = evaluate(spec, lam).f_value
     elapsed = time.perf_counter() - t0
     ok = abs(lam[0]) <= 1e-2 and f_final <= 1e-4 and elapsed < 10.0
     report(

@@ -111,7 +111,9 @@ _LAM40 = np.random.default_rng(0).standard_normal(40) * 1e5
             lambda w, lam: -2.0 * w, InnerSolver(steps=2000, lr=1.0, w0=np.ones(1)), _LAM40
         ),
         lambda: evaluate(function_objective(lambda lam: np.inf, p=40), _LAM40),
-        lambda: estimate_hyper_gradient(_LAM40, lambda lam: np.nan, _ZO, np.eye(40)[:1]),
+        lambda: estimate_hyper_gradient(
+            function_objective(lambda lam: np.nan, p=40), _LAM40, _ZO, np.eye(40)[:1]
+        ),
     ],
     ids=["inner_solvers.solve", "oracle.evaluate", "zo_core.estimate_hyper_gradient"],
 )

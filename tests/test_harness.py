@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hozog import (
-    GradientEstimate,
     InnerSolver,
     IterationEvent,
     ZoConfig,
@@ -64,16 +63,14 @@ class TestComputeMetrics:
 
     def test_gradient_norm_is_the_given_estimates_norm(self):
         spec = function_objective(lambda lam: 2.5, p=2)
-        estimate = GradientEstimate(vector=np.array([3.0, -4.0]))
-        columns = compute_metrics(spec, np.zeros(2), math.inf, gradient=estimate)
+        columns = compute_metrics(spec, np.zeros(2), math.inf, gradient=np.array([3.0, -4.0]))
         assert columns["grad_norm_est"] == 5.0
         assert math.isnan(compute_metrics(spec, np.zeros(2), math.inf)["grad_norm_est"])
 
     def test_an_overflowing_norm_is_inf_without_a_warning(self):
         # filterwarnings=error turns a RuntimeWarning from the norm into a failure
         spec = function_objective(lambda lam: 2.5, p=2)
-        estimate = GradientEstimate(vector=np.array([1e300, 1e300]))
-        columns = compute_metrics(spec, np.zeros(2), math.inf, gradient=estimate)
+        columns = compute_metrics(spec, np.zeros(2), math.inf, gradient=np.array([1e300, 1e300]))
         assert columns["grad_norm_est"] == math.inf
 
     def test_reuses_provided_evaluation(self):
@@ -375,7 +372,7 @@ class TestRunExperiment:
         events = []
         spec = build_objective(cfg)
         run_hozog(spec, np.full(spec.p, cfg.lambda0), cfg.hozog, recorder=events.append)
-        norms = [float(np.linalg.norm(e.gradient.vector)) for e in events]
+        norms = [float(np.linalg.norm(e.gradient)) for e in events]
         assert [float(r["grad_norm_est"]) for r in rows[:-1]] == norms
         assert len(norms) == 20 and all(n > 0.0 for n in norms)
         assert math.isnan(float(rows[-1]["grad_norm_est"]))
@@ -599,6 +596,11 @@ class TestSweep:
         statuses = sweep(cfg, "gamma", [0.1, 500.0])
         assert statuses[0]["ok"]
         assert not statuses[1]["ok"]
+        # an output that cannot be opened fails its own value, and the later values still run
+        (tmp_path / "trace_gamma0.2.csv").mkdir()
+        statuses = sweep(cfg, "gamma", [0.1, 0.2, 0.3])
+        assert [s["ok"] for s in statuses] == [True, False, True]
+        assert "trace_gamma0.2.csv" in statuses[1]["error"]
 
     def test_manifest_records_swept_value_and_base_seed(self, tmp_path):
         cfg = config_from_dict(

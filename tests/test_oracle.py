@@ -118,7 +118,7 @@ class TestContinuityProbe:
 class TestFunctionObjective:
     def test_wraps_callable(self):
         spec = function_objective(lambda lam: float(lam[0] + 2 * lam[1]), p=2)
-        assert spec.value(np.array([1.0, 2.0])) == 5.0
+        assert evaluate(spec, np.array([1.0, 2.0])).f_value == 5.0
         assert spec.p == 2
 
     def test_bounds_validation(self):

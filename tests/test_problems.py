@@ -40,13 +40,13 @@ def central_fd(fn, x, step=1e-6):
 class TestSynthetic:
     def test_minimizer_and_value_at_zero(self):
         spec = make_synthetic(3.0, 1.0)
-        assert spec.value(np.array([0.0])) == pytest.approx(0.0, abs=1e-14)
+        assert evaluate(spec, np.array([0.0])).f_value == pytest.approx(0.0, abs=1e-14)
         assert synthetic_optimum(3.0, 1.0) == pytest.approx(0.0, abs=1e-14)
 
     def test_negative_limit(self):
         spec = make_synthetic(3.0, 1.0)
         # e^-30 ~ 0, so w -> c and f -> 0.5*(3-1)^2 = 2
-        assert spec.value(np.array([-30.0])) == pytest.approx(2.0, abs=1e-9)
+        assert evaluate(spec, np.array([-30.0])).f_value == pytest.approx(2.0, abs=1e-9)
 
     def test_invalid_targets(self):
         with pytest.raises(InvalidConfig):
@@ -59,7 +59,7 @@ class TestSynthetic:
 
     def test_hypergradient_matches_finite_difference(self):
         spec = make_synthetic(3.0, 1.0)
-        fn = lambda lam: spec.value(np.array([lam]))
+        fn = lambda lam: evaluate(spec, np.array([lam])).f_value
         got = synthetic_analytic_hypergradient(3.0, 1.0, 1.0)
         assert got == pytest.approx(central_fd(fn, 1.0), abs=1e-8)
 
@@ -70,7 +70,7 @@ class TestSynthetic:
 
     def test_hypergradient_grid_against_finite_differences(self):
         spec = make_synthetic(3.0, 1.0)
-        fn = lambda lam: spec.value(np.array([lam]))
+        fn = lambda lam: evaluate(spec, np.array([lam])).f_value
         for lam in np.arange(-3.0, 3.0 + 1e-9, 0.25):
             got = synthetic_analytic_hypergradient(3.0, 1.0, lam)
             assert abs(got - central_fd(fn, lam)) <= 1e-6

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hozog import (
+    InnerSolver,
     InvalidConfig,
     NonFiniteObjective,
     ZoConfig,
@@ -15,10 +16,18 @@ from hozog import (
     run_hozog,
     sample_directions,
 )
+from hozog.data_io import random_classification_dataset
+from hozog.errors import array_text
+from hozog.problems import hyperclean_objective, make_hyperclean
 
 
 def rng(seed=0):
     return np.random.default_rng(seed)
+
+
+def estimate(f, lam, cfg, dirs):
+    """The estimate of a plain callable f, through ``function_objective``."""
+    return estimate_hyper_gradient(function_objective(f, p=len(lam)), lam, cfg, dirs)[1]
 
 
 class TestSampleDirections:
@@ -85,17 +94,14 @@ class TestEstimateHyperGradient:
             calls.append(lam)
             return 3.7
 
-        est = estimate_hyper_gradient(np.zeros(3), constant, cfg, dirs)
-        np.testing.assert_array_equal(est.vector, np.zeros(3))
+        np.testing.assert_array_equal(estimate(constant, np.zeros(3), cfg, dirs), np.zeros(3))
         assert len(calls) == 9
 
     def test_hand_arithmetic_quadratic(self):
         # (1/0.01) * ((2.01)^2 - 4) * 1 = 4.01 with u = +1
         cfg = ZoConfig(q=1, mu=0.01, gamma=1.0, iterations=0)
-        est = estimate_hyper_gradient(
-            np.array([2.0]), lambda lam: float(lam[0] ** 2), cfg, np.array([[1.0]])
-        )
-        assert est.vector[0] == pytest.approx(4.01, abs=1e-9)
+        est = estimate(lambda lam: float(lam[0] ** 2), np.array([2.0]), cfg, np.array([[1.0]]))
+        assert est[0] == pytest.approx(4.01, abs=1e-9)
 
     def test_linear_oracle_mean_recovers_slope(self):
         # For f(lam) = a.lam and sphere directions, E[p (a.u) u] = a; the
@@ -103,8 +109,8 @@ class TestEstimateHyperGradient:
         a = np.array([1.0, -2.0, 0.5, 3.0])
         cfg = ZoConfig(q=100_000, mu=0.1, gamma=1.0, iterations=0, seed=0)
         dirs = sample_directions(4, cfg.q, "sphere", rng(12))
-        est = estimate_hyper_gradient(np.zeros(4), lambda lam: float(a @ lam), cfg, dirs)
-        assert np.linalg.norm(est.vector - a) < 0.01 * np.linalg.norm(a) * 4
+        est = estimate(lambda lam: float(a @ lam), np.zeros(4), cfg, dirs)
+        assert np.linalg.norm(est - a) < 0.01 * np.linalg.norm(a) * 4
 
     def test_gaussian_scheme_recovers_linear_gradient(self):
         # E[(a.u) u] = a for standard-normal u, so the Gaussian-smoothing
@@ -112,8 +118,8 @@ class TestEstimateHyperGradient:
         a = np.array([1.0, -2.0, 0.5])
         cfg = ZoConfig(q=200_000, mu=0.1, gamma=1.0, iterations=0, direction_scheme="gaussian")
         dirs = sample_directions(3, cfg.q, "gaussian", rng(13))
-        est = estimate_hyper_gradient(np.zeros(3), lambda lam: float(a @ lam), cfg, dirs)
-        assert np.linalg.norm(est.vector - a) < 0.01 * np.linalg.norm(a)
+        est = estimate(lambda lam: float(a @ lam), np.zeros(3), cfg, dirs)
+        assert np.linalg.norm(est - a) < 0.01 * np.linalg.norm(a)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -137,9 +143,9 @@ class TestEstimateHyperGradient:
         g = lambda x: float(np.expm1(0.3 * a @ (x - lam)) - np.sum(x - lam))
         combo = lambda x: alpha * f(x) + beta * g(x)
         cfg = ZoConfig(q=q, mu=0.01, gamma=1.0, iterations=0, direction_scheme=scheme)
-        est_f = estimate_hyper_gradient(lam, f, cfg, dirs).vector
-        est_g = estimate_hyper_gradient(lam, g, cfg, dirs).vector
-        est_combo = estimate_hyper_gradient(lam, combo, cfg, dirs).vector
+        est_f = estimate(f, lam, cfg, dirs)
+        est_g = estimate(g, lam, cfg, dirs)
+        est_combo = estimate(combo, lam, cfg, dirs)
         size = abs(alpha) * np.linalg.norm(est_f) + abs(beta) * np.linalg.norm(est_g)
         assert np.all(np.abs(est_combo - (alpha * est_f + beta * est_g)) <= 1e-12 * size)
 
@@ -162,7 +168,7 @@ class TestEstimateHyperGradient:
         f = lambda x: float(a @ (x - lam))
         for scheme, dirs in (("sphere", basis), ("gaussian", np.sqrt(p) * basis)):
             cfg = ZoConfig(q=p, mu=mu, gamma=1.0, iterations=0, direction_scheme=scheme)
-            est = estimate_hyper_gradient(lam, f, cfg, dirs).vector
+            est = estimate(f, lam, cfg, dirs)
             assert np.linalg.norm(est - a) <= 1e-11 * np.linalg.norm(a)
 
     @settings(max_examples=80, deadline=None)
@@ -181,7 +187,7 @@ class TestEstimateHyperGradient:
         a = stream.standard_normal(p)
         f = lambda x: float(np.sin(a @ x) + x @ x)
         cfg = ZoConfig(q=q, mu=0.01, gamma=1.0, iterations=0, direction_scheme=scheme)
-        got = estimate_hyper_gradient(lam, f, cfg, dirs).vector
+        got = estimate(f, lam, cfg, dirs)
         f_base = f(lam)
         ref = np.zeros(p)
         size = np.zeros(p)
@@ -197,27 +203,23 @@ class TestEstimateHyperGradient:
             np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * scale * size[0])
 
     def test_first_non_finite_point_is_named(self):
-        # the base value is checked before any perturbed point is asked for
-        calls = []
-
-        def nan_at_base(lam):
-            calls.append(lam)
-            return float("nan")
-
+        # evaluation stops at the first bad point: the base point before any
+        # perturbed one, then the perturbed points in direction order
         cfg = ZoConfig(q=3, mu=1.0, gamma=1.0, iterations=0)
-        dirs = np.array([[1.0], [-1.0], [1.0]])
-        with pytest.raises(NonFiniteObjective) as excinfo:
-            estimate_hyper_gradient(np.array([0.0]), nan_at_base, cfg, dirs)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(excinfo.value.hyperparams, [0.0])
+        dirs = np.array([[1.0], [2.0], [3.0]])
+        for bad, made in ((0.0, 1), (1.0, 2), (2.0, 3), (3.0, 4)):
+            calls = []
 
-        def nan_away_from_zero(lam):
-            return float("nan") if lam[0] != 0.0 else 0.0
+            def f(lam):
+                calls.append(lam[0])
+                return float("nan") if lam[0] >= bad else 0.0
 
-        dirs = np.array([[0.0], [2.0], [3.0]])
-        with pytest.raises(NonFiniteObjective) as excinfo:
-            estimate_hyper_gradient(np.array([0.0]), nan_away_from_zero, cfg, dirs)
-        np.testing.assert_array_equal(excinfo.value.hyperparams, [2.0])
+            spec = function_objective(f, p=1)
+            with pytest.raises(NonFiniteObjective) as excinfo:
+                estimate_hyper_gradient(spec, np.array([0.0]), cfg, dirs)
+            assert len(calls) == made  # a perturbed point: 1 + its direction index + 1
+            np.testing.assert_array_equal(excinfo.value.hyperparams, [bad])
+            assert str(excinfo.value).endswith(f"lam={array_text(np.array([bad]))}")
 
     def test_nan_oracle_raises_with_offending_point(self):
         def bad(lam):
@@ -225,7 +227,7 @@ class TestEstimateHyperGradient:
 
         cfg = ZoConfig(q=1, mu=1.0, gamma=1.0, iterations=0)
         with pytest.raises(NonFiniteObjective) as excinfo:
-            estimate_hyper_gradient(np.array([0.0]), bad, cfg, np.array([[1.0]]))
+            estimate(bad, np.array([0.0]), cfg, np.array([[1.0]]))
         assert excinfo.value.hyperparams is not None
 
     def test_mean_estimate_matches_central_differences(self):
@@ -243,7 +245,7 @@ class TestEstimateHyperGradient:
         repeats = 10_000
         for _ in range(repeats):
             dirs = sample_directions(p, cfg.q, "sphere", stream)
-            total += estimate_hyper_gradient(lam, f, cfg, dirs).vector
+            total += estimate(f, lam, cfg, dirs)
         mean = total / repeats
         step = 1e-6
         fd = np.zeros(p)
@@ -310,6 +312,23 @@ class TestRunHozog:
             lam = lam - gamma * ghat
         assert out[0] == pytest.approx(lam, abs=1e-12)
         assert abs(out[0] - 1.0) <= 0.05
+
+    def test_each_step_follows_the_one_estimator(self):
+        # replaying the seeded stream through sample_directions, each recorded
+        # gradient is estimate_hyper_gradient's at the recorded iterate, bitwise
+        data = random_classification_dataset(80, 6, n_classes=3, seed=1)
+        prob = make_hyperclean(data, 40, 20, 20, n_groups=5, corruption_seed=0)
+        spec = hyperclean_objective(prob, InnerSolver(steps=30, lr=0.1))
+        cfg = ZoConfig(q=3, mu=0.5, gamma=2.0, iterations=4, seed=6)
+        events = []
+        run_hozog(spec, np.zeros(spec.p), cfg, recorder=events.append)
+        stream = rng(cfg.seed)
+        for event in events:
+            dirs_t = sample_directions(spec.p, cfg.q, cfg.direction_scheme, stream)
+            base, grad = estimate_hyper_gradient(spec, event.hyperparams, cfg, dirs_t)
+            np.testing.assert_array_equal(event.gradient, grad)
+            assert event.evaluation.f_value == base.f_value
+        assert len(events) == 4 and np.any(events[-1].hyperparams != 0.0)
 
     def test_seed_determinism_of_trajectory(self):
         spec = function_objective(lambda lam: float(np.sum((lam - 2) ** 2)), p=3)

@@ -9,10 +9,10 @@ Subcommands:
 Every config file is read and checked by :mod:`hozog.harness.config`
 before anything runs, as are the ``sweep --values``.
 
-Exit codes: 0 success, 1 data/runtime error (a file that cannot be read
-included), 2 config error (the message names the offending field),
-3 non-finite objective (diverging inner solve).  Every failure prints one
-line, never a traceback.
+Exit codes: 0 success, 1 data/runtime error (an unreadable file included),
+2 config error (naming the offending field), 3 non-finite objective (diverging
+inner solve).  Every failure prints one line, never a traceback; ``sweep``
+prints ``run``'s line for each failed value and exits with their highest code.
 """
 
 from __future__ import annotations
@@ -73,15 +73,15 @@ def _cmd_sweep(args) -> int:
         values = [ast.literal_eval(tok) for tok in args.values.split(",") if tok.strip()]
     except (ValueError, SyntaxError, TypeError):
         raise ConfigError("values", f"not comma-separated numbers: {args.values!r}") from None
-    statuses = sweep(cfg, args.axis, values)
-    failed = False
-    for status in statuses:
+    code = 0
+    for status in sweep(cfg, args.axis, values):
         if status["ok"]:
             print(f"{args.axis}={status['value']}: ok -> {status['trace']}")
         else:
-            failed = True
-            print(f"{args.axis}={status['value']}: FAILED ({status['error']})")
-    return 3 if failed else 0
+            value_code, line = _failure(status["error"])
+            code = max(code, value_code)
+            print(f"{args.axis}={status['value']}: FAILED ({line})")
+    return code
 
 
 def _cmd_parse_data(args) -> int:
@@ -133,6 +133,16 @@ def _cmd_lipschitz(args) -> int:
     return 0
 
 
+def _failure(err: HozogError | OSError) -> tuple[int, str]:
+    """The exit code of a failure and the one line that reports it."""
+    if isinstance(err, NonFiniteObjective):
+        where = f" at meta-iteration {err.meta_iter}" if err.meta_iter is not None else ""
+        return 3, f"non-finite objective{where}: {err}"
+    if isinstance(err, ConfigError):
+        return 2, f"config error: {err}"
+    return 1, f"parse error: {err}" if isinstance(err, ParseError) else f"error: {err}"
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -143,19 +153,10 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
-    except NonFiniteObjective as err:
-        where = f" at meta-iteration {err.meta_iter}" if err.meta_iter is not None else ""
-        print(f"non-finite objective{where}: {err}", file=sys.stderr)
-        return 3
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 1
     except (HozogError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        code, line = _failure(err)
+        print(line, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -135,8 +135,8 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
     output adds ``_<axis><repr(value)>`` to the stem of ``cfg.output``.  The
     objective is built once, since no swept axis changes it.  A failing run,
     one whose output cannot be opened included, is reported in the returned
-    status list but does not stop the others; when building fails, every
-    value reports that error.
+    status list, its exception under ``error``, but does not stop the
+    others; when building fails, every value reports that error.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError("axis", f"must be one of {SWEEP_AXES}, got {axis!r}")
@@ -151,7 +151,7 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
     try:
         spec = build_objective(cfg)
     except HozogError as err:
-        return [{"value": value, "ok": False, "error": str(err)} for value in resolved]
+        return [{"value": value, "ok": False, "error": err} for value in resolved]
     out = Path(cfg.output)
     statuses = []
     for run_cfg, value in zip(runs, resolved):
@@ -161,5 +161,5 @@ def sweep(cfg: ExperimentConfig, axis: str, values) -> list:
             summary = _run(run_cfg, spec)
             statuses.append({"value": value, "ok": True, "trace": summary["trace"]})
         except (HozogError, OSError) as err:
-            statuses.append({"value": value, "ok": False, "error": str(err)})
+            statuses.append({"value": value, "ok": False, "error": err})
     return statuses

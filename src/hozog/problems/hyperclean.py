@@ -176,15 +176,14 @@ def make_hyperclean(
     group_ids = np.empty(n_train, dtype=int)
     group_ids[group_order] = np.repeat(np.arange(n_groups), block_sizes)
 
-    y_clean = y_all[idx_train].copy()
-    y_noisy = y_clean.copy()
+    y_clean = y_all[idx_train]
     n_corrupt = math.ceil(0.5 * n_train)
     corrupt_idx = rng.choice(n_train, size=n_corrupt, replace=False)
-    corrupted = np.zeros(n_train, dtype=bool)
-    corrupted[corrupt_idx] = True
-    for i in corrupt_idx:
-        others = np.delete(np.arange(classes.size), y_clean[i])
-        y_noisy[i] = others[rng.integers(0, others.size)]
+    corrupted = np.isin(np.arange(n_train), corrupt_idx)
+    # a draw r among the K-1 other classes skips the clean label
+    r = rng.integers(0, classes.size - 1, size=n_corrupt)
+    y_noisy = y_clean.copy()
+    y_noisy[corrupt_idx] = r + (r >= y_clean[corrupt_idx])
 
     return HyperCleanProblem(
         x_train=x_all[idx_train],

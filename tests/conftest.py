@@ -1,8 +1,13 @@
 import csv
+import sys
+from pathlib import Path
 
 import pytest
 
 from hozog.data_io import random_classification_dataset, serialize_libsvm
+
+# the benchmark's modules (workloads, tracer) import as top-level names
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -46,20 +46,6 @@ class TestRandomSearch:
             best = min(best, event.evaluation.f_value)
             assert best <= event.evaluation.f_value
 
-    def test_seed_determinism(self):
-        spec = make_synthetic(3.0, 1.0)
-        cfg = RandomSearchConfig(budget=40, box=[[-5.0, 5.0]], seed=11)
-        a = random_search(spec, cfg)
-        b = random_search(spec, cfg)
-        np.testing.assert_array_equal(a, b)
-
-    def test_worker_count_invariance(self):
-        spec = make_synthetic(3.0, 1.0)
-        cfg = RandomSearchConfig(budget=50, box=[[-5.0, 5.0]], seed=8)
-        a = random_search(spec, cfg, max_workers=1)
-        b = random_search(spec, cfg, max_workers=4)
-        np.testing.assert_array_equal(a, b)
-
     def test_diverging_samples_skipped_but_counted(self):
         def partial(lam):
             if lam[0] > 0.0:

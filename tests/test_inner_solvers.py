@@ -200,10 +200,3 @@ class TestSolverContinuity:
         ratios = self._ratios(prob.inner_loss_grad, alg, np.array([0.0]), prob.d)
         c = ratios[0]
         assert all(r <= 2.0 * c + 1e-9 for r in ratios)
-
-    def test_determinism_bitwise(self):
-        prob = SyntheticBilevel(c=3.0, w_star=1.0)
-        alg = InnerSolver(steps=64, lr=0.1, w0=np.zeros(1))
-        a = solve(prob.inner_loss_grad, alg, np.array([0.3]))
-        b = solve(prob.inner_loss_grad, alg, np.array([0.3]))
-        np.testing.assert_array_equal(a, b)

@@ -98,12 +98,6 @@ class TestEmpiricalLipschitz:
         report = empirical_lipschitz(spec, [[0.0, 1.0]], n_pairs=200, seed=1)
         assert report.empirical_max_ratio == pytest.approx(2.0, rel=1e-9)
 
-    def test_deterministic_per_seed(self):
-        spec = make_synthetic(3.0, 1.0)
-        a = empirical_lipschitz(spec, [[-2, 2]], n_pairs=300, seed=7)
-        b = empirical_lipschitz(spec, [[-2, 2]], n_pairs=300, seed=7)
-        assert a.empirical_max_ratio == b.empirical_max_ratio
-
     def test_dominated_by_product_bound(self):
         eta, steps = 0.1, 30
         spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=steps, lr=eta))
@@ -138,9 +132,3 @@ class TestEmpiricalLipschitz:
         spec = function_objective(lambda lam: float(lam[0]), p=1)
         with pytest.raises(InvalidConfig):
             empirical_lipschitz(spec, box, n_pairs=10, seed=0)
-
-    def test_worker_fanout_same_answer(self):
-        spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=20, lr=0.1))
-        a = empirical_lipschitz(spec, [[-1, 1]], n_pairs=100, seed=5, max_workers=1)
-        b = empirical_lipschitz(spec, [[-1, 1]], n_pairs=100, seed=5, max_workers=4)
-        assert a.empirical_max_ratio == b.empirical_max_ratio

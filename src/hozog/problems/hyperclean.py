@@ -70,6 +70,8 @@ class HyperCleanProblem:
 
     def __post_init__(self):
         n_tr = self.x_train.shape[0]
+        if n_tr == 0:
+            raise InsufficientData("train split is empty")
         for arr, what in (
             (self.y_train, "y_train"),
             (self.y_clean, "y_clean"),

@@ -111,7 +111,7 @@ def datasets(draw):
 
 class TestRoundTrip:
     @given(datasets())
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=150)
     def test_serialize_then_parse_is_identity(self, ds):
         assert parse_libsvm(serialize_libsvm(ds)) == ds
 
@@ -167,7 +167,7 @@ class TestSplit:
         assert (len(train), len(val), len(test)) == (3, 2, 2)
 
     @given(st.integers(min_value=4, max_value=40), st.integers(min_value=0, max_value=1000))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_partition_property(self, n, seed):
         rows = tuple((1.0, ((1, float(i)),)) for i in range(n))
         ds = SparseDataset(rows=rows)
@@ -192,14 +192,14 @@ VALID_LINE = st.one_of(
 
 class TestGrammarProperty:
     @given(st.lists(st.sampled_from([m[1] for m in MALFORMED]), min_size=1, max_size=4))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_any_malformed_line_fails(self, bad_lines):
         text = "\n".join(["1 1:1.0"] + bad_lines)
         with pytest.raises(ParseError):
             parse_libsvm(text)
 
     @given(st.lists(VALID_LINE, min_size=0, max_size=8))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     def test_valid_lines_accepted(self, lines):
         ds = parse_libsvm("\n".join(lines))
         assert len(ds) == len(lines)

@@ -1,7 +1,8 @@
 """The determinism contract on every path: a run is a pure function of (problem, lambda0, config).
 
-Each problem is rebuilt from its config under each variant and run through
-``run_hozog``, ``random_search`` and ``empirical_lipschitz``.  lambda_T, each
+Each problem of the shared table (``CONFIGS`` in conftest.py) is rebuilt from
+its config under each variant and run through ``run_hozog``, ``random_search``
+and ``empirical_lipschitz``.  lambda_T, each
 event's f, model and gradient, the incumbent and the Lipschitz ratio must be
 the plain run's bitwise; the storage rows change only the summation order, so
 they hold to 1e-12 relative (``TestStorage``'s tolerance).  A new path adds
@@ -21,23 +22,12 @@ import pytest
 import scipy.sparse as sp
 
 import hozog.baselines as baselines
-import hozog.harness.runner as runner
 import hozog.lipschitz as lipschitz
 import hozog.zo_core as zo_core
+from conftest import CONFIGS, build
 from hozog import RandomSearchConfig
-from hozog.data_io import random_classification_dataset, serialize_libsvm
-from hozog.harness.config import config_from_dict
 from tracer import Tracer, traced
 
-# logreg and hyper-cleaning read their rows from the 3-class data file
-CONFIGS = {
-    "synthetic": {"problem": {"kind": "synthetic", "c": 3.0, "w_star": 1.0},
-                  "inner": {"variant": "gd", "steps": 60, "lr": 0.1}},
-    "logreg": {"problem": {"kind": "logreg", "binarize_seed": 4, "split_seed": 2},
-               "inner": {"steps": 60}},
-    "hyperclean": {"problem": {"kind": "hyperclean", "n_train": 100, "n_val": 70, "n_test": 70,
-                               "n_groups": 5, "corruption_seed": 3}, "inner": {"steps": 60}},
-}
 HOZOG = {"q": 3, "mu": 0.5, "gamma": 0.5, "iterations": 4, "seed": 7}
 # each row's context, storage of the problem's x_* matrices, run keywords and rtol
 VARIANTS = {
@@ -52,10 +42,7 @@ VARIANTS = {
 def outputs(name, data, context=contextlib.nullcontext, storage=None, **run_kwargs):
     """Build problem ``name`` from its config and run the three methods on it."""
     with context():
-        raw = CONFIGS[name]
-        section = raw["problem"] if name == "synthetic" else {**raw["problem"], "data": str(data)}
-        cfg = config_from_dict({"method": "hozog", **raw, "problem": section, "hozog": HOZOG})
-        spec = runner.build_objective(cfg)
+        cfg, spec = build(name, data, HOZOG)
         if storage is not None:
             prob = spec.problem
             stored = {f.name: storage(getattr(prob, f.name))
@@ -84,13 +71,6 @@ def assert_same(got, want, rtol=0.0):
             assert np.linalg.norm(got[key] - expected) <= rtol * np.linalg.norm(expected), key
         else:
             assert got[key].tobytes() == expected.tobytes(), key
-
-
-@pytest.fixture(scope="module")
-def data(tmp_path_factory):
-    path = tmp_path_factory.mktemp("determinism") / "multi.libsvm"
-    path.write_text(serialize_libsvm(random_classification_dataset(240, 6, n_classes=3, seed=23)))
-    return path
 
 
 @pytest.fixture(scope="module")

@@ -21,7 +21,13 @@ from hozog import (
 )
 from hozog import errors
 from hozog.data_io import SparseDataset, binarize, split_2_1_1
-from hozog.problems import LogRegProblem, logreg_test_error, make_hyperclean, make_synthetic
+from hozog.problems import (
+    HyperCleanProblem,
+    LogRegProblem,
+    logreg_test_error,
+    make_hyperclean,
+    make_synthetic,
+)
 
 FAULT_TYPES = {
     "diverging inner solve": NonFiniteObjective,
@@ -38,6 +44,7 @@ def _rows(labels):
 
 _BINARY = _rows([1, -1])
 _ONE_CLASS = _rows([1] * 12)
+_NO_ROWS = np.zeros(0, dtype=int)
 _DIVERGING = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=400, lr=5.0))
 _P1 = function_objective(lambda lam: float(lam[0]), p=1)
 _P2 = function_objective(lambda lam: 0.0, p=2)
@@ -62,6 +69,11 @@ SITES = {
     ),
     ("too few rows", "logreg_test_error"): lambda: logreg_test_error(
         LogRegProblem.from_datasets(_BINARY, _BINARY, _rows([])), np.zeros(1)
+    ),
+    ("too few rows", "HyperCleanProblem"): lambda: HyperCleanProblem(
+        x_train=np.zeros((0, 1)), y_train=_NO_ROWS, y_clean=_NO_ROWS, group_ids=_NO_ROWS,
+        corrupted=_NO_ROWS, x_val=np.ones((1, 1)), y_val=np.zeros(1, dtype=int),
+        x_test=np.ones((1, 1)), y_test=np.zeros(1, dtype=int), n_classes=2, n_groups=1,
     ),
     ("too few rows", "data_io.split_2_1_1"): lambda: split_2_1_1(_rows([1, -1, 1]), seed=0),
     ("too few rows", "make_hyperclean"): lambda: make_hyperclean(

@@ -105,7 +105,7 @@ class TestTraceWriter:
             TraceWriter(tmp_path / "t.csv", "hozog", spec, cadence=cadence)
         assert not (tmp_path / "t.csv").exists()
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(
         # a few repeated values make ties likely
         fs=st.lists(
@@ -579,37 +579,6 @@ class TestSweep:
 
 
 class TestConfigValidation:
-    def test_unknown_top_level_key_named(self, tmp_path):
-        with pytest.raises(ConfigError) as excinfo:
-            config_from_dict(synthetic_config(tmp_path, typo_key=1))
-        assert "typo_key" in str(excinfo.value)
-
-    def test_unknown_nested_key_named(self, tmp_path):
-        cfg = synthetic_config(tmp_path)
-        cfg["hozog"]["qq"] = 2
-        with pytest.raises(ConfigError) as excinfo:
-            config_from_dict(cfg)
-        assert "hozog.qq" in str(excinfo.value)
-
-    def test_missing_data_path(self):
-        with pytest.raises(ConfigError) as excinfo:
-            config_from_dict(
-                {
-                    "method": "hozog",
-                    "problem": {"kind": "logreg", "data": "/nonexistent/file.libsvm"},
-                    "hozog": {"q": 1, "mu": 0.01, "gamma": 0.05, "iterations": 1},
-                    "output": "t.csv",
-                }
-            )
-        assert "problem.data" in str(excinfo.value)
-
-    def test_range_violations_point_at_section(self, tmp_path):
-        cfg = synthetic_config(tmp_path)
-        cfg["hozog"]["mu"] = -1.0
-        with pytest.raises(ConfigError) as excinfo:
-            config_from_dict(cfg)
-        assert "hozog" in str(excinfo.value)
-
     def test_logreg_inner_default_is_finite_over_the_box(self, tmp_path):
         # acceptance-4-shaped data: the loss sums 1000 rows, so GD at lr 0.1
         # diverges for lambda >= 5.5 and only Adam's scaled steps stay finite
@@ -644,6 +613,9 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "section, value, field",
         [
+            ("", {"typo_key": 1}, "typo_key"),
+            ("hozog", {"qq": 2}, "hozog.qq"),
+            ("hozog", {"mu": -1.0}, "hozog.mu"),
             ("inner", {"lr": 0.0}, "inner.lr"),
             ("inner", {"steps": -1}, "inner.steps"),
             ("inner", {"variant": "sgd"}, "inner.variant"),
@@ -679,6 +651,7 @@ class TestConfigValidation:
             ("hozog", {"mu": float("inf")}, "hozog.mu"),
             ("hozog", {"gamma": float("inf")}, "hozog.gamma"),
             ("problem", {"c": float("nan")}, "problem.c"),
+            ("", {"problem": {"kind": "logreg", "data": "/nonexistent/file.libsvm"}}, "problem.data"),
             # relations between keys, checked before any data is read: the
             # data path is this test file, which is not LIBSVM
             ("problem", {"w_star": 3.0}, "problem"),
@@ -757,11 +730,6 @@ class TestCli:
         path = write_config(tmp_path, synthetic_config(tmp_path))
         assert cli_main(["run", "--config", str(path)]) == 0
         assert "trace written" in capsys.readouterr().out
-
-    def test_config_error_exit_two(self, tmp_path, capsys):
-        path = write_config(tmp_path, synthetic_config(tmp_path, bogus=1))
-        assert cli_main(["run", "--config", str(path)]) == 2
-        assert "bogus" in capsys.readouterr().err
 
     def test_nonfinite_exit_three(self, tmp_path, capsys):
         cfg = synthetic_config(

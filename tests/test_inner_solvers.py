@@ -1,4 +1,4 @@
-"""Inner-solver behaviour: hand-checked iterations, continuity, divergence."""
+"""Inner-solver behaviour: hand-checked iterations and divergence."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hozog import InnerSolver, InvalidConfig, NonFiniteObjective, solve, trajectory
-from hozog.data_io import random_classification_dataset, split_2_1_1
-from hozog.problems import LogRegProblem, SyntheticBilevel
+from hozog.problems import SyntheticBilevel
 
 
 def quad_grad(w, lam):
@@ -147,7 +146,7 @@ class TestTrajectory:
         assert len(path) == 2001
         assert np.isfinite(path[1][0]) and not np.isfinite(path[-1][0])
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         curvature=st.floats(0.1, 10.0),
         lr=st.floats(1e-3, 1e200),
@@ -170,33 +169,3 @@ class TestTrajectory:
                 solve(grad, alg, np.zeros(1))
         else:
             np.testing.assert_array_equal(solve(grad, alg, np.zeros(1)), path[-1])
-
-
-class TestSolverContinuity:
-    """||A(lam + d) - A(lam)|| <= C * d with C from the largest probe."""
-
-    def _ratios(self, loss_grad, alg, lam0, d):
-        base = solve(loss_grad, alg, lam0)
-        out = []
-        for delta in (1e-2, 1e-3, 1e-4):
-            shifted = lam0.copy()
-            shifted[0] += delta
-            moved = solve(loss_grad, alg, shifted)
-            out.append(np.linalg.norm(moved - base) / delta)
-        return out
-
-    def test_synthetic(self):
-        prob = SyntheticBilevel(c=3.0, w_star=1.0)
-        alg = InnerSolver(steps=120, lr=0.1, w0=np.zeros(1))
-        ratios = self._ratios(prob.inner_loss_grad, alg, np.array([0.2]), 1)
-        c = ratios[0]
-        assert all(r <= 2.0 * c + 1e-9 for r in ratios)
-
-    def test_logreg(self):
-        ds = random_classification_dataset(160, 8, seed=3)
-        train, val, test = split_2_1_1(ds, seed=0)
-        prob = LogRegProblem.from_datasets(train, val, test)
-        alg = InnerSolver(steps=50, lr=0.02, w0=np.zeros(prob.d))
-        ratios = self._ratios(prob.inner_loss_grad, alg, np.array([0.0]), prob.d)
-        c = ratios[0]
-        assert all(r <= 2.0 * c + 1e-9 for r in ratios)

@@ -36,7 +36,7 @@ class TestProductBound:
         st.integers(min_value=1, max_value=6),
         st.integers(min_value=0, max_value=2**31 - 1),
     )
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=50)
     def test_monotone_in_every_entry(self, length, seed):
         rng = np.random.default_rng(seed)
         a = rng.random(length) * 1.5

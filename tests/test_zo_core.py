@@ -54,6 +54,18 @@ class TestSampleDirections:
         # mean squared norm of a p-variate standard normal is p
         assert abs(np.mean(norms**2) - 6.0) < 0.3
 
+    def test_a_zero_row_is_the_only_row_redrawn(self):
+        draws = [np.array([[3.0, 4.0], [0.0, 0.0], [-4.0, 3.0]]), np.array([[0.0, 2.0]])]
+
+        class ZeroRowFirst:  # hands out ``draws`` in order, checking each shape asked for
+            def standard_normal(self, shape):
+                assert shape == draws[0].shape
+                return draws.pop(0)
+
+        u = sample_directions(2, 3, "sphere", ZeroRowFirst())
+        np.testing.assert_array_equal(u, [[0.6, 0.8], [0.0, 1.0], [-0.8, 0.6]])
+        assert not draws
+
     def test_rejects_bad_dims(self):
         with pytest.raises(InvalidConfig):
             sample_directions(0, 1, "sphere", rng())
@@ -116,7 +128,7 @@ class TestEstimateHyperGradient:
         est = estimate(lambda lam: float(a @ lam), np.zeros(3), cfg, dirs)
         assert np.linalg.norm(est - a) < 0.01 * np.linalg.norm(a)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         p=st.integers(1, 6),
         q=st.integers(1, 40),
@@ -144,7 +156,7 @@ class TestEstimateHyperGradient:
         size = abs(alpha) * np.linalg.norm(est_f) + abs(beta) * np.linalg.norm(est_g)
         assert np.all(np.abs(est_combo - (alpha * est_f + beta * est_g)) <= 1e-12 * size)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     @given(
         p=st.integers(1, 6),
         mu=st.floats(1e-3, 1.0),
@@ -166,7 +178,7 @@ class TestEstimateHyperGradient:
             est = estimate(f, lam, cfg, dirs)
             assert np.linalg.norm(est - a) <= 1e-11 * np.linalg.norm(a)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     @given(
         q=st.integers(1, 40),
         p=st.integers(1, 6),
@@ -349,7 +361,7 @@ class TestRunHozog:
         assert all(-1.0 <= v <= 1.0 for v in trail)
         assert out[0] == 1.0  # descent on -10x pushes to the upper bound
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(
         p=st.integers(1, 4),
         q=st.integers(1, 4),

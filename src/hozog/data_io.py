@@ -1,5 +1,5 @@
 """Dataset ingestion: LIBSVM text parsing, label binarization, 2:1:1 splits,
-and the one choice of dense or CSR storage for the splits' design matrices.
+and the splits' one storage choice (dense or CSR) and one contract check.
 
 The accepted line grammar is strict::
 
@@ -24,11 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import InsufficientData, ParseError
+from .errors import DimensionMismatch, InsufficientData, ParseError
 
 __all__ = [
     "SparseDataset",
     "design_matrices",
+    "check_splits",
     "parse_libsvm",
     "load_libsvm",
     "serialize_libsvm",
@@ -103,6 +104,21 @@ def design_matrices(*splits: SparseDataset) -> tuple:
     if stored >= DENSE_MIN_DENSITY * entries:
         return tuple(m.toarray() for m in mats)
     return mats
+
+
+def check_splits(labels, **splits) -> None:
+    """The data problems' split contract over the splits ``name=(x, y)``: one
+    feature count, one label per row, every label in ``labels``, no empty split."""
+    widths = {x.shape[1] for x, _ in splits.values()}
+    if len(widths) != 1:
+        raise DimensionMismatch(f"feature dimensions differ across splits: {sorted(widths)}")
+    for name, (x, y) in splits.items():
+        if x.shape[0] != y.shape[0]:
+            raise DimensionMismatch(f"{name}: {x.shape[0]} rows vs {y.shape[0]} labels")
+        if x.shape[0] == 0:
+            raise InsufficientData(f"{name} split is empty")
+        if not np.all(np.isin(y, labels)):
+            raise DimensionMismatch(f"{name} has a label outside {labels}")
 
 
 def _parse_float(token: str, line_no: int, col: int, what: str) -> float:

@@ -17,13 +17,13 @@ else gets the Monte-Carlo lower estimate from :func:`empirical_lipschitz`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidConfig
 from .oracle import ObjectiveSpec, check_box, evaluate_batch
+from .problems.synthetic import _exp
 
 __all__ = [
     "StepJacobians",
@@ -98,13 +98,13 @@ def synthetic_step_jacobians(
         raise InvalidConfig(f"lambda box must satisfy lo <= hi, got [{lo}, {hi}]")
     if eta < 0:
         raise InvalidConfig(f"eta must be >= 0, got {eta}")
-    e_hi = math.exp(hi)
+    # e^lam as the solver's step map takes it, through the synthetic exp cap
+    e_lo, e_hi = _exp(lo), _exp(hi)
     if eta * (1.0 + 2.0 * e_hi) > 2.0:
         raise InvalidConfig(
             f"step map is expansive over the box: eta*(1+2e^hi) = "
             f"{eta * (1.0 + 2.0 * e_hi):.4g} > 2"
         )
-    e_lo = math.exp(lo)
     # |1 - eta*(1+2e^lam)| is maximized at one of the box endpoints.
     a_step = max(abs(1.0 - eta * (1.0 + 2.0 * e_lo)), abs(1.0 - eta * (1.0 + 2.0 * e_hi)))
     b_step = 2.0 * eta * e_hi * c

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit, log_softmax, softmax
 
-from ..data_io import SparseDataset
+from ..data_io import SparseDataset, check_splits
 from ..errors import DimensionMismatch, InsufficientData
 from ..inner_solvers import InnerSolver
 from ..oracle import ObjectiveSpec
@@ -54,13 +54,15 @@ def group_weighted_mean(losses: np.ndarray, group_ids: np.ndarray, lam: np.ndarr
 
 @dataclass(frozen=True)
 class HyperCleanProblem:
-    """Splits, grouping, corruption bookkeeping, and the softmax model shape."""
+    """Splits, grouping, corruption bookkeeping, and the softmax model shape.
+
+    The splits meet :func:`~hozog.data_io.check_splits` over ``range(n_classes)``.
+    """
 
     x_train: sp.csr_matrix
     y_train: np.ndarray  # noisy labels actually trained on
-    y_clean: np.ndarray  # pre-corruption labels, for accounting only
+    y_clean: np.ndarray  # labels before corruption; `corrupted` is y_train != y_clean
     group_ids: np.ndarray  # group index per training row, in [0, n_groups)
-    corrupted: np.ndarray  # bool per training row
     x_val: sp.csr_matrix
     y_val: np.ndarray
     x_test: sp.csr_matrix
@@ -69,15 +71,14 @@ class HyperCleanProblem:
     n_groups: int
 
     def __post_init__(self):
+        check_splits(
+            range(self.n_classes),
+            train=(self.x_train, self.y_train),
+            val=(self.x_val, self.y_val),
+            test=(self.x_test, self.y_test),
+        )
         n_tr = self.x_train.shape[0]
-        if n_tr == 0:
-            raise InsufficientData("train split is empty")
-        for arr, what in (
-            (self.y_train, "y_train"),
-            (self.y_clean, "y_clean"),
-            (self.group_ids, "group_ids"),
-            (self.corrupted, "corrupted"),
-        ):
+        for arr, what in ((self.y_clean, "y_clean"), (self.group_ids, "group_ids")):
             if arr.shape != (n_tr,):
                 raise DimensionMismatch(f"{what} must have one entry per training row")
         groups_seen = np.unique(self.group_ids)
@@ -85,6 +86,10 @@ class HyperCleanProblem:
             raise DimensionMismatch("group ids out of range")
         if len(groups_seen) != self.n_groups:
             raise DimensionMismatch("every group must own at least one training row")
+
+    @property
+    def corrupted(self) -> np.ndarray:
+        return self.y_train != self.y_clean
 
     @property
     def p(self) -> int:
@@ -103,22 +108,12 @@ class HyperCleanProblem:
         k, nf = self.n_classes, self.n_features
         return w[: k * nf].reshape(k, nf), w[k * nf :]
 
-    def _check_lambda(self, lam: np.ndarray) -> np.ndarray:
-        lam = np.asarray(lam, dtype=float)
-        if lam.shape != (self.n_groups,):
-            raise DimensionMismatch(
-                f"lambda has shape {lam.shape}, expected ({self.n_groups},)"
-            )
-        return lam
-
     def inner_loss(self, w: np.ndarray, lam: np.ndarray) -> float:
-        lam = self._check_lambda(lam)
         weights, bias = self.unflatten(w)
         losses = per_sample_cross_entropy(weights, bias, self.x_train, self.y_train)
         return group_weighted_mean(losses, self.group_ids, lam)
 
     def inner_loss_grad(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        lam = self._check_lambda(lam)
         weights, bias = self.unflatten(w)
         probs = softmax(self.x_train @ weights.T + bias, axis=1)
         probs[np.arange(len(self.y_train)), self.y_train] -= 1.0
@@ -181,7 +176,6 @@ def make_hyperclean(
     y_clean = y_all[idx_train]
     n_corrupt = math.ceil(0.5 * n_train)
     corrupt_idx = rng.choice(n_train, size=n_corrupt, replace=False)
-    corrupted = np.isin(np.arange(n_train), corrupt_idx)
     # a draw r among the K-1 other classes skips the clean label
     r = rng.integers(0, classes.size - 1, size=n_corrupt)
     y_noisy = y_clean.copy()
@@ -192,7 +186,6 @@ def make_hyperclean(
         y_train=y_noisy,
         y_clean=y_clean,
         group_ids=group_ids,
-        corrupted=corrupted,
         x_val=x_all[idx_val],
         y_val=y_all[idx_val],
         x_test=x_all[idx_test],

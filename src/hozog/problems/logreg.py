@@ -17,8 +17,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from ..data_io import SparseDataset, design_matrices
-from ..errors import DimensionMismatch, InsufficientData
+from ..data_io import SparseDataset, check_splits, design_matrices
+from ..errors import DimensionMismatch
 from ..inner_solvers import InnerSolver
 from ..oracle import ObjectiveSpec
 from .synthetic import _EXP_CAP
@@ -44,6 +44,7 @@ class LogRegProblem:
 
     The kernels only use ``@``, so either storage works; ``from_datasets``
     picks one for all three splits with :func:`~hozog.data_io.design_matrices`.
+    The splits meet :func:`~hozog.data_io.check_splits` with labels in {-1, +1}.
     """
 
     x_train: np.ndarray | sp.csr_matrix
@@ -56,20 +57,12 @@ class LogRegProblem:
     p = 1
 
     def __post_init__(self):
-        dims = {m.shape[1] for m in (self.x_train, self.x_val, self.x_test)}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"feature dimensions differ across splits: {dims}")
-        for split, x, y in (
-            ("train", self.x_train, self.y_train),
-            ("val", self.x_val, self.y_val),
-            ("test", self.x_test, self.y_test),
-        ):
-            if x.shape[0] != y.shape[0]:
-                raise DimensionMismatch(f"{split}: {x.shape[0]} rows vs {y.shape[0]} labels")
-            if split != "test" and x.shape[0] == 0:
-                raise InsufficientData(f"{split} split is empty")
-            if y.size and not np.all(np.isin(y, (-1.0, 1.0))):
-                raise DimensionMismatch(f"{split} labels must be in {{-1, +1}}")
+        check_splits(
+            (-1.0, 1.0),
+            train=(self.x_train, self.y_train),
+            val=(self.x_val, self.y_val),
+            test=(self.x_test, self.y_test),
+        )
 
     @classmethod
     def from_datasets(
@@ -113,8 +106,6 @@ def logreg_objective(prob: LogRegProblem, inner: InnerSolver) -> ObjectiveSpec:
 
 def logreg_test_error(prob: LogRegProblem, w: np.ndarray) -> float:
     """Misclassification rate on the test split; zero scores count as errors."""
-    if prob.x_test.shape[0] == 0:
-        raise InsufficientData("test split is empty")
     w = np.asarray(w, dtype=float)
     if w.shape != (prob.d,):
         raise DimensionMismatch(f"model has shape {w.shape}, expected ({prob.d},)")

@@ -98,13 +98,12 @@ def make_synthetic(
 def synthetic_analytic_hypergradient(c: float, w_star: float, lam: float) -> float:
     """Closed-form df/dlam, ground truth for estimator-accuracy checks.
 
-    w(lam) = c/(1+2e^lam) gives w'(lam) = -2 e^lam c / (1+2e^lam)^2 and
-    df/dlam = (w(lam) - w_star) * w'(lam).
+    w(lam) = c/(1+2e^lam) gives w'(lam) = -w(lam) * 2e^lam/(1+2e^lam), with no
+    square to overflow past lam ~ 355, and df/dlam = (w(lam) - w_star) * w'(lam).
     """
-    problem = SyntheticBilevel(c=c, w_star=w_star)
+    w = SyntheticBilevel(c=c, w_star=w_star).inner_solution(lam)
     e = _exp(lam)
-    denom = (1.0 + 2.0 * e) ** 2
-    return (problem.inner_solution(lam) - w_star) * (-2.0 * e * c) / denom
+    return (w - w_star) * (-w * 2.0 * e / (1.0 + 2.0 * e))
 
 
 def synthetic_optimum(c: float, w_star: float) -> float:

@@ -24,7 +24,6 @@ from hozog.data_io import SparseDataset, binarize, split_2_1_1
 from hozog.problems import (
     HyperCleanProblem,
     LogRegProblem,
-    logreg_test_error,
     make_hyperclean,
     make_synthetic,
 )
@@ -35,6 +34,9 @@ FAULT_TYPES = {
     "too few rows": InsufficientData,
     "malformed box": InvalidConfig,
     "lambda of the wrong length": DimensionMismatch,
+    "splits of different widths": DimensionMismatch,
+    "rows without one label each": DimensionMismatch,
+    "a label outside the problem's set": DimensionMismatch,
 }
 
 
@@ -50,6 +52,23 @@ _P1 = function_objective(lambda lam: float(lam[0]), p=1)
 _P2 = function_objective(lambda lam: 0.0, p=2)
 _RS = RandomSearchConfig(budget=2, box=[[0.0, 1.0]])
 _ZO = ZoConfig(q=1, mu=0.1, gamma=0.1, iterations=0)
+
+
+# valid two-row problems, with the named fields replaced
+def _logreg(**changes):
+    x, y = np.ones((2, 1)), np.array([1.0, -1.0])
+    splits = dict(x_train=x, y_train=y, x_val=x, y_val=y, x_test=x, y_test=y)
+    return LogRegProblem(**{**splits, **changes})
+
+
+def _hyperclean(**changes):
+    x, y = np.ones((2, 1)), np.array([0, 1])
+    fields = dict(
+        x_train=x, y_train=y, y_clean=y, group_ids=np.zeros(2, dtype=int),
+        x_val=x, y_val=y, x_test=x, y_test=y, n_classes=2, n_groups=1,
+    )
+    return HyperCleanProblem(**{**fields, **changes})
+
 
 # (fault, site): a call that runs into the fault where that site detects it
 SITES = {
@@ -67,13 +86,17 @@ SITES = {
     ("too few rows", "LogRegProblem"): lambda: LogRegProblem.from_datasets(
         _BINARY, _rows([]), _BINARY
     ),
-    ("too few rows", "logreg_test_error"): lambda: logreg_test_error(
-        LogRegProblem.from_datasets(_BINARY, _BINARY, _rows([])), np.zeros(1)
+    ("too few rows", "LogRegProblem test split"): lambda: _logreg(
+        x_test=np.ones((0, 1)), y_test=np.ones(0)
     ),
-    ("too few rows", "HyperCleanProblem"): lambda: HyperCleanProblem(
-        x_train=np.zeros((0, 1)), y_train=_NO_ROWS, y_clean=_NO_ROWS, group_ids=_NO_ROWS,
-        corrupted=_NO_ROWS, x_val=np.ones((1, 1)), y_val=np.zeros(1, dtype=int),
-        x_test=np.ones((1, 1)), y_test=np.zeros(1, dtype=int), n_classes=2, n_groups=1,
+    ("too few rows", "HyperCleanProblem"): lambda: _hyperclean(
+        x_train=np.zeros((0, 1)), y_train=_NO_ROWS, y_clean=_NO_ROWS, group_ids=_NO_ROWS
+    ),
+    ("too few rows", "HyperCleanProblem val split"): lambda: _hyperclean(
+        x_val=np.ones((0, 1)), y_val=_NO_ROWS
+    ),
+    ("too few rows", "HyperCleanProblem test split"): lambda: _hyperclean(
+        x_test=np.ones((0, 1)), y_test=_NO_ROWS
     ),
     ("too few rows", "data_io.split_2_1_1"): lambda: split_2_1_1(_rows([1, -1, 1]), seed=0),
     ("too few rows", "make_hyperclean"): lambda: make_hyperclean(
@@ -94,6 +117,20 @@ SITES = {
     ),
     ("lambda of the wrong length", "oracle.evaluate"): lambda: evaluate(_P2, [0.0]),
     ("lambda of the wrong length", "zo_core.run_hozog"): lambda: run_hozog(_P2, [0.0], _ZO),
+    ("splits of different widths", "LogRegProblem"): lambda: _logreg(x_val=np.ones((2, 2))),
+    ("splits of different widths", "HyperCleanProblem"): lambda: _hyperclean(
+        x_val=np.ones((2, 2))
+    ),
+    ("rows without one label each", "LogRegProblem"): lambda: _logreg(y_val=np.ones(3)),
+    ("rows without one label each", "HyperCleanProblem"): lambda: _hyperclean(
+        y_test=np.zeros(3, dtype=int)
+    ),
+    ("a label outside the problem's set", "LogRegProblem"): lambda: _logreg(
+        y_train=np.array([1.0, 0.0])
+    ),
+    ("a label outside the problem's set", "HyperCleanProblem"): lambda: _hyperclean(
+        y_train=np.array([0, 2])
+    ),
 }
 
 

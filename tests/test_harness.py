@@ -674,6 +674,9 @@ class TestConfigValidation:
             ("lipschitz-report", {"box": [[-2.0, 2.0], [-2.0, 2.0]]}, "box"),
             # a hozog run has no use for a random_search section
             ("", {"random_search": {"budget": 5}}, "random_search"),
+            # e^800 is past the double range; the bound takes it through the
+            # exp cap, as the solver does, and the step map is expansive
+            ("lipschitz-report", {"box": [[-2.0, 800.0]]}, "inner.lr"),
         ],
     )
     def test_bad_section_value_names_its_field(self, tmp_path, capsys, section, value, field):

@@ -9,14 +9,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hozog import InnerSolver, InvalidConfig, evaluate
+from hozog import InnerSolver, InvalidConfig, evaluate, solve
 from hozog.data_io import (
     SparseDataset,
     design_matrices,
     random_classification_dataset,
     split_2_1_1,
 )
-from hozog.errors import DimensionMismatch, InsufficientData
+from hozog.errors import InsufficientData
 from hozog.problems import (
     HyperCleanProblem,
     LogRegProblem,
@@ -74,6 +74,10 @@ class TestSynthetic:
         for lam in np.arange(-3.0, 3.0 + 1e-9, 0.25):
             got = synthetic_analytic_hypergradient(3.0, 1.0, lam)
             assert abs(got - central_fd(fn, lam)) <= 1e-6
+        # far right of the optimum w(lam) and w'(lam) vanish, with no overflow
+        for lam in (400.0, 1000.0):
+            got = synthetic_analytic_hypergradient(3.0, 1.0, lam)
+            assert math.isfinite(got) and abs(got) <= 1e-150
 
 
 def _tiny_dataset(rows):
@@ -121,8 +125,6 @@ class TestLogReg:
         lam = np.array([0.0])
         a = InnerSolver(steps=3000, lr=0.02, w0=np.zeros(prob.d))
         b = InnerSolver(steps=3000, lr=0.02, w0=np.full(prob.d, 0.5))
-        from hozog import solve
-
         wa = solve(prob.inner_loss_grad, a, lam)
         wb = solve(prob.inner_loss_grad, b, lam)
         assert np.linalg.norm(wa - wb) <= 1e-4
@@ -172,9 +174,8 @@ class TestLogRegTestError:
         assert e_flipped == pytest.approx(1.0 - e)
 
     def test_empty_test_split(self):
-        prob = self._problem([])
         with pytest.raises(InsufficientData):
-            logreg_test_error(prob, np.zeros(prob.d))
+            self._problem([])
 
 
 def _rows_storing(n_rows, stored, n_features):
@@ -243,8 +244,8 @@ class TestStorage:
         empty = SparseDataset(rows=())
         x_train, x_val, x_test = design_matrices(train, val, empty)
         assert isinstance(x_test, np.ndarray) and x_test.shape == (0, 4)
-        prob = LogRegProblem.from_datasets(train, val, empty)
-        assert isinstance(prob.x_test, np.ndarray)
+        with pytest.raises(InsufficientData):
+            LogRegProblem.from_datasets(train, val, empty)
 
     @settings(max_examples=100)
     @given(_splits())
@@ -310,8 +311,6 @@ class TestMakeHyperclean:
         ds = _blob_dataset(12, 2, seed=3)
         prob = make_hyperclean(ds, n_train=4, n_val=4, n_test=4, n_groups=2, corruption_seed=5)
         assert int(prob.corrupted.sum()) == 2
-        # relabeled rows actually differ from their clean labels
-        assert np.all(prob.y_train[prob.corrupted] != prob.y_clean[prob.corrupted])
 
     @pytest.mark.parametrize("n_classes", [2, 3, 7])
     def test_corruption_draw_matches_a_per_row_loop(self, n_classes):
@@ -363,19 +362,15 @@ class TestHypercleanObjective:
         y_clean = np.tile([0, 1], n_tr // 2)
         x_tr = means[y_clean] + rng.standard_normal((n_tr, d))
         group_ids = np.repeat(np.arange(n_groups), n_per)
-        corrupted = group_ids == 1
         y_noisy = y_clean.copy()
-        y_noisy[corrupted] = 1 - y_noisy[corrupted]
+        y_noisy[group_ids == 1] = 1 - y_noisy[group_ids == 1]
         y_val = np.tile([0, 1], 20)
         x_val = means[y_val] + rng.standard_normal((40, d))
-        import scipy.sparse as sp
-
         prob = HyperCleanProblem(
             x_train=sp.csr_matrix(x_tr),
             y_train=y_noisy,
             y_clean=y_clean,
             group_ids=group_ids,
-            corrupted=corrupted,
             x_val=sp.csr_matrix(x_val),
             y_val=y_val,
             x_test=sp.csr_matrix(x_val),
@@ -421,12 +416,6 @@ class TestHypercleanObjective:
         grad = prob.inner_loss_grad(w, lam)
         assert np.all(np.isfinite(grad))
         np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
-
-    def test_lambda_dimension_checked(self):
-        ds = _blob_dataset(60, 2, seed=10)
-        prob = make_hyperclean(ds, 20, 20, 20, 5, corruption_seed=0)
-        with pytest.raises(DimensionMismatch):
-            prob.inner_loss(np.zeros(prob.d), np.zeros(4))
 
     def test_group_corruption_fractions(self):
         ds = _blob_dataset(60, 2, seed=12)

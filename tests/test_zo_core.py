@@ -18,7 +18,12 @@ from hozog import (
 )
 from hozog.data_io import random_classification_dataset
 from hozog.errors import array_text
-from hozog.problems import hyperclean_objective, make_hyperclean
+from hozog.problems import (
+    hyperclean_objective,
+    make_hyperclean,
+    make_synthetic,
+    synthetic_optimum,
+)
 
 
 def rng(seed=0):
@@ -399,8 +404,6 @@ class TestRunHozog:
         assert excinfo.value.meta_iter == 2  # calls 1-3 iter 0, 4-6 iter 1, 7-9 iter 2
 
     def test_synthetic_bilevel_reaches_analytic_minimizer(self):
-        from hozog.problems import make_synthetic, synthetic_optimum
-
         spec = make_synthetic(3.0, 1.0)
         cfg = ZoConfig(q=2, mu=1e-3, gamma=1.0, iterations=300, seed=1)
         out = run_hozog(spec, [2.0], cfg)

@@ -10,7 +10,11 @@ leak into the zeroth-order differences.
 :func:`solve` is the one entry point; it checks finiteness once, on the
 final iterate.  Each update has the form ``w - (...)``, and that is NaN or
 infinite whenever ``w`` is, so an iterate that leaves the finite range
-never comes back and the final check catches every divergence.
+never comes back and the final check catches every divergence.  Given a
+(p, k) block of hyperparameters, the same steps run k models at once as
+the columns of a (d, k) block, each started from ``w0``; every update is
+column-wise (Adam's bias-correction factors depend on the step alone), so
+the columns never mix.
 :func:`trajectory` is the diagnostic view: every iterate as computed,
 non-finite ones included.
 """
@@ -59,16 +63,20 @@ class InnerSolver:
             object.__setattr__(self, "w0", tuple(w0.tolist()))
 
 
-def _require_w0(alg: InnerSolver) -> np.ndarray:
+def _start(alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
+    """``alg.w0``, as one column per column of a (p, k) ``lam`` block."""
     if alg.w0 is None:
         raise InvalidConfig("solver has no w0; set one or solve through an objective")
-    return np.array(alg.w0)
+    w0 = np.array(alg.w0)
+    if np.ndim(lam) == 2:
+        return np.repeat(w0[:, None], lam.shape[1], axis=1)
+    return w0
 
 
 def _gd_steps(loss_grad, alg: InnerSolver, lam: np.ndarray):
     """Yield w_0, w_1, ..., w_T of full-batch gradient descent."""
     lr = alg.lr
-    w = _require_w0(alg)
+    w = _start(alg, lam)
     yield w
     for _ in range(alg.steps):
         w = w - lr * loss_grad(w, lam)
@@ -78,7 +86,7 @@ def _gd_steps(loss_grad, alg: InnerSolver, lam: np.ndarray):
 def _adam_steps(loss_grad, alg: InnerSolver, lam: np.ndarray):
     """Yield w_0, w_1, ..., w_T of Adam (bias-corrected moments, zero-initialized)."""
     lr = alg.lr
-    w = _require_w0(alg)
+    w = _start(alg, lam)
     m = np.zeros_like(w)
     v = np.zeros_like(w)
     yield w
@@ -99,14 +107,18 @@ def solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
     """Run the solver ``alg.variant`` names; returns the final iterate.
 
     ``loss_grad(w, lam)`` must return the gradient of the inner loss at
-    ``w``; exactly ``alg.steps`` gradient evaluations are performed.
-    Raises :class:`NonFiniteObjective` carrying ``lam`` when the final
-    iterate is not finite.
+    ``w``; exactly ``alg.steps`` gradient evaluations are performed, each
+    on the whole block when ``lam`` is a (p, k) block.  Raises
+    :class:`NonFiniteObjective` carrying ``lam`` when the final iterate is
+    not finite; on a block, carrying the lam of the lowest non-finite column.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for w in _STEPS[alg.variant](loss_grad, alg, lam):
             pass
-        if not np.all(np.isfinite(w)):
+        finite = np.isfinite(w).all(axis=0)  # one flag per column of a block
+        if not finite.all():
+            if np.ndim(lam) == 2:
+                lam = lam[:, np.argmin(finite)]
             raise NonFiniteObjective(
                 f"inner solve diverged (iterate is non-finite after {alg.steps} inner "
                 f"steps) at lam={array_text(lam)}",

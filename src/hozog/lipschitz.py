@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidConfig
 from .oracle import ObjectiveSpec, check_box, evaluate_batch
-from .problems.synthetic import _exp
+from .problems.synthetic import capped_exp
 
 __all__ = [
     "StepJacobians",
@@ -99,7 +99,7 @@ def synthetic_step_jacobians(
     if eta < 0:
         raise InvalidConfig(f"eta must be >= 0, got {eta}")
     # e^lam as the solver's step map takes it, through the synthetic exp cap
-    e_lo, e_hi = _exp(lo), _exp(hi)
+    e_lo, e_hi = capped_exp(np.array([lo, hi]))
     if eta * (1.0 + 2.0 * e_hi) > 2.0:
         raise InvalidConfig(
             f"step map is expansive over the box: eta*(1+2e^hi) = "
@@ -128,8 +128,11 @@ def empirical_lipschitz(
     Draws ``n_pairs`` seeded uniform point pairs and returns the largest
     observed ratio |f(x1) - f(x2)| / ||x1 - x2|| over the pairs whose points
     differ.  Deterministic given the seed.  ``max_workers`` is accepted for
-    compatibility and has no effect: the 2 * ``n_pairs`` evaluations run in
-    sequence, each pair's two points next to each other.
+    compatibility and has no effect: the 2 * ``n_pairs`` points, each pair's
+    two next to each other, go through one
+    :func:`~hozog.oracle.evaluate_batch` call, so they are solved as blocks
+    of up to ``BLOCK_WIDTH`` models at once.  A diverged point raises,
+    naming the lowest such point in that order.
     """
     if n_pairs < 1:
         raise InvalidConfig(f"n_pairs must be >= 1, got {n_pairs}")

@@ -7,6 +7,12 @@ objective.  Everything the evaluation touches is immutable and the inner
 solve starts from a fixed point (the inner solver's ``w0``, else zeros),
 so f is a deterministic function of lam alone: repeated calls return
 identical results, which the finite-difference estimator depends on.
+
+:func:`evaluate_batch` is the one evaluation kernel: k points go through
+one inner solve on a (d, k) block of models, and :func:`evaluate` is its
+k=1 case.  A problem therefore takes blocks: ``inner_loss_grad(w, lam)``
+maps a (d, k) ``w`` and a (p, k) ``lam`` to (d, k), ``outer_value(w, lam)``
+returns k values and ``exact_solution(lam)`` maps (p, k) to (d, k).
 """
 
 from __future__ import annotations
@@ -22,6 +28,16 @@ from .errors import DimensionMismatch, InvalidConfig, NonFiniteObjective, array_
 from .inner_solvers import InnerSolver, solve
 
 __all__ = ["ObjectiveSpec", "Evaluation", "evaluate", "evaluate_batch", "function_objective"]
+
+# Widest block of points one inner solve takes: a wider batch is solved in
+# consecutive blocks of this width, so memory stays at that many models and
+# their gradients.  4000 iterative synthetic points at 100 GD steps, CPU time,
+# median of 7, BLAS at one thread on a 2-core x86-64 box:
+#   block width   64      256     1024    4000 (one block)
+#   time          62 ms   27 ms   17 ms   13 ms
+# Dense logreg gradients (1000 x 40) cost 45 us a point at k=1, 23 us at k=8,
+# 21 us at k=32 and 29-30 us at k=128 and 512, where expit dominates.
+BLOCK_WIDTH = 1024
 
 
 def check_box(box, p: int | None = None) -> np.ndarray:
@@ -92,29 +108,76 @@ def check_lambda(spec: ObjectiveSpec, lam) -> np.ndarray:
     return arr
 
 
+def check_lambdas(spec: ObjectiveSpec, lams) -> np.ndarray:
+    """``lams`` as a (k, p) float array, one point a row, each checked as
+    :func:`check_lambda` checks one; the lowest bad index is the one reported.
+
+    A 1-D array holds k scalar points.
+    """
+    try:
+        points = np.asarray(lams, dtype=float)
+    except ValueError:  # points of different shapes: the loop below names the first bad one
+        points = np.empty((0, 0))
+    if points.ndim == 1:
+        points = points[:, None]
+    if points.shape[1:] != (spec.p,) or not np.isfinite(points).all():
+        return np.array([check_lambda(spec, lam) for lam in lams]).reshape(-1, spec.p)
+    return points
+
+
 def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
-    """Run the inner solver at lam and score the result with the outer loss."""
-    lam = check_lambda(spec, lam)
-    problem = spec.problem
-    if spec.inner is None:
-        w = problem.exact_solution(lam)
-    else:
-        w = solve(problem.inner_loss_grad, spec.solver, lam)
-    f = float(problem.outer_value(w, lam))
-    if not math.isfinite(f):
-        raise NonFiniteObjective(
-            f"objective is not finite at lam={array_text(lam)}",
-            hyperparams=lam,
-        )
-    return Evaluation(f_value=f, model=w)
+    """Run the inner solver at lam and score the result with the outer loss.
+
+    The k=1 case of :func:`evaluate_batch`: the same check and the same
+    block kernel on a block of one, without the batch's conversion of a
+    list of points (the estimator calls this once per point).
+    """
+    return _evaluate_block(spec, check_lambda(spec, lam)[None])[0]
 
 
 def evaluate_batch(spec: ObjectiveSpec, lams) -> list:
-    """Evaluate several points one after another, in input order.
+    """Evaluate k points through one inner solve; results in input order.
 
-    The first failing point (by input index) is the one reported.
+    Every point is checked before any solve runs.  The points then go
+    through :func:`~hozog.inner_solvers.solve` as a (p, k) block of lam
+    (at most ``BLOCK_WIDTH`` columns a block, blocks in input order), and
+    one ``outer_value`` call scores the k columns of the trained (d, k)
+    block.  A failure names the lowest input index whose final iterate or
+    objective is not finite: the point a one-at-a-time loop names.  A
+    column agrees with :func:`evaluate` at its point to 1e-12 relative in f
+    and in the model, not bitwise, since BLAS may pick another kernel at
+    another block width.  Each ``model`` is a 1-D copy of its column.
     """
-    return [evaluate(spec, lam) for lam in lams]
+    points = check_lambdas(spec, lams)
+    results = []
+    for start in range(0, len(points), BLOCK_WIDTH):
+        results += _evaluate_block(spec, points[start : start + BLOCK_WIDTH])
+    return results
+
+
+def _evaluate_block(spec: ObjectiveSpec, points: np.ndarray) -> list:
+    problem = spec.problem
+    lam = points.T
+    try:
+        if spec.inner is None:
+            w = problem.exact_solution(lam)
+        else:
+            w = solve(problem.inner_loss_grad, spec.solver, lam)
+    except NonFiniteObjective as err:
+        # the solve names its lowest diverged point; a point before it whose
+        # objective is not finite comes first, so score those points
+        diverged = np.flatnonzero((points == err.hyperparams).all(axis=1))[0]
+        if diverged:
+            _evaluate_block(spec, points[:diverged])
+        raise
+    values = [float(f) for f in problem.outer_value(w, lam)]
+    for i, f in enumerate(values):
+        if not math.isfinite(f):
+            raise NonFiniteObjective(
+                f"objective is not finite at lam={array_text(points[i])}", hyperparams=points[i]
+            )
+    # the rows of one copy of the transposed block: each model is a 1-D copy of its column
+    return [Evaluation(f_value=f, model=model) for f, model in zip(values, w.T.copy())]
 
 
 class _FunctionProblem:
@@ -126,10 +189,10 @@ class _FunctionProblem:
         self.d = 0
 
     def exact_solution(self, lam):
-        return np.empty(0)
+        return np.empty((0, lam.shape[1]))
 
     def outer_value(self, w, lam):
-        return float(self.fn(lam))
+        return [self.fn(point) for point in lam.T]
 
     def test_metric(self, w):
         return None

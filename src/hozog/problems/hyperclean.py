@@ -108,28 +108,41 @@ class HyperCleanProblem:
         k, nf = self.n_classes, self.n_features
         return w[: k * nf].reshape(k, nf), w[k * nf :]
 
+    def _logits(self, x, w: np.ndarray) -> np.ndarray:
+        """Logits of the k models in the columns of ``w``, shape (rows, k, K).
+
+        The k weight matrices go in as the columns of one (D, k*K) matrix,
+        so one product with ``x`` scores every model.
+        """
+        n_cls, nf, k = self.n_classes, self.n_features, w.shape[1]
+        weights = w[: n_cls * nf].reshape(n_cls, nf, k).transpose(1, 2, 0).reshape(nf, k * n_cls)
+        return (x @ weights).reshape(-1, k, n_cls) + w[n_cls * nf :].T
+
+    def _mean_cross_entropy(self, x, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Mean cross-entropy over the rows of each of the k models in ``w``."""
+        return -log_softmax(self._logits(x, w), axis=2)[np.arange(len(y)), :, y].mean(axis=0)
+
     def inner_loss(self, w: np.ndarray, lam: np.ndarray) -> float:
         weights, bias = self.unflatten(w)
         losses = per_sample_cross_entropy(weights, bias, self.x_train, self.y_train)
         return group_weighted_mean(losses, self.group_ids, lam)
 
     def inner_loss_grad(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        weights, bias = self.unflatten(w)
-        probs = softmax(self.x_train @ weights.T + bias, axis=1)
-        probs[np.arange(len(self.y_train)), self.y_train] -= 1.0
+        n_cls, nf, k = self.n_classes, self.n_features, w.shape[1]
         n_tr = self.x_train.shape[0]
-        probs *= (expit(lam)[self.group_ids] / n_tr)[:, None]
-        grad_w = (self.x_train.T @ probs).T
-        grad_b = probs.sum(axis=0)
-        return np.concatenate([np.asarray(grad_w).ravel(), grad_b])
+        probs = softmax(self._logits(self.x_train, w), axis=2)
+        probs[np.arange(n_tr), :, self.y_train] -= 1.0
+        # column j weighs row i by sigmoid(lam[group of i, j])
+        probs *= (expit(lam)[self.group_ids] / n_tr)[:, :, None]
+        grad_w = self.x_train.T @ probs.reshape(n_tr, k * n_cls)
+        grad_w = grad_w.reshape(nf, k, n_cls).transpose(2, 0, 1).reshape(n_cls * nf, k)
+        return np.concatenate([grad_w, probs.sum(axis=0).T])
 
-    def outer_value(self, w: np.ndarray, lam: np.ndarray) -> float:
-        weights, bias = self.unflatten(w)
-        return float(np.mean(per_sample_cross_entropy(weights, bias, self.x_val, self.y_val)))
+    def outer_value(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        return self._mean_cross_entropy(self.x_val, self.y_val, w)
 
     def test_metric(self, w: np.ndarray) -> float:
-        weights, bias = self.unflatten(w)
-        return float(np.mean(per_sample_cross_entropy(weights, bias, self.x_test, self.y_test)))
+        return float(self._mean_cross_entropy(self.x_test, self.y_test, w[:, None])[0])
 
 
 def make_hyperclean(

@@ -21,21 +21,16 @@ from ..data_io import SparseDataset, check_splits, design_matrices
 from ..errors import DimensionMismatch
 from ..inner_solvers import InnerSolver
 from ..oracle import ObjectiveSpec
-from .synthetic import _EXP_CAP
+from .synthetic import capped_exp
 
 __all__ = ["LogRegProblem", "logreg_objective", "logreg_test_error"]
 
 LOGREG_BOUNDS = np.array([[-10.0, 10.0]])
 
 
-def _ridge(lam: np.ndarray) -> float:
-    # the ridge weight exp(lam), capped like the synthetic problem's
-    return np.exp(min(float(lam[0]), _EXP_CAP))
-
-
-def _log_loss_sum(margins: np.ndarray) -> float:
-    # log(1 + exp(-m)), stable for both signs of m
-    return float(np.logaddexp(0.0, -margins).sum())
+def _log_loss_sums(margins: np.ndarray) -> np.ndarray:
+    # log(1 + exp(-m)), stable for both signs of m, summed over the rows
+    return np.logaddexp(0.0, -margins).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -84,16 +79,18 @@ class LogRegProblem:
 
     def inner_loss(self, w: np.ndarray, lam: np.ndarray) -> float:
         margins = self.y_train * (self.x_train @ w)
-        return _log_loss_sum(margins) + _ridge(lam) * float(w @ w)
+        return float(_log_loss_sums(margins)) + float(capped_exp(lam[0])) * float(w @ w)
 
     def inner_loss_grad(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        margins = self.y_train * (self.x_train @ w)
+        # column j of w is trained with the ridge weight exp(lam[0, j])
+        y = self.y_train[:, None]
+        margins = y * (self.x_train @ w)
         # d/dm log(1+e^-m) = -sigmoid(-m)
-        coeff = -self.y_train * expit(-margins)
-        return self.x_train.T @ coeff + 2.0 * _ridge(lam) * w
+        coeff = -y * expit(-margins)
+        return self.x_train.T @ coeff + 2.0 * capped_exp(lam) * w
 
-    def outer_value(self, w: np.ndarray, lam: np.ndarray) -> float:
-        return _log_loss_sum(self.y_val * (self.x_val @ w))
+    def outer_value(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        return _log_loss_sums(self.y_val[:, None] * (self.x_val @ w))
 
     def test_metric(self, w: np.ndarray) -> float:
         return logreg_test_error(self, w)

@@ -37,8 +37,9 @@ __all__ = [
 _EXP_CAP = 700.0  # exp() overflows double just above this
 
 
-def _exp(lam: float) -> float:
-    return math.exp(min(float(lam), _EXP_CAP))
+def capped_exp(lam):
+    """exp(lam) elementwise, lam capped at 700 so the result stays finite."""
+    return np.exp(np.minimum(lam, _EXP_CAP))
 
 
 @dataclass(frozen=True)
@@ -57,24 +58,20 @@ class SyntheticBilevel:
     p = 1
     d = 1
 
-    def inner_solution(self, lam: float) -> float:
-        return self.c / (1.0 + 2.0 * _exp(lam))
-
     def exact_solution(self, lam: np.ndarray) -> np.ndarray:
-        return np.array([self.inner_solution(lam[0])])
+        return self.c / (1.0 + 2.0 * capped_exp(lam))
 
     def inner_loss(self, w: np.ndarray, lam: np.ndarray) -> float:
         w0 = float(w[0])
-        return 0.5 * (w0 - self.c) ** 2 + _exp(lam[0]) * w0 * w0
+        return 0.5 * (w0 - self.c) ** 2 + float(capped_exp(lam[0])) * w0 * w0
 
     def inner_loss_grad(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return (w - self.c) + 2.0 * _exp(lam[0]) * w
+        return (w - self.c) + 2.0 * capped_exp(lam) * w
 
-    def outer_value(self, w: np.ndarray, lam: np.ndarray) -> float:
-        try:
-            return 0.5 * (float(w[0]) - self.w_star) ** 2
-        except OverflowError:  # a float power past the double range raises, not gives inf
-            return math.inf
+    def outer_value(self, w: np.ndarray, lam: np.ndarray) -> list:
+        # one float per column: a float product past the double range gives inf
+        # without numpy's overflow warning, and evaluate reports the inf
+        return [0.5 * (x - self.w_star) * (x - self.w_star) for x in w[0].tolist()]
 
     def test_metric(self, w: np.ndarray):
         return None
@@ -101,8 +98,9 @@ def synthetic_analytic_hypergradient(c: float, w_star: float, lam: float) -> flo
     w(lam) = c/(1+2e^lam) gives w'(lam) = -w(lam) * 2e^lam/(1+2e^lam), with no
     square to overflow past lam ~ 355, and df/dlam = (w(lam) - w_star) * w'(lam).
     """
-    w = SyntheticBilevel(c=c, w_star=w_star).inner_solution(lam)
-    e = _exp(lam)
+    SyntheticBilevel(c=c, w_star=w_star)  # validates the range
+    e = float(capped_exp(lam))
+    w = c / (1.0 + 2.0 * e)
     return (w - w_star) * (-w * 2.0 * e / (1.0 + 2.0 * e))
 
 

@@ -16,9 +16,9 @@ E[u u^T] = I, so that scheme uses the Gaussian-smoothing scale 1/(mu*q)
 
 :func:`estimate_hyper_gradient` is the one estimator, and each
 meta-iteration of :func:`run_hozog` steps along it.  Its q+1 evaluations
-go through :func:`~hozog.oracle.evaluate` and
-:func:`~hozog.oracle.evaluate_batch`; they are independent of each other
-and run one after another.  A plain callable f(lam) is estimated through
+are independent of each other; each goes through
+:func:`~hozog.oracle.evaluate`, the k=1 case of the block solve, one after
+another in direction order.  A plain callable f(lam) is estimated through
 :func:`~hozog.oracle.function_objective`.  All directions are drawn
 up-front from a single seeded stream as one (q, p) block.
 :func:`combine_differences` is plain arithmetic over the values already
@@ -36,7 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, NonFiniteObjective
-from .oracle import Evaluation, ObjectiveSpec, check_lambda, evaluate, evaluate_batch
+from .oracle import Evaluation, ObjectiveSpec, check_lambda, evaluate
+# Not called here.  bench/tracer.py patches zo_core.evaluate_batch by name, so
+# the import stays until the tracer counts block-solved points (ROADMAP item 1).
+from .oracle import evaluate_batch  # noqa: F401
 
 __all__ = [
     "ZoConfig",
@@ -158,8 +161,7 @@ def estimate_hyper_gradient(
             f"direction set has shape {directions.shape}, expected ({cfg.q}, {spec.p})"
         )
     base = evaluate(spec, lam)
-    perturbed = evaluate_batch(spec, lam + cfg.mu * directions)
-    values = np.array([e.f_value for e in perturbed])
+    values = np.array([evaluate(spec, point).f_value for point in lam + cfg.mu * directions])
     return base, combine_differences(base.f_value, values, directions, cfg)
 
 

@@ -2,11 +2,13 @@
 
 Each problem of the shared table (``CONFIGS`` in conftest.py) is rebuilt from
 its config under each variant and run through ``run_hozog``, ``random_search``
-and ``empirical_lipschitz``.  lambda_T, each
-event's f, model and gradient, the incumbent and the Lipschitz ratio must be
-the plain run's bitwise; the storage rows change only the summation order, so
-they hold to 1e-12 relative (``TestStorage``'s tolerance).  A new path adds
-its row to ``VARIANTS``.
+and ``empirical_lipschitz``.  ``empirical_lipschitz`` evaluates its points
+through ``evaluate_batch``, so its 8 points go through one block solve of
+8 models, and the BLAS thread count must not change that block's bits either.
+lambda_T, each event's f, model and gradient, the incumbent and the Lipschitz
+ratio must be the plain run's bitwise; the storage rows change only the
+summation order, so they hold to 1e-12 relative (``TestStorage``'s
+tolerance).  A new path adds its row to ``VARIANTS``.
 """
 
 import contextlib

@@ -119,6 +119,29 @@ class TestAdamSolve:
         assert abs(w[0]) <= 1e-3
 
 
+class TestBlockSolve:
+    @staticmethod
+    def scaled_grad(w, lam):
+        # L(w) = 0.5 * lam * ||w - 1||^2 per column: lr * lam > 2 diverges
+        return lam * (w - 1.0)
+
+    @pytest.mark.parametrize("variant", ["gd", "adam"])
+    def test_columns_are_the_one_point_solves(self, variant):
+        alg = InnerSolver(steps=40, lr=0.3, variant=variant, w0=np.array([0.5, -2.0]))
+        lam = np.array([[0.2, 1.0, 3.0]])
+        block = solve(self.scaled_grad, alg, lam)
+        assert block.shape == (2, 3)
+        for j in range(3):
+            np.testing.assert_array_equal(block[:, j], solve(self.scaled_grad, alg, lam[:, j]))
+
+    def test_names_the_lowest_diverged_column(self):
+        alg = InnerSolver(steps=2000, lr=1.0, w0=np.zeros(1))
+        with pytest.raises(NonFiniteObjective) as excinfo:
+            solve(self.scaled_grad, alg, np.array([[0.5, 3.5, 1.0, 4.0]]))
+        np.testing.assert_array_equal(excinfo.value.hyperparams, [3.5])
+        assert str(excinfo.value).endswith("at lam=[3.5]")
+
+
 class TestTrajectory:
     def test_zero_steps(self):
         alg = InnerSolver(steps=0, lr=0.5, w0=np.array([0.0]))

@@ -1,9 +1,12 @@
 """Oracle evaluation contract tests."""
 
+import math
+
 import numpy as np
 import pytest
 
 from hozog import (
+    DimensionMismatch,
     InnerSolver,
     InvalidConfig,
     NonFiniteObjective,
@@ -47,6 +50,15 @@ class TestEvaluate:
         assert evaluate(spec, np.array([0.3])).f_value == first.f_value
 
 
+# 175 GD steps at lr 5: lam <= -3 stays finite, lam in [0, 1] leaves a finite
+# iterate whose squared outer loss overflows, lam >= 2 diverges
+_LR5 = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=175, lr=5.0))
+# f = lam below 2, infinite at 2 and NaN above
+_JUMPS = function_objective(
+    lambda lam: float(lam[0]) if lam[0] < 2.0 else (math.inf if lam[0] == 2.0 else math.nan), p=1
+)
+
+
 class TestEvaluateBatch:
     def test_batch_of_one_equals_evaluate(self):
         spec = make_synthetic(3.0, 1.0)
@@ -55,10 +67,71 @@ class TestEvaluateBatch:
         assert batch[0].f_value == single.f_value
 
     def test_batch_equals_pointwise_evaluate(self):
+        # one block solve against five k=1 solves: 1e-12 relative, not bitwise
         spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=80, lr=0.1))
         points = [np.array([v]) for v in (-1.0, -0.5, 0.0, 0.5, 1.0)]
         batch = [e.f_value for e in evaluate_batch(spec, points)]
-        assert batch == [evaluate(spec, lam).f_value for lam in points]
+        pointwise = [evaluate(spec, lam).f_value for lam in points]
+        np.testing.assert_allclose(batch, pointwise, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [make_synthetic(3.0, 1.0, inner=InnerSolver(steps=80, lr=0.1)),
+         function_objective(lambda lam: float(lam.sum()), p=2)],
+        ids=["iterative", "function"],
+    )
+    def test_an_empty_batch_gives_an_empty_list(self, spec):
+        assert evaluate_batch(spec, []) == []
+        assert evaluate_batch(spec, np.empty((0, spec.p))) == []
+
+    def test_an_array_a_list_and_scalars_give_the_same_points(self):
+        spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=80, lr=0.1))
+        values = (-0.5, 0.25, 1.0)
+        forms = [np.array(values)[:, None], [np.array([v]) for v in values], np.array(values)]
+        results = [[e.f_value for e in evaluate_batch(spec, form)] for form in forms]
+        assert results[0] == results[1] == results[2]
+        pairs = function_objective(lambda lam: float(lam[0] - lam[1]), p=2)
+        points = np.array([[1.0, 2.0], [5.0, 3.0]])
+        assert [e.f_value for e in evaluate_batch(pairs, points)] == [-1.0, 2.0]
+        assert [e.f_value for e in evaluate_batch(pairs, list(points))] == [-1.0, 2.0]
+
+    def test_malformed_points_fail_before_any_solve(self):
+        calls = []
+        spec = function_objective(lambda lam: calls.append(lam) or 0.0, p=2)
+        with pytest.raises(DimensionMismatch):
+            evaluate_batch(spec, [np.zeros(2), np.zeros(3)])
+        with pytest.raises(DimensionMismatch):
+            evaluate_batch(spec, np.zeros(2))  # two scalar points at p=2
+        with pytest.raises(NonFiniteObjective) as excinfo:
+            evaluate_batch(spec, [[0.0, 1.0], [np.nan, 0.0], [np.inf, 0.0]])
+        np.testing.assert_array_equal(excinfo.value.hyperparams, [np.nan, 0.0])
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "spec, points, named",
+        [
+            # two diverging points among finite ones: the lower index is named
+            (_LR5, [-3.0, 2.0, -4.0, 3.0], 2.0),
+            (_LR5, [-3.0, 3.0, -4.0, 2.0], 3.0),
+            # a finite iterate whose f overflows before a diverged solve, and after one
+            (_LR5, [-3.0, 0.0, 2.0], 0.0),
+            (_LR5, [-3.0, 2.0, 0.0], 2.0),
+            (_JUMPS, [0.0, 3.0, 1.0, 2.0], 3.0),
+            (_JUMPS, [0.0, 1.0, 2.0, 3.0], 2.0),
+        ],
+    )
+    def test_a_failure_names_the_point_a_sequential_loop_names(self, spec, points, named):
+        def sequential():
+            for lam in points:
+                evaluate(spec, [lam])
+
+        with pytest.raises(NonFiniteObjective) as want:
+            sequential()
+        with pytest.raises(NonFiniteObjective) as got:
+            evaluate_batch(spec, points)
+        assert str(got.value) == str(want.value)
+        np.testing.assert_array_equal(got.value.hyperparams, [named])
+        np.testing.assert_array_equal(want.value.hyperparams, [named])
 
     def test_results_in_input_order(self):
         spec = make_synthetic(3.0, 1.0)

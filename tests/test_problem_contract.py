@@ -3,7 +3,9 @@
 The zeroth-order estimate is meaningful only while f(lam) = E(A(lam), lam) is
 continuous in lam: A is a fixed number of continuous steps on a correct inner
 gradient.  ``evaluate`` must also reject a malformed lam, and exp() is capped so
-that f saturates instead of overflowing.  A new problem or kernel adds a row.
+that f saturates instead of overflowing.  ``evaluate_batch`` solves its points as
+one block, and each column must agree with ``evaluate`` at its point.  A new
+problem or kernel adds a row.
 """
 
 import dataclasses
@@ -14,8 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import hozog.oracle as oracle
 from conftest import CONFIGS, build
-from hozog import DimensionMismatch, NonFiniteObjective, evaluate
+from hozog import DimensionMismatch, NonFiniteObjective, evaluate, evaluate_batch
 
 # a row with an inner section runs under both iterative variants, the closed form as it is
 SOLVES = [(name, variant) for name, raw in CONFIGS.items()
@@ -27,6 +30,13 @@ def specs(data):
     return {name: build(name, data)[1] for name in CONFIGS}
 
 
+def solved_with(spec, variant):
+    """``spec`` with its inner solver switched to ``variant``; the closed form as it is."""
+    if variant == "exact":
+        return spec
+    return dataclasses.replace(spec, inner=dataclasses.replace(spec.inner, variant=variant))
+
+
 @pytest.mark.parametrize("name", CONFIGS)
 @settings(max_examples=60)
 @given(draws=st.data())
@@ -34,7 +44,7 @@ def test_inner_gradient_matches_central_differences(specs, name, draws):
     problem = specs[name].problem
     w = draws.draw(arrays(float, problem.d, elements=st.floats(-1.0, 1.0)))
     lam = draws.draw(arrays(float, problem.p, elements=st.floats(-3.0, 3.0)))
-    grad = problem.inner_loss_grad(w, lam)
+    grad = problem.inner_loss_grad(w[:, None], lam[:, None])[:, 0]  # a block of one model
     step = 1e-6
     central = np.array([
         (problem.inner_loss(w + e, lam) - problem.inner_loss(w - e, lam)) / (2 * step)
@@ -46,9 +56,7 @@ def test_inner_gradient_matches_central_differences(specs, name, draws):
 @pytest.mark.parametrize("lam0", [-1.0, 0.0, 1.0])
 @pytest.mark.parametrize("name, variant", SOLVES)
 def test_f_and_the_model_are_continuous_in_lambda(specs, name, variant, lam0):
-    spec = specs[name]
-    if variant != "exact":
-        spec = dataclasses.replace(spec, inner=dataclasses.replace(spec.inner, variant=variant))
+    spec = solved_with(specs[name], variant)
     lam0 = np.full(spec.p, lam0)
     base = evaluate(spec, lam0)
     gaps, slopes = [], []
@@ -84,3 +92,23 @@ def test_f_saturates_past_the_exp_cap(specs, name):
         except NonFiniteObjective:
             values.append("non-finite")
     assert values[0] == values[1], values
+
+
+@pytest.mark.parametrize("name, variant", SOLVES)
+def test_each_batch_column_matches_evaluate_at_its_point(specs, name, variant, monkeypatch):
+    """Each column of ``evaluate_batch`` agrees with ``evaluate`` at its point to
+    1e-12 relative, in f and in the model.  Not bitwise: BLAS may pick another
+    kernel at another block width.  A batch wider than ``BLOCK_WIDTH`` is solved
+    in consecutive blocks and matches its pieces bitwise."""
+    spec = solved_with(specs[name], variant)
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, (5, spec.p))
+    for lam, got in zip(points, evaluate_batch(spec, points), strict=True):
+        want = evaluate(spec, lam)
+        assert abs(got.f_value - want.f_value) <= 1e-12 * abs(want.f_value)
+        assert np.linalg.norm(got.model - want.model) <= 1e-12 * np.linalg.norm(want.model)
+        assert got.model.shape == (spec.problem.d,)
+    pieces = [e for start in (0, 2, 4) for e in evaluate_batch(spec, points[start : start + 2])]
+    monkeypatch.setattr(oracle, "BLOCK_WIDTH", 2)
+    wide = evaluate_batch(spec, points)
+    assert [e.f_value for e in wide] == [e.f_value for e in pieces]
+    assert all(a.model.tobytes() == b.model.tobytes() for a, b in zip(wide, pieces, strict=True))

@@ -122,7 +122,7 @@ class TestLogReg:
         ds = random_classification_dataset(60, 4, seed=9)
         train, val, test = split_2_1_1(ds, seed=2)
         prob = LogRegProblem.from_datasets(train, val, test)
-        lam = np.array([0.0])
+        lam = np.array([[0.0]])  # a (p, k) block of one point
         a = InnerSolver(steps=3000, lr=0.02, w0=np.zeros(prob.d))
         b = InnerSolver(steps=3000, lr=0.02, w0=np.full(prob.d, 0.5))
         wa = solve(prob.inner_loss_grad, a, lam)
@@ -141,7 +141,7 @@ class TestLogReg:
         w = np.linspace(-0.3, 0.3, prob_a.d)
         lam = np.array([0.1])
         assert prob_a.inner_loss(w, lam) == pytest.approx(prob_b.inner_loss(w, lam), rel=1e-12)
-        assert prob_a.outer_value(w, lam) == prob_b.outer_value(w, lam)
+        assert prob_a.outer_value(w[:, None], lam[:, None]) == prob_b.outer_value(w[:, None], lam[:, None])
 
 
 class TestLogRegTestError:
@@ -413,7 +413,7 @@ class TestHypercleanObjective:
         resid[np.arange(20), prob.y_train] -= 1.0
         resid *= (1.0 / (1.0 + np.exp(-lam)))[prob.group_ids][:, None] / 20
         expected = np.concatenate([(resid.T @ x).ravel(), resid.sum(axis=0)])
-        grad = prob.inner_loss_grad(w, lam)
+        grad = prob.inner_loss_grad(w[:, None], lam[:, None])[:, 0]
         assert np.all(np.isfinite(grad))
         np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
 

@@ -10,11 +10,11 @@ leak into the zeroth-order differences.
 :func:`solve` is the one entry point; it checks finiteness once, on the
 final iterate.  Each update has the form ``w - (...)``, and that is NaN or
 infinite whenever ``w`` is, so an iterate that leaves the finite range
-never comes back and the final check catches every divergence.  Given a
-(p, k) block of hyperparameters, the same steps run k models at once as
-the columns of a (d, k) block, each started from ``w0``; every update is
-column-wise (Adam's bias-correction factors depend on the step alone), so
-the columns never mix.
+never comes back and the final check catches every divergence.  The
+hyperparameters come as a (p, k) block, one point a column, and the steps
+run the k models at once as the columns of a (d, k) block, each started
+from ``w0``; every update is column-wise (Adam's bias-correction factors
+depend on the step alone), so the columns never mix.
 :func:`trajectory` is the diagnostic view: every iterate as computed,
 non-finite ones included.
 """
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteObjective, array_text
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteObjective, array_text
 
 __all__ = ["InnerSolver", "solve", "trajectory"]
 
@@ -67,10 +67,9 @@ def _start(alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
     """``alg.w0``, as one column per column of a (p, k) ``lam`` block."""
     if alg.w0 is None:
         raise InvalidConfig("solver has no w0; set one or solve through an objective")
-    w0 = np.array(alg.w0)
-    if np.ndim(lam) == 2:
-        return np.repeat(w0[:, None], lam.shape[1], axis=1)
-    return w0
+    if len(np.shape(lam)) != 2:
+        raise DimensionMismatch(f"lam must be a (p, k) block, got shape {np.shape(lam)}")
+    return np.repeat(np.array(alg.w0)[:, None], lam.shape[1], axis=1)
 
 
 def _gd_steps(loss_grad, alg: InnerSolver, lam: np.ndarray):
@@ -106,19 +105,18 @@ _STEPS = {"gd": _gd_steps, "adam": _adam_steps}
 def solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
     """Run the solver ``alg.variant`` names; returns the final iterate.
 
+    ``lam`` is a (p, k) block and the result a (d, k) block of models.
     ``loss_grad(w, lam)`` must return the gradient of the inner loss at
     ``w``; exactly ``alg.steps`` gradient evaluations are performed, each
-    on the whole block when ``lam`` is a (p, k) block.  Raises
-    :class:`NonFiniteObjective` carrying ``lam`` when the final iterate is
-    not finite; on a block, carrying the lam of the lowest non-finite column.
+    on the whole block.  Raises :class:`NonFiniteObjective` carrying the
+    lam of the lowest non-finite column of the final iterate.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for w in _STEPS[alg.variant](loss_grad, alg, lam):
             pass
         finite = np.isfinite(w).all(axis=0)  # one flag per column of a block
         if not finite.all():
-            if np.ndim(lam) == 2:
-                lam = lam[:, np.argmin(finite)]
+            lam = lam[:, np.argmin(finite)]
             raise NonFiniteObjective(
                 f"inner solve diverged (iterate is non-finite after {alg.steps} inner "
                 f"steps) at lam={array_text(lam)}",
@@ -128,7 +126,7 @@ def solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
 
 
 def trajectory(loss_grad, alg: InnerSolver, lam: np.ndarray) -> list:
-    """All iterates ``[w_0, w_1, ..., w_T]``, non-finite ones included.
+    """All iterates ``[w_0, w_1, ..., w_T]``, (d, k) blocks, non-finite ones included.
 
     The iterates come from the same step generator :func:`solve` consumes,
     so when the solve succeeds the last element is bitwise-equal to its

@@ -10,9 +10,8 @@ identical results, which the finite-difference estimator depends on.
 
 :func:`evaluate_batch` is the one evaluation kernel: k points go through
 one inner solve on a (d, k) block of models, and :func:`evaluate` is its
-k=1 case.  A problem therefore takes blocks: ``inner_loss_grad(w, lam)``
-maps a (d, k) ``w`` and a (p, k) ``lam`` to (d, k), ``outer_value(w, lam)``
-returns k values and ``exact_solution(lam)`` maps (p, k) to (d, k).
+k=1 case.  A problem therefore takes blocks: a (d, k) ``w`` and a (p, k)
+``lam``, on the surface the :mod:`hozog.problems` package docstring lists.
 """
 
 from __future__ import annotations
@@ -57,12 +56,12 @@ def check_box(box, p: int | None = None) -> np.ndarray:
 class ObjectiveSpec:
     """A bilevel problem instance ready for black-box evaluation.
 
-    ``problem`` supplies the losses and data (see the problems package for
-    the expected surface); ``inner`` is the iterative solver configuration,
-    started from the zero model when its ``w0`` is None, or None to use the
-    problem's closed-form inner solution.  ``bounds`` is an optional (p, 2)
-    box on lam; when declared, the outer loop clamps iterates to it after
-    each step.
+    ``problem`` supplies the losses and data on the block surface that the
+    :mod:`hozog.problems` package docstring lists; ``inner`` is the iterative
+    solver configuration, started from the zero model when its ``w0`` is
+    None, or None to use the problem's closed-form inner solution.
+    ``bounds`` is an optional (p, 2) box on lam; when declared, the outer
+    loop clamps iterates to it after each step.
     """
 
     problem: object
@@ -112,12 +111,16 @@ def check_lambdas(spec: ObjectiveSpec, lams) -> np.ndarray:
     """``lams`` as a (k, p) float array, one point a row, each checked as
     :func:`check_lambda` checks one; the lowest bad index is the one reported.
 
-    A 1-D array holds k scalar points.
+    A 1-D array holds k scalar points; a scalar is no batch.
     """
     try:
         points = np.asarray(lams, dtype=float)
     except ValueError:  # points of different shapes: the loop below names the first bad one
         points = np.empty((0, 0))
+    if points.ndim == 0:
+        raise DimensionMismatch(
+            f"a batch of points has shape {points.shape}, expected (k, {spec.p})"
+        )
     if points.ndim == 1:
         points = points[:, None]
     if points.shape[1:] != (spec.p,) or not np.isfinite(points).all():

@@ -1,12 +1,24 @@
-"""Concrete bilevel problem instances."""
+"""Concrete bilevel problem instances.
+
+Every problem offers one surface, on blocks of k points: ``w`` is a (d, k)
+block of models, one a column, and ``lam`` a (p, k) block of
+hyperparameters whose column j goes with model j.
+
+- ``inner_loss(w, lam)``: the k inner losses, shape (k,);
+- ``inner_loss_grad(w, lam)``: their gradients in ``w``, shape (d, k);
+- ``outer_value(w, lam)``: the k outer objectives;
+- ``exact_solution(lam)``: the (d, k) closed-form inner solutions, on a
+  problem that has them (the synthetic one); the others are solved by an
+  :class:`~hozog.inner_solvers.InnerSolver`;
+- ``test_metric(w)``: the test score of one 1-D model, or None;
+- the attributes ``p`` (hyperparameters a point) and ``d`` (model size).
+"""
 
 from .hyperclean import (
     HyperCleanProblem,
     group_corruption_fractions,
-    group_weighted_mean,
     hyperclean_objective,
     make_hyperclean,
-    per_sample_cross_entropy,
 )
 from .logreg import LogRegProblem, logreg_objective, logreg_test_error
 from .synthetic import (
@@ -21,13 +33,11 @@ __all__ = [
     "LogRegProblem",
     "SyntheticBilevel",
     "group_corruption_fractions",
-    "group_weighted_mean",
     "hyperclean_objective",
     "logreg_objective",
     "logreg_test_error",
     "make_hyperclean",
     "make_synthetic",
-    "per_sample_cross_entropy",
     "synthetic_analytic_hypergradient",
     "synthetic_optimum",
 ]

@@ -32,40 +32,26 @@ __all__ = [
     "HyperCleanProblem",
     "make_hyperclean",
     "hyperclean_objective",
-    "per_sample_cross_entropy",
-    "group_weighted_mean",
     "group_corruption_fractions",
 ]
 
 
-def per_sample_cross_entropy(weights: np.ndarray, bias: np.ndarray, x, y: np.ndarray) -> np.ndarray:
-    """Cross-entropy of each example under softmax(x @ W.T + b)."""
-    logits = x @ weights.T + bias
-    return -log_softmax(logits, axis=1)[np.arange(len(y)), y]
-
-
-def group_weighted_mean(losses: np.ndarray, group_ids: np.ndarray, lam: np.ndarray) -> float:
-    """Mean of per-sample losses, each scaled by sigmoid(lam[group])."""
-    if losses.shape != group_ids.shape:
-        raise DimensionMismatch("losses and group ids must align")
-    weights = expit(np.asarray(lam, dtype=float))[group_ids]
-    return float(np.sum(weights * losses) / losses.shape[0])
-
-
 @dataclass(frozen=True)
 class HyperCleanProblem:
-    """Splits, grouping, corruption bookkeeping, and the softmax model shape.
+    """Splits (dense or CSR), grouping, corruption bookkeeping, and the softmax model shape.
 
-    The splits meet :func:`~hozog.data_io.check_splits` over ``range(n_classes)``.
+    The kernels only use ``@``, so either storage works; :func:`make_hyperclean`
+    builds CSR splits.  The splits meet :func:`~hozog.data_io.check_splits` over
+    ``range(n_classes)``.
     """
 
-    x_train: sp.csr_matrix
+    x_train: np.ndarray | sp.csr_matrix
     y_train: np.ndarray  # noisy labels actually trained on
     y_clean: np.ndarray  # labels before corruption; `corrupted` is y_train != y_clean
     group_ids: np.ndarray  # group index per training row, in [0, n_groups)
-    x_val: sp.csr_matrix
+    x_val: np.ndarray | sp.csr_matrix
     y_val: np.ndarray
-    x_test: sp.csr_matrix
+    x_test: np.ndarray | sp.csr_matrix
     y_test: np.ndarray
     n_classes: int
     n_groups: int
@@ -104,10 +90,6 @@ class HyperCleanProblem:
         # flattened (W, b): K*D weights then K biases
         return self.n_classes * self.n_features + self.n_classes
 
-    def unflatten(self, w: np.ndarray):
-        k, nf = self.n_classes, self.n_features
-        return w[: k * nf].reshape(k, nf), w[k * nf :]
-
     def _logits(self, x, w: np.ndarray) -> np.ndarray:
         """Logits of the k models in the columns of ``w``, shape (rows, k, K).
 
@@ -118,14 +100,13 @@ class HyperCleanProblem:
         weights = w[: n_cls * nf].reshape(n_cls, nf, k).transpose(1, 2, 0).reshape(nf, k * n_cls)
         return (x @ weights).reshape(-1, k, n_cls) + w[n_cls * nf :].T
 
-    def _mean_cross_entropy(self, x, y: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Mean cross-entropy over the rows of each of the k models in ``w``."""
-        return -log_softmax(self._logits(x, w), axis=2)[np.arange(len(y)), :, y].mean(axis=0)
+    def _cross_entropy(self, x, y: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Cross-entropy of each row under each of the k models in ``w``, shape (rows, k)."""
+        return -log_softmax(self._logits(x, w), axis=2)[np.arange(len(y)), :, y]
 
-    def inner_loss(self, w: np.ndarray, lam: np.ndarray) -> float:
-        weights, bias = self.unflatten(w)
-        losses = per_sample_cross_entropy(weights, bias, self.x_train, self.y_train)
-        return group_weighted_mean(losses, self.group_ids, lam)
+    def inner_loss(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        losses = self._cross_entropy(self.x_train, self.y_train, w)
+        return (expit(lam)[self.group_ids] * losses).mean(axis=0)
 
     def inner_loss_grad(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
         n_cls, nf, k = self.n_classes, self.n_features, w.shape[1]
@@ -139,10 +120,10 @@ class HyperCleanProblem:
         return np.concatenate([grad_w, probs.sum(axis=0).T])
 
     def outer_value(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return self._mean_cross_entropy(self.x_val, self.y_val, w)
+        return self._cross_entropy(self.x_val, self.y_val, w).mean(axis=0)
 
     def test_metric(self, w: np.ndarray) -> float:
-        return float(self._mean_cross_entropy(self.x_test, self.y_test, w[:, None])[0])
+        return float(self._cross_entropy(self.x_test, self.y_test, w[:, None]).mean(axis=0)[0])
 
 
 def make_hyperclean(

@@ -77,9 +77,9 @@ class LogRegProblem:
     def d(self) -> int:
         return self.x_train.shape[1]
 
-    def inner_loss(self, w: np.ndarray, lam: np.ndarray) -> float:
-        margins = self.y_train * (self.x_train @ w)
-        return float(_log_loss_sums(margins)) + float(capped_exp(lam[0])) * float(w @ w)
+    def inner_loss(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        margins = self.y_train[:, None] * (self.x_train @ w)
+        return _log_loss_sums(margins) + capped_exp(lam[0]) * (w * w).sum(axis=0)
 
     def inner_loss_grad(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
         # column j of w is trained with the ridge weight exp(lam[0, j])

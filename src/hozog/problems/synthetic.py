@@ -61,9 +61,8 @@ class SyntheticBilevel:
     def exact_solution(self, lam: np.ndarray) -> np.ndarray:
         return self.c / (1.0 + 2.0 * capped_exp(lam))
 
-    def inner_loss(self, w: np.ndarray, lam: np.ndarray) -> float:
-        w0 = float(w[0])
-        return 0.5 * (w0 - self.c) ** 2 + float(capped_exp(lam[0])) * w0 * w0
+    def inner_loss(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
+        return 0.5 * (w[0] - self.c) ** 2 + capped_exp(lam[0]) * w[0] * w[0]
 
     def inner_loss_grad(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
         return (w - self.c) + 2.0 * capped_exp(lam) * w

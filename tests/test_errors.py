@@ -14,6 +14,7 @@ from hozog import (
     empirical_lipschitz,
     estimate_hyper_gradient,
     evaluate,
+    evaluate_batch,
     function_objective,
     random_search,
     run_hozog,
@@ -73,7 +74,7 @@ def _hyperclean(**changes):
 # (fault, site): a call that runs into the fault where that site detects it
 SITES = {
     ("diverging inner solve", "inner_solvers.solve"): lambda: solve(
-        lambda w, lam: -2.0 * w, InnerSolver(steps=2000, lr=1.0, w0=np.ones(1)), np.zeros(1)
+        lambda w, lam: -2.0 * w, InnerSolver(steps=2000, lr=1.0, w0=np.ones(1)), np.zeros((1, 1))
     ),
     ("diverging inner solve", "oracle.evaluate"): lambda: evaluate(_DIVERGING, [2.0]),
     ("diverging inner solve", "zo_core.run_hozog"): lambda: run_hozog(
@@ -116,6 +117,10 @@ SITES = {
         _P1, [[0.0, np.nan]], n_pairs=1, seed=0
     ),
     ("lambda of the wrong length", "oracle.evaluate"): lambda: evaluate(_P2, [0.0]),
+    ("lambda of the wrong length", "oracle.evaluate_batch"): lambda: evaluate_batch(_P1, 3.0),
+    ("lambda of the wrong length", "inner_solvers.solve"): lambda: solve(  # a 1-D lam, no block
+        lambda w, lam: w, InnerSolver(steps=1, lr=0.1, w0=np.ones(1)), np.zeros(1)
+    ),
     ("lambda of the wrong length", "zo_core.run_hozog"): lambda: run_hozog(_P2, [0.0], _ZO),
     ("splits of different widths", "LogRegProblem"): lambda: _logreg(x_val=np.ones((2, 2))),
     ("splits of different widths", "HyperCleanProblem"): lambda: _hyperclean(
@@ -157,7 +162,9 @@ _LAM40 = np.random.default_rng(0).standard_normal(40) * 1e5
     "call",
     [
         lambda: solve(
-            lambda w, lam: -2.0 * w, InnerSolver(steps=2000, lr=1.0, w0=np.ones(1)), _LAM40
+            lambda w, lam: -2.0 * w,
+            InnerSolver(steps=2000, lr=1.0, w0=np.ones(1)),
+            _LAM40[:, None],
         ),
         lambda: evaluate(function_objective(lambda lam: np.inf, p=40), _LAM40),
         lambda: estimate_hyper_gradient(

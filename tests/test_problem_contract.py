@@ -46,10 +46,11 @@ def test_inner_gradient_matches_central_differences(specs, name, draws):
     lam = draws.draw(arrays(float, problem.p, elements=st.floats(-3.0, 3.0)))
     grad = problem.inner_loss_grad(w[:, None], lam[:, None])[:, 0]  # a block of one model
     step = 1e-6
-    central = np.array([
-        (problem.inner_loss(w + e, lam) - problem.inner_loss(w - e, lam)) / (2 * step)
-        for e in step * np.eye(problem.d)
-    ])
+    # the 2d models w + step e_i, then w - step e_i, as one block sharing lam
+    moves = step * np.hstack([np.eye(problem.d), -np.eye(problem.d)])
+    losses = problem.inner_loss(w[:, None] + moves, np.repeat(lam[:, None], 2 * problem.d, axis=1))
+    assert losses.shape == (2 * problem.d,)
+    central = (losses[: problem.d] - losses[problem.d :]) / (2 * step)
     assert np.max(np.abs(grad - central)) <= 1e-6 * max(1.0, np.max(np.abs(grad)))
 
 

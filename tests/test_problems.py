@@ -21,13 +21,11 @@ from hozog.problems import (
     HyperCleanProblem,
     LogRegProblem,
     group_corruption_fractions,
-    group_weighted_mean,
     hyperclean_objective,
     logreg_objective,
     logreg_test_error,
     make_hyperclean,
     make_synthetic,
-    per_sample_cross_entropy,
     synthetic_analytic_hypergradient,
     synthetic_optimum,
 )
@@ -90,9 +88,10 @@ class TestLogReg:
         val = _tiny_dataset([(1.0, ((1, 1.0),))])
         test = _tiny_dataset([(-1.0, ((1, 2.0),))])
         prob = LogRegProblem.from_datasets(train, val, test)
-        assert prob.inner_loss(np.zeros(1), np.array([0.0])) == pytest.approx(math.log(2.0))
-        # regularizer vanishes at w = 0 regardless of lam
-        assert prob.inner_loss(np.zeros(1), np.array([5.0])) == pytest.approx(math.log(2.0))
+        # one block of two points: the regularizer vanishes at w = 0 regardless of lam
+        losses = prob.inner_loss(np.zeros((1, 2)), np.array([[0.0, 5.0]]))
+        assert losses.shape == (2,)
+        assert losses == pytest.approx([math.log(2.0)] * 2)
 
     def test_heavy_regularization_raises_validation_loss(self):
         ds = random_classification_dataset(100, 8, seed=7, class_sep=2.5)
@@ -138,10 +137,10 @@ class TestLogReg:
         prob_b = LogRegProblem.from_datasets(
             SparseDataset(rows=shuffled, n_features=train.n_features), val, test
         )
-        w = np.linspace(-0.3, 0.3, prob_a.d)
-        lam = np.array([0.1])
+        w = np.linspace(-0.3, 0.3, prob_a.d)[:, None]
+        lam = np.array([[0.1]])
         assert prob_a.inner_loss(w, lam) == pytest.approx(prob_b.inner_loss(w, lam), rel=1e-12)
-        assert prob_a.outer_value(w[:, None], lam[:, None]) == prob_b.outer_value(w[:, None], lam[:, None])
+        assert prob_a.outer_value(w, lam) == prob_b.outer_value(w, lam)
 
 
 class TestLogRegTestError:
@@ -262,31 +261,23 @@ class TestStorage:
             )
 
 
-class TestGroupWeightedMean:
-    def test_zero_lambda_halves_unweighted_mean(self):
-        losses = np.array([0.2, 1.4, 0.9, 2.2])
-        groups = np.array([0, 1, 0, 1])
-        lam = np.zeros(2)
-        expected = 0.5 * losses.mean()
-        assert group_weighted_mean(losses, groups, lam) == pytest.approx(expected, rel=1e-12)
-
-    def test_very_negative_lambda_suppresses_loss(self):
-        losses = np.array([1.0, 2.0, 3.0])
-        groups = np.array([0, 0, 0])
-        assert group_weighted_mean(losses, groups, np.array([-20.0])) <= 1e-8 * losses.mean()
-
-    def test_two_group_hand_arithmetic(self):
-        # sigmoid(0)=0.5, sigmoid(20)~1: (0.5*1.0 + 1.0*3.0)/2 = 1.75
-        losses = np.array([1.0, 3.0])
-        groups = np.array([0, 1])
-        value = group_weighted_mean(losses, groups, np.array([0.0, 20.0]))
-        assert value == pytest.approx(1.75, abs=1e-8)
-
-
 def _blob_dataset(n, n_classes, seed, n_features=6, class_sep=2.5):
     return random_classification_dataset(
         n, n_features, n_classes=n_classes, seed=seed, class_sep=class_sep
     )
+
+
+def _hand_built(x, y, n_classes, group_ids):
+    """A hyper-cleaning problem whose three splits are all ``(x, y)``, labels clean."""
+    return HyperCleanProblem(
+        x_train=x, y_train=y, y_clean=y, group_ids=group_ids, x_val=x, y_val=y,
+        x_test=x, y_test=y, n_classes=n_classes, n_groups=int(group_ids.max()) + 1,
+    )
+
+
+def _model(weights, bias):
+    """The (K, D) weights and K biases of one softmax model as a (d, 1) block."""
+    return np.concatenate([weights.ravel(), bias])[:, None]
 
 
 class TestMakeHyperclean:
@@ -391,12 +382,11 @@ class TestHypercleanObjective:
         weights = rng.standard_normal((3, prob.n_features)) * 0.3
         bias = rng.standard_normal(3) * 0.1
         lam = rng.standard_normal(6)
-        w = np.concatenate([weights.ravel(), bias])
-        base = prob.inner_loss(w, lam)
-        for g in range(6):
-            bumped = lam.copy()
-            bumped[g] += 0.7
-            assert prob.inner_loss(w, bumped) >= base
+        # one block: the base point, then one column per bumped group weight
+        lams = lam[:, None] + np.hstack([np.zeros((6, 1)), 0.7 * np.eye(6)])
+        losses = prob.inner_loss(np.repeat(_model(weights, bias), 7, axis=1), lams)
+        assert losses.shape == (7,)
+        assert np.all(losses[1:] >= losses[0])
 
     def test_large_logits_gradient_matches_shifted_reference(self):
         ds = _blob_dataset(40, 3, seed=9, n_features=4)
@@ -404,7 +394,8 @@ class TestHypercleanObjective:
         rng = np.random.default_rng(3)
         w = rng.standard_normal(prob.d) * 300.0
         lam = rng.standard_normal(4)
-        weights, bias = prob.unflatten(w)
+        nf = prob.n_features
+        weights, bias = w[: 3 * nf].reshape(3, nf), w[3 * nf :]
         x = prob.x_train.toarray()
         logits = x @ weights.T + bias
         assert np.abs(logits).max() > 800.0  # exp overflows without the shift
@@ -437,12 +428,46 @@ class TestHypercleanObjective:
         assert not np.array_equal(fracs, prob.corrupted)
 
 
-class TestPerSampleCrossEntropy:
+class TestWeightedInnerLoss:
+    # two rows in groups 0 and 1 with cross-entropies 1 and 3 under one model: with
+    # x = I and no bias, row i's logits are column i of W, and a logit gap g
+    # against the label costs log(1 + e^g)
+    GAPS = np.log(np.expm1([1.0, 3.0]))
+
+    @pytest.mark.parametrize(
+        "lam, expected, tol",
+        [
+            ([0.0, 0.0], 0.5 * 2.0, 1e-12),  # sigmoid(0) = 1/2 halves the unweighted mean 2
+            ([-20.0, -20.0], 0.0, 1e-8 * 2.0),  # sigmoid(-20) ~ 2e-9 suppresses it
+            ([0.0, 20.0], 1.75, 1e-8),  # (0.5 * 1 + 1 * 3) / 2, as sigmoid(20) ~ 1
+        ],
+    )
+    def test_each_row_weighs_in_through_its_group(self, lam, expected, tol):
+        groups = np.array([0, 1])
+        prob = _hand_built(np.eye(2), groups, n_classes=2, group_ids=groups)
+        w = _model(np.array([[0.0, self.GAPS[1]], [self.GAPS[0], 0.0]]), np.zeros(2))
+        lam = np.array(lam)[:, None]
+        np.testing.assert_allclose(prob.outer_value(w, lam), [2.0], rtol=1e-12)
+        got = prob.inner_loss(w, lam)
+        assert got.shape == (1,)
+        assert abs(got[0] - expected) <= tol
+
+
+class TestCrossEntropy:
+    """The one cross-entropy kernel, read through ``outer_value``: the mean
+    cross-entropy of the validation rows."""
+
+    @staticmethod
+    def validation_loss(x, y, n_classes, weights, bias):
+        prob = _hand_built(x, y, n_classes, group_ids=np.zeros(len(y), dtype=int))
+        value = prob.outer_value(_model(weights, bias), np.zeros((1, 1)))
+        assert value.shape == (1,)
+        return value[0]
+
     def test_uniform_model(self):
-        x = np.eye(3)
         y = np.array([0, 1, 2])
-        ce = per_sample_cross_entropy(np.zeros((3, 3)), np.zeros(3), x, y)
-        np.testing.assert_allclose(ce, math.log(3.0))
+        value = self.validation_loss(np.eye(3), y, 3, np.zeros((3, 3)), np.zeros(3))
+        assert value == pytest.approx(math.log(3.0), rel=1e-12)
 
     def test_large_logits_match_shifted_reference(self):
         rng = np.random.default_rng(4)
@@ -454,13 +479,13 @@ class TestPerSampleCrossEntropy:
         assert np.abs(logits).max() > 800.0  # exp overflows without the shift
         shifted = logits - logits.max(axis=1, keepdims=True)
         expected = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(12), y]
-        ce = per_sample_cross_entropy(weights, bias, x, y)
-        assert np.all(np.isfinite(ce))
-        np.testing.assert_allclose(ce, expected, rtol=1e-12)
+        value = self.validation_loss(x, y, 3, weights, bias)
+        assert np.isfinite(value)
+        assert value == pytest.approx(expected.mean(), rel=1e-12)
 
     def test_confident_correct_model_vanishes(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0]])
         y = np.array([0, 1])
         weights = 50.0 * np.array([[1.0, -1.0], [-1.0, 1.0]])
-        ce = per_sample_cross_entropy(weights, np.zeros(2), x, y)
-        assert np.all(ce < 1e-8)
+        # the rows' cross-entropies are non-negative, so their sum bounds each one
+        assert len(y) * self.validation_loss(x, y, 2, weights, np.zeros(2)) < 1e-8

@@ -41,7 +41,7 @@ class InnerSolver:
     ``steps`` applications of the variant's update rule starting from ``w0``
     (the zero vector when ``w0`` is None), with fixed learning rate ``lr``.
     Adam uses bias-corrected first/second moments with the usual constants.
-    A given ``w0`` (1-D) is held as a tuple of floats: solvers compare by value.
+    A given finite 1-D ``w0`` is held as a tuple of floats: solvers compare by value.
     """
 
     steps: int
@@ -60,6 +60,8 @@ class InnerSolver:
             w0 = np.asarray(self.w0, dtype=float)
             if w0.ndim != 1:
                 raise InvalidConfig(f"w0 must be 1-D, got shape {w0.shape}")
+            if not np.isfinite(w0).all():
+                raise InvalidConfig(f"w0 must be finite, got {array_text(w0)}")
             object.__setattr__(self, "w0", tuple(w0.tolist()))
 
 

@@ -129,10 +129,9 @@ def empirical_lipschitz(
     observed ratio |f(x1) - f(x2)| / ||x1 - x2|| over the pairs whose points
     differ.  Deterministic given the seed.  ``max_workers`` is accepted for
     compatibility and has no effect: the 2 * ``n_pairs`` points, each pair's
-    two next to each other, go through one
-    :func:`~hozog.oracle.evaluate_batch` call, so they are solved as blocks
-    of up to ``BLOCK_WIDTH`` models at once.  A diverged point raises,
-    naming the lowest such point in that order.
+    two next to each other, go through one :func:`~hozog.oracle.evaluate_batch`
+    call, in blocks of up to ``BLOCK_WIDTH``, and the ratios are read off its
+    array of values.  A diverged point raises, naming the lowest in that order.
     """
     if n_pairs < 1:
         raise InvalidConfig(f"n_pairs must be >= 1, got {n_pairs}")
@@ -142,7 +141,7 @@ def empirical_lipschitz(
     first = lo + (hi - lo) * rng.random((n_pairs, spec.p))
     second = lo + (hi - lo) * rng.random((n_pairs, spec.p))
     points = np.stack([first, second], axis=1).reshape(2 * n_pairs, spec.p)
-    values = np.array([e.f_value for e in evaluate_batch(spec, points)])
+    values, _ = evaluate_batch(spec, points)
     gaps = np.linalg.norm(first - second, axis=1)
     moved = gaps > 0
     max_ratio = np.max(np.abs(values[0::2] - values[1::2])[moved] / gaps[moved], initial=0.0)

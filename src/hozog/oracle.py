@@ -8,10 +8,10 @@ solve starts from a fixed point (the inner solver's ``w0``, else zeros),
 so f is a deterministic function of lam alone: repeated calls return
 identical results, which the finite-difference estimator depends on.
 
-:func:`evaluate_batch` is the one evaluation kernel: k points go through
-one inner solve on a (d, k) block of models, and :func:`evaluate` is its
-k=1 case.  A problem therefore takes blocks: a (d, k) ``w`` and a (p, k)
-``lam``, on the surface the :mod:`hozog.problems` package docstring lists.
+:func:`evaluate_batch` is the one evaluation kernel: one inner solve on a
+(d, k) block of models returns the (k,) values and that block, and
+:func:`evaluate` is its k=1 view.  Problems therefore take blocks: a (d, k)
+``w`` and a (p, k) ``lam``, on the surface :mod:`hozog.problems` lists.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ class ObjectiveSpec:
 
     ``problem`` supplies the losses and data on the block surface that the
     :mod:`hozog.problems` package docstring lists; ``inner`` is the iterative
-    solver configuration, started from the zero model when its ``w0`` is
-    None, or None to use the problem's closed-form inner solution.
+    solver configuration, started from its ``w0`` of length d, else from the
+    zero model, or None to use the problem's closed-form inner solution.
     ``bounds`` is an optional (p, 2) box on lam; when declared, the outer
     loop clamps iterates to it after each step.
     """
@@ -71,6 +71,9 @@ class ObjectiveSpec:
     def __post_init__(self):
         if self.bounds is not None:
             object.__setattr__(self, "bounds", check_box(self.bounds, self.p))
+        w0 = None if self.inner is None else self.inner.w0
+        if w0 is not None and len(w0) != self.problem.d:
+            raise DimensionMismatch(f"inner w0 has length {len(w0)}, expected {self.problem.d}")
 
     @property
     def p(self) -> int:
@@ -131,34 +134,37 @@ def check_lambdas(spec: ObjectiveSpec, lams) -> np.ndarray:
 def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
     """Run the inner solver at lam and score the result with the outer loss.
 
-    The k=1 case of :func:`evaluate_batch`: the same check and the same
-    block kernel on a block of one, without the batch's conversion of a
-    list of points (the estimator calls this once per point).
+    The k=1 view of :func:`evaluate_batch`, on a block of one without the
+    batch's conversion of a list (the estimator calls this once per point),
+    and the one place an :class:`Evaluation` is built.
     """
-    return _evaluate_block(spec, check_lambda(spec, lam)[None])[0]
+    values, models = _evaluate_block(spec, check_lambda(spec, lam)[None])
+    return Evaluation(float(values[0]), models[:, 0])
 
 
-def evaluate_batch(spec: ObjectiveSpec, lams) -> list:
-    """Evaluate k points through one inner solve; results in input order.
+def evaluate_batch(spec: ObjectiveSpec, lams) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate k points through one inner solve; returns ``(values, models)``,
+    the (k,) objectives and the (d, k) block of trained models in input order.
 
-    Every point is checked before any solve runs.  The points then go
-    through :func:`~hozog.inner_solvers.solve` as a (p, k) block of lam
-    (at most ``BLOCK_WIDTH`` columns a block, blocks in input order), and
-    one ``outer_value`` call scores the k columns of the trained (d, k)
-    block.  A failure names the lowest input index whose final iterate or
-    objective is not finite: the point a one-at-a-time loop names.  A
+    An empty batch gives shapes (0,) and (d, 0).  Every point is checked
+    before any solve runs.  The points then go through
+    :func:`~hozog.inner_solvers.solve` as a (p, k) block of lam, in blocks
+    of at most ``BLOCK_WIDTH`` columns, and one ``outer_value`` call scores
+    each block.  A failure names the lowest input index whose final iterate
+    or objective is not finite: the point a one-at-a-time loop names.  A
     column agrees with :func:`evaluate` at its point to 1e-12 relative in f
     and in the model, not bitwise, since BLAS may pick another kernel at
-    another block width.  Each ``model`` is a 1-D copy of its column.
+    another block width.
     """
     points = check_lambdas(spec, lams)
-    results = []
+    values, models = np.empty(len(points)), np.empty((spec.problem.d, len(points)))
     for start in range(0, len(points), BLOCK_WIDTH):
-        results += _evaluate_block(spec, points[start : start + BLOCK_WIDTH])
-    return results
+        block = slice(start, start + BLOCK_WIDTH)
+        values[block], models[:, block] = _evaluate_block(spec, points[block])
+    return values, models
 
 
-def _evaluate_block(spec: ObjectiveSpec, points: np.ndarray) -> list:
+def _evaluate_block(spec: ObjectiveSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     problem = spec.problem
     lam = points.T
     try:
@@ -173,14 +179,12 @@ def _evaluate_block(spec: ObjectiveSpec, points: np.ndarray) -> list:
         if diverged:
             _evaluate_block(spec, points[:diverged])
         raise
-    values = [float(f) for f in problem.outer_value(w, lam)]
-    for i, f in enumerate(values):
-        if not math.isfinite(f):
-            raise NonFiniteObjective(
-                f"objective is not finite at lam={array_text(points[i])}", hyperparams=points[i]
-            )
-    # the rows of one copy of the transposed block: each model is a 1-D copy of its column
-    return [Evaluation(f_value=f, model=model) for f, model in zip(values, w.T.copy())]
+    values = np.asarray(problem.outer_value(w, lam), dtype=float)
+    # one pass over Python floats: np.isfinite's fixed cost shows at k=1
+    if all(map(math.isfinite, values.tolist())):
+        return values, w
+    lam = points[np.argmin(np.isfinite(values))]
+    raise NonFiniteObjective(f"objective is not finite at lam={array_text(lam)}", hyperparams=lam)
 
 
 class _FunctionProblem:
@@ -195,7 +199,7 @@ class _FunctionProblem:
         return np.empty((0, lam.shape[1]))
 
     def outer_value(self, w, lam):
-        return [self.fn(point) for point in lam.T]
+        return [float(self.fn(point)) for point in lam.T]
 
     def test_metric(self, w):
         return None

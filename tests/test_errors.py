@@ -38,6 +38,8 @@ FAULT_TYPES = {
     "splits of different widths": DimensionMismatch,
     "rows without one label each": DimensionMismatch,
     "a label outside the problem's set": DimensionMismatch,
+    "a start point of the wrong length": DimensionMismatch,
+    "a non-finite start point": InvalidConfig,
 }
 
 
@@ -135,6 +137,12 @@ SITES = {
     ),
     ("a label outside the problem's set", "HyperCleanProblem"): lambda: _hyperclean(
         y_train=np.array([0, 2])
+    ),
+    ("a start point of the wrong length", "ObjectiveSpec"): lambda: make_synthetic(  # d = 1
+        3.0, 1.0, inner=InnerSolver(steps=5, lr=0.1, w0=(0.0, 1.0))
+    ),
+    ("a non-finite start point", "InnerSolver"): lambda: InnerSolver(
+        steps=5, lr=0.1, w0=(np.nan,)
     ),
 }
 

@@ -63,16 +63,20 @@ class TestEvaluateBatch:
     def test_batch_of_one_equals_evaluate(self):
         spec = make_synthetic(3.0, 1.0)
         single = evaluate(spec, np.array([0.7]))
-        batch = evaluate_batch(spec, [np.array([0.7])])
-        assert batch[0].f_value == single.f_value
+        values, models = evaluate_batch(spec, [np.array([0.7])])
+        assert values[0] == single.f_value
+        np.testing.assert_array_equal(models[:, 0], single.model)
 
     def test_batch_equals_pointwise_evaluate(self):
         # one block solve against five k=1 solves: 1e-12 relative, not bitwise
         spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=80, lr=0.1))
         points = [np.array([v]) for v in (-1.0, -0.5, 0.0, 0.5, 1.0)]
-        batch = [e.f_value for e in evaluate_batch(spec, points)]
-        pointwise = [evaluate(spec, lam).f_value for lam in points]
-        np.testing.assert_allclose(batch, pointwise, rtol=1e-12, atol=0)
+        values, models = evaluate_batch(spec, points)
+        assert values.shape == (5,) and values.dtype == np.float64
+        assert models.shape == (1, 5)
+        pointwise = [evaluate(spec, lam) for lam in points]
+        np.testing.assert_allclose(values, [e.f_value for e in pointwise], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(models.T, [e.model for e in pointwise], rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize(
         "spec",
@@ -80,20 +84,22 @@ class TestEvaluateBatch:
          function_objective(lambda lam: float(lam.sum()), p=2)],
         ids=["iterative", "function"],
     )
-    def test_an_empty_batch_gives_an_empty_list(self, spec):
-        assert evaluate_batch(spec, []) == []
-        assert evaluate_batch(spec, np.empty((0, spec.p))) == []
+    def test_an_empty_batch_gives_empty_arrays(self, spec):
+        for empty in ([], np.empty((0, spec.p))):
+            values, models = evaluate_batch(spec, empty)
+            assert values.shape == (0,)
+            assert models.shape == (spec.problem.d, 0)
 
     def test_an_array_a_list_and_scalars_give_the_same_points(self):
         spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=80, lr=0.1))
         values = (-0.5, 0.25, 1.0)
         forms = [np.array(values)[:, None], [np.array([v]) for v in values], np.array(values)]
-        results = [[e.f_value for e in evaluate_batch(spec, form)] for form in forms]
+        results = [evaluate_batch(spec, form)[0].tolist() for form in forms]
         assert results[0] == results[1] == results[2]
         pairs = function_objective(lambda lam: float(lam[0] - lam[1]), p=2)
         points = np.array([[1.0, 2.0], [5.0, 3.0]])
-        assert [e.f_value for e in evaluate_batch(pairs, points)] == [-1.0, 2.0]
-        assert [e.f_value for e in evaluate_batch(pairs, list(points))] == [-1.0, 2.0]
+        assert evaluate_batch(pairs, points)[0].tolist() == [-1.0, 2.0]
+        assert evaluate_batch(pairs, list(points))[0].tolist() == [-1.0, 2.0]
 
     def test_malformed_points_fail_before_any_solve(self):
         calls = []
@@ -135,9 +141,11 @@ class TestEvaluateBatch:
 
     def test_results_in_input_order(self):
         spec = make_synthetic(3.0, 1.0)
-        out = evaluate_batch(spec, [np.array([0.0]), np.array([30.0])])
-        assert out[0].f_value == pytest.approx(0.0, abs=1e-12)
-        assert out[1].f_value == pytest.approx(0.5, abs=1e-10)
+        values, models = evaluate_batch(spec, [np.array([0.0]), np.array([30.0])])
+        assert values[0] == pytest.approx(0.0, abs=1e-12)
+        assert values[1] == pytest.approx(0.5, abs=1e-10)
+        assert models[0, 0] == pytest.approx(1.0, abs=1e-12)
+        assert models[0, 1] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestFunctionObjective:

@@ -4,8 +4,9 @@ The zeroth-order estimate is meaningful only while f(lam) = E(A(lam), lam) is
 continuous in lam: A is a fixed number of continuous steps on a correct inner
 gradient.  ``evaluate`` must also reject a malformed lam, and exp() is capped so
 that f saturates instead of overflowing.  ``evaluate_batch`` solves its points as
-one block, and each column must agree with ``evaluate`` at its point.  A new
-problem or kernel adds a row.
+one block and returns two arrays, the (k,) values and the (d, k) models, and
+each column must agree with ``evaluate`` at its point.  A new problem or kernel
+adds a row.
 """
 
 import dataclasses
@@ -97,19 +98,34 @@ def test_f_saturates_past_the_exp_cap(specs, name):
 
 @pytest.mark.parametrize("name, variant", SOLVES)
 def test_each_batch_column_matches_evaluate_at_its_point(specs, name, variant, monkeypatch):
-    """Each column of ``evaluate_batch`` agrees with ``evaluate`` at its point to
-    1e-12 relative, in f and in the model.  Not bitwise: BLAS may pick another
-    kernel at another block width.  A batch wider than ``BLOCK_WIDTH`` is solved
-    in consecutive blocks and matches its pieces bitwise."""
+    """``evaluate_batch`` returns the (k,) values and the (d, k) block of
+    models, and one ``outer_value`` call scores each block.  Each column
+    agrees with ``evaluate`` at its point to 1e-12 relative, in f and in the
+    model.  Not bitwise: BLAS may pick another kernel at another block width.
+    A batch wider than ``BLOCK_WIDTH`` is solved in consecutive blocks and
+    matches its pieces bitwise."""
     spec = solved_with(specs[name], variant)
+    scored = []  # the width of each block one outer_value call scores
+    outer_value = type(spec.problem).outer_value
+
+    def counted(problem, w, lam):
+        scored.append(lam.shape[1])
+        return outer_value(problem, w, lam)
+
+    monkeypatch.setattr(type(spec.problem), "outer_value", counted)
     points = np.random.default_rng(5).uniform(-1.0, 1.0, (5, spec.p))
-    for lam, got in zip(points, evaluate_batch(spec, points), strict=True):
+    values, models = evaluate_batch(spec, points)
+    assert scored == [5]
+    assert values.shape == (5,) and models.shape == (spec.problem.d, 5)
+    for lam, f, model in zip(points, values, models.T, strict=True):
         want = evaluate(spec, lam)
-        assert abs(got.f_value - want.f_value) <= 1e-12 * abs(want.f_value)
-        assert np.linalg.norm(got.model - want.model) <= 1e-12 * np.linalg.norm(want.model)
-        assert got.model.shape == (spec.problem.d,)
-    pieces = [e for start in (0, 2, 4) for e in evaluate_batch(spec, points[start : start + 2])]
+        assert want.model.shape == (spec.problem.d,)
+        assert abs(f - want.f_value) <= 1e-12 * abs(want.f_value)
+        assert np.linalg.norm(model - want.model) <= 1e-12 * np.linalg.norm(want.model)
+    pieces = [evaluate_batch(spec, points[start : start + 2]) for start in (0, 2, 4)]
     monkeypatch.setattr(oracle, "BLOCK_WIDTH", 2)
-    wide = evaluate_batch(spec, points)
-    assert [e.f_value for e in wide] == [e.f_value for e in pieces]
-    assert all(a.model.tobytes() == b.model.tobytes() for a, b in zip(wide, pieces, strict=True))
+    scored.clear()
+    wide_values, wide_models = evaluate_batch(spec, points)
+    assert scored == [2, 2, 1]
+    assert wide_values.tobytes() == np.concatenate([v for v, _ in pieces]).tobytes()
+    assert wide_models.tobytes() == np.hstack([m for _, m in pieces]).tobytes()

@@ -7,6 +7,7 @@ individual failure modes apart.
 
 from __future__ import annotations
 
+import numbers
 import sys
 
 import numpy as np
@@ -64,3 +65,16 @@ def array_text(arr) -> str:
     """``arr`` for an error message: past 8 entries summarised, on one line."""
     text = np.array2string(np.asarray(arr), threshold=8, max_line_width=sys.maxsize)
     return text.replace("\n", "")
+
+
+def check_count(value, name: str, minimum: int) -> None:
+    """Raise InvalidConfig naming ``name`` unless ``value`` is an integer of at least ``minimum``.
+
+    A bool is not a count, though Python treats it as an int.
+    """
+    # the exact-type test first: it excludes bool, and the ABC test alone costs
+    # about 0.5 us, which shows in a small problem's 3 us set-up
+    if not (type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)):
+        raise InvalidConfig(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, NonFiniteObjective, array_text
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteObjective, array_text, check_count
 
 __all__ = ["InnerSolver", "solve", "trajectory"]
 
@@ -50,8 +50,7 @@ class InnerSolver:
     w0: tuple | None = None
 
     def __post_init__(self):
-        if self.steps < 0:
-            raise InvalidConfig(f"steps must be >= 0, got {self.steps}")
+        check_count(self.steps, "steps", 0)
         if not self.lr > 0:
             raise InvalidConfig(f"lr must be > 0, got {self.lr}")
         if self.variant not in _VARIANTS:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_count
 from .oracle import ObjectiveSpec, check_box, evaluate_batch
 from .problems.synthetic import capped_exp
 
@@ -133,8 +133,8 @@ def empirical_lipschitz(
     call, in blocks of up to ``BLOCK_WIDTH``, and the ratios are read off its
     array of values.  A diverged point raises, naming the lowest in that order.
     """
-    if n_pairs < 1:
-        raise InvalidConfig(f"n_pairs must be >= 1, got {n_pairs}")
+    check_count(n_pairs, "n_pairs", 1)
+    check_count(seed, "seed", 0)
     box = check_box(box, spec.p)
     rng = np.random.default_rng(seed)
     lo, hi = box[:, 0], box[:, 1]

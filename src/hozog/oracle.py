@@ -135,8 +135,7 @@ def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
     """Run the inner solver at lam and score the result with the outer loss.
 
     The k=1 view of :func:`evaluate_batch`, on a block of one without the
-    batch's conversion of a list (the estimator calls this once per point),
-    and the one place an :class:`Evaluation` is built.
+    batch's conversion of a list (the estimator calls this once per point).
     """
     values, models = _evaluate_block(spec, check_lambda(spec, lam)[None])
     return Evaluation(float(values[0]), models[:, 0])

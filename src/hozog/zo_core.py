@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteObjective
+from .errors import InvalidConfig, NonFiniteObjective, check_count
 from .oracle import Evaluation, ObjectiveSpec, check_lambda, evaluate
 # Not called here.  bench/tracer.py patches zo_core.evaluate_batch by name, so
 # the import stays until the tracer counts block-solved points (ROADMAP item 1).
@@ -74,16 +74,13 @@ class ZoConfig:
     direction_scheme: str = "sphere"
 
     def __post_init__(self):
-        if self.q < 1:
-            raise InvalidConfig(f"q must be >= 1, got {self.q}")
+        check_count(self.q, "q", 1)
         if not self.mu > 0:
             raise InvalidConfig(f"mu must be > 0, got {self.mu}")
         if not self.gamma > 0:
             raise InvalidConfig(f"gamma must be > 0, got {self.gamma}")
-        if self.iterations < 0:
-            raise InvalidConfig(f"iterations must be >= 0, got {self.iterations}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
+        check_count(self.iterations, "iterations", 0)
+        check_count(self.seed, "seed", 0)
         if self.direction_scheme not in DIRECTION_SCHEMES:
             raise InvalidConfig(
                 f"direction_scheme must be one of {DIRECTION_SCHEMES}, "

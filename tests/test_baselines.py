@@ -1,10 +1,27 @@
 """Random-search baseline tests."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from hozog import InvalidConfig, RandomSearchConfig, function_objective, random_search
+import hozog.baselines as baselines
+from hozog import (
+    InnerSolver,
+    InvalidConfig,
+    NonFiniteObjective,
+    RandomSearchConfig,
+    evaluate,
+    function_objective,
+    random_search,
+)
 from hozog.problems import make_synthetic
+
+
+def partial(lam):
+    if lam[0] > 0.0:
+        return float("inf")
+    return float(lam[0] ** 2)
 
 
 class TestConfig:
@@ -47,11 +64,6 @@ class TestRandomSearch:
             assert best <= event.evaluation.f_value
 
     def test_diverging_samples_skipped_but_counted(self):
-        def partial(lam):
-            if lam[0] > 0.0:
-                return float("inf")
-            return float(lam[0] ** 2)
-
         spec = function_objective(partial, p=1)
         cfg = RandomSearchConfig(budget=60, box=[[-1.0, 1.0]], seed=5)
         events = []
@@ -66,3 +78,41 @@ class TestRandomSearch:
         spec = make_synthetic(3.0, 1.0)
         with pytest.raises(InvalidConfig):
             random_search(spec, RandomSearchConfig(budget=4, box=[[-1, 1], [-1, 1]]))
+
+
+@pytest.mark.parametrize(
+    "spec, box, seed",
+    [
+        (function_objective(partial, p=1), [[-1.0, 1.0]], 5),
+        # GD at lr 0.5 diverges where 2 e^lam > 3: samples 0 and 4-9, so every chunk falls back
+        (make_synthetic(3.0, 1.0, inner=InnerSolver(steps=3000, lr=0.5)), [[0.0, 1.0]], 0),
+    ],
+    ids=["partial", "synthetic_gd"],
+)
+def test_a_chunk_with_a_diverged_sample_skips_only_that_sample(spec, box, seed):
+    cfg = RandomSearchConfig(budget=10, box=box, seed=seed)
+    lo, hi = np.array(box).T
+    samples = lo + (hi - lo) * np.random.default_rng(seed).random((cfg.budget, spec.p))
+    want = {}  # the one-at-a-time loop: sample index -> its evaluation
+    for index, lam in enumerate(samples):
+        try:
+            want[index] = evaluate(spec, lam)
+        except NonFiniteObjective:
+            pass
+    events = []
+    with mock.patch.object(baselines, "SEARCH_CHUNK", 4):
+        best = random_search(spec, cfg, recorder=events.append)
+    skipped = sorted(set(range(cfg.budget)) - set(want))
+    assert skipped  # at least one chunk falls back
+    assert [e.meta_iter for e in events] == sorted(want)
+    assert [e.optimizer_calls for e in events] == [i + 1 for i in sorted(want)]
+    incumbent = min(want, key=lambda i: want[i].f_value)
+    np.testing.assert_array_equal(best, samples[incumbent])
+    fell_back = {i // 4 for i in skipped}
+    for event in events:
+        f, expected = event.evaluation.f_value, want[event.meta_iter].f_value
+        np.testing.assert_array_equal(event.hyperparams, samples[event.meta_iter])
+        if event.meta_iter // 4 in fell_back:
+            assert f == expected
+        else:
+            assert abs(f - expected) <= 1e-12 * abs(expected)

@@ -2,13 +2,16 @@
 
 Each problem of the shared table (``CONFIGS`` in conftest.py) is rebuilt from
 its config under each variant and run through ``run_hozog``, ``random_search``
-and ``empirical_lipschitz``.  ``empirical_lipschitz`` evaluates its points
-through ``evaluate_batch``, so its 8 points go through one block solve of
-8 models, and the BLAS thread count must not change that block's bits either.
-lambda_T, each event's f, model and gradient, the incumbent and the Lipschitz
-ratio must be the plain run's bitwise; the storage rows change only the
-summation order, so they hold to 1e-12 relative (``TestStorage``'s
-tolerance).  A new path adds its row to ``VARIANTS``.
+and ``empirical_lipschitz``.  ``empirical_lipschitz`` and ``random_search``
+evaluate their points through ``evaluate_batch``, so the 8 Lipschitz points
+go through one block solve of 8 models and the 6 samples through one of 6,
+and the BLAS thread count must not change those blocks' bits either.
+lambda_T, each event's f, model and gradient, each sample's f, the incumbent
+and the Lipschitz ratio must be the plain run's bitwise.  The storage rows
+change only the summation order, and the one-sample chunks solve each sample
+on its own, where BLAS may pick another kernel than for the block, so those
+rows hold to 1e-12 relative (``TestStorage``'s tolerance).  A new path adds
+its row to ``VARIANTS``.
 """
 
 import contextlib
@@ -18,6 +21,7 @@ import pickle
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -38,6 +42,8 @@ VARIANTS = {
     "traced": {"context": lambda: traced(Tracer())},
     "csr": {"storage": sp.csr_matrix, "rtol": 1e-12},
     "dense": {"storage": lambda m: m.toarray() if sp.issparse(m) else m, "rtol": 1e-12},
+    "search_chunk=1": {"context": lambda: mock.patch.object(baselines, "SEARCH_CHUNK", 1),
+                       "rtol": 1e-12},
 }
 
 
@@ -55,13 +61,15 @@ def outputs(name, data, context=contextlib.nullcontext, storage=None, **run_kwar
                                   recorder=events.append, **run_kwargs)
         box = [[-2.0, 2.0]] * spec.p
         search = RandomSearchConfig(budget=6, box=box, seed=8)
-        incumbent = baselines.random_search(spec, search, **run_kwargs)
+        samples = []
+        incumbent = baselines.random_search(spec, search, recorder=samples.append, **run_kwargs)
         report = lipschitz.empirical_lipschitz(spec, box, n_pairs=4, seed=9, **run_kwargs)
     return {
         "lambda_T": final,
         "f": np.array([e.evaluation.f_value for e in events]),
         "model": np.array([e.evaluation.model for e in events]),
         "gradient": np.array([e.gradient for e in events]),
+        "search_f": np.array([e.evaluation.f_value for e in samples]),
         "incumbent": incumbent,
         "ratio": np.array([report.empirical_max_ratio]),
     }

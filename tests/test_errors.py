@@ -40,6 +40,7 @@ FAULT_TYPES = {
     "a label outside the problem's set": DimensionMismatch,
     "a start point of the wrong length": DimensionMismatch,
     "a non-finite start point": InvalidConfig,
+    "a count that is not an integer": InvalidConfig,
 }
 
 
@@ -144,6 +145,16 @@ SITES = {
     ("a non-finite start point", "InnerSolver"): lambda: InnerSolver(
         steps=5, lr=0.1, w0=(np.nan,)
     ),
+    ("a count that is not an integer", "InnerSolver"): lambda: InnerSolver(steps=True, lr=0.1),
+    ("a count that is not an integer", "ZoConfig"): lambda: ZoConfig(
+        q=2.5, mu=0.1, gamma=0.1, iterations=1
+    ),
+    ("a count that is not an integer", "RandomSearchConfig"): lambda: RandomSearchConfig(
+        budget=2.5, box=[[0.0, 1.0]]
+    ),
+    ("a count that is not an integer", "lipschitz.empirical_lipschitz"): lambda: (
+        empirical_lipschitz(_P1, [[0.0, 1.0]], n_pairs=2, seed=0.5)
+    ),
 }
 
 
@@ -152,6 +163,11 @@ def test_each_fault_raises_one_type_wherever_detected(fault, site):
     with pytest.raises(errors.HozogError) as excinfo:
         SITES[fault, site]()
     assert type(excinfo.value) is FAULT_TYPES[fault]
+
+
+def test_a_count_that_is_not_an_integer_is_named():
+    with pytest.raises(InvalidConfig, match=r"^steps must be an integer, got True$"):
+        InnerSolver(steps=True, lr=0.1)
 
 
 def test_diverging_solve_names_its_steps_and_lambda():

@@ -30,12 +30,15 @@ class NonFiniteObjective(HozogError):
 
     Signals a diverging inner solve.  Carries the offending hyperparameter
     vector and, when raised from the outer loop, the meta-iteration index.
+    Raised by an inner solve on a block, it also carries ``models``: the
+    finite (d, j) models of the j columns before the diverged one.
     """
 
-    def __init__(self, message, hyperparams=None, meta_iter=None):
+    def __init__(self, message, hyperparams=None, meta_iter=None, models=None):
         super().__init__(message)
         self.hyperparams = hyperparams
         self.meta_iter = meta_iter
+        self.models = models
 
 
 class InsufficientData(HozogError):

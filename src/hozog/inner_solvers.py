@@ -110,18 +110,20 @@ def solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
     ``loss_grad(w, lam)`` must return the gradient of the inner loss at
     ``w``; exactly ``alg.steps`` gradient evaluations are performed, each
     on the whole block.  Raises :class:`NonFiniteObjective` carrying the
-    lam of the lowest non-finite column of the final iterate.
+    lam of the lowest non-finite column of the final iterate, and as its
+    ``models`` the finite columns before that one.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for w in _STEPS[alg.variant](loss_grad, alg, lam):
             pass
         finite = np.isfinite(w).all(axis=0)  # one flag per column of a block
         if not finite.all():
-            lam = lam[:, np.argmin(finite)]
+            first = np.argmin(finite)
             raise NonFiniteObjective(
                 f"inner solve diverged (iterate is non-finite after {alg.steps} inner "
-                f"steps) at lam={array_text(lam)}",
-                hyperparams=lam,
+                f"steps) at lam={array_text(lam[:, first])}",
+                hyperparams=lam[:, first],
+                models=w[:, :first],
             )
     return w
 

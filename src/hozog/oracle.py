@@ -165,23 +165,27 @@ def evaluate_batch(spec: ObjectiveSpec, lams) -> tuple[np.ndarray, np.ndarray]:
 
 def _evaluate_block(spec: ObjectiveSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     problem = spec.problem
-    lam = points.T
     try:
         if spec.inner is None:
-            w = problem.exact_solution(lam)
+            w = problem.exact_solution(points.T)
         else:
-            w = solve(problem.inner_loss_grad, spec.solver, lam)
+            w = solve(problem.inner_loss_grad, spec.solver, points.T)
     except NonFiniteObjective as err:
-        # the solve names its lowest diverged point; a point before it whose
-        # objective is not finite comes first, so score those points
-        diverged = np.flatnonzero((points == err.hyperparams).all(axis=1))[0]
-        if diverged:
-            _evaluate_block(spec, points[:diverged])
+        # the solve names its lowest diverged point and keeps the finite models
+        # before it; one of those whose objective is not finite comes first
+        if err.models is not None and err.models.shape[1]:
+            _score(problem, err.models, points[: err.models.shape[1]])
         raise
-    values = np.asarray(problem.outer_value(w, lam), dtype=float)
+    return _score(problem, w, points), w
+
+
+def _score(problem, w: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``outer_value`` of the models ``w`` at ``points``, or NonFiniteObjective
+    naming the lowest point whose value is not finite."""
+    values = np.asarray(problem.outer_value(w, points.T), dtype=float)
     # one pass over Python floats: np.isfinite's fixed cost shows at k=1
     if all(map(math.isfinite, values.tolist())):
-        return values, w
+        return values
     lam = points[np.argmin(np.isfinite(values))]
     raise NonFiniteObjective(f"objective is not finite at lam={array_text(lam)}", hyperparams=lam)
 

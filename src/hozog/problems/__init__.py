@@ -7,9 +7,11 @@ hyperparameters whose column j goes with model j.
 - ``inner_loss(w, lam)``: the k inner losses, shape (k,);
 - ``inner_loss_grad(w, lam)``: their gradients in ``w``, shape (d, k);
 - ``outer_value(w, lam)``: the k outer objectives, as a (k,) float array
-  or, where a product may pass the double range, as a list of k Python
-  floats (an overflow then gives inf without numpy's warning); the oracle
-  converts either to one (k,) array;
+  or a list of k Python floats, which the oracle converts to one (k,)
+  array.  Where a finite model can overflow the score, the overflow gives
+  inf without numpy's warning, so the oracle reports a non-finite
+  objective: logreg scores under ``np.errstate``, the synthetic problem in
+  Python floats;
 - ``exact_solution(lam)``: the (d, k) closed-form inner solutions, on a
   problem that has them (the synthetic one); the others are solved by an
   :class:`~hozog.inner_solvers.InnerSolver`;

@@ -90,7 +90,10 @@ class LogRegProblem:
         return self.x_train.T @ coeff + 2.0 * capped_exp(lam) * w
 
     def outer_value(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return _log_loss_sums(self.y_val[:, None] * (self.x_val @ w))
+        # a finite but huge model can overflow its margins or their sum: the
+        # value is then inf, which the oracle reports as a non-finite objective
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _log_loss_sums(self.y_val[:, None] * (self.x_val @ w))
 
     def test_metric(self, w: np.ndarray) -> float:
         return logreg_test_error(self, w)

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import settings
 
 import hozog.harness.runner as runner
-from hozog.data_io import random_classification_dataset, serialize_libsvm
+from hozog.data_io import random_classification_dataset, serialize_libsvm, split_2_1_1
 from hozog.harness.config import config_from_dict
+from hozog.inner_solvers import InnerSolver
+from hozog.problems import LogRegProblem, logreg_objective
 
 # the benchmark's modules (workloads, tracer) import as top-level names
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -28,6 +30,15 @@ CONFIGS = {
     "hyperclean": {"problem": {"kind": "hyperclean", "n_train": 100, "n_val": 70, "n_test": 70,
                                "n_groups": 5, "corruption_seed": 3}, "inner": {"steps": 60}},
 }
+
+
+def overflowing_logreg():
+    """Logreg with GD at lr 0.1 for 150 steps, whose ridge term makes the model
+    grow by |1 - 0.2 e^lam| a step.  In lam (6.3348, 6.3499) the trained model
+    is finite but its validation log-loss overflows; the solve diverges above."""
+    data = random_classification_dataset(400, 20, seed=5, class_sep=2.0, noise_flip=0.05)
+    prob = LogRegProblem.from_datasets(*split_2_1_1(data, seed=0))
+    return logreg_objective(prob, InnerSolver(steps=150, lr=0.1))
 
 
 def build(name, data, hozog=None):

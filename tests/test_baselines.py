@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hozog.baselines as baselines
+from conftest import overflowing_logreg
 from hozog import (
     InnerSolver,
     InvalidConfig,
@@ -86,8 +87,10 @@ class TestRandomSearch:
         (function_objective(partial, p=1), [[-1.0, 1.0]], 5),
         # GD at lr 0.5 diverges where 2 e^lam > 3: samples 0 and 4-9, so every chunk falls back
         (make_synthetic(3.0, 1.0, inner=InnerSolver(steps=3000, lr=0.5)), [[0.0, 1.0]], 0),
+        # finite models whose validation loss overflows at samples 4, 5 and 9
+        (overflowing_logreg(), [[6.30, 6.345]], 0),
     ],
-    ids=["partial", "synthetic_gd"],
+    ids=["partial", "synthetic_gd", "logreg_outer_overflow"],
 )
 def test_a_chunk_with_a_diverged_sample_skips_only_that_sample(spec, box, seed):
     cfg = RandomSearchConfig(budget=10, box=box, seed=seed)

@@ -155,6 +155,8 @@ class TestBlockSolve:
             solve(self.scaled_grad, alg, np.array([[0.5, 3.5, 1.0, 4.0]]))
         np.testing.assert_array_equal(excinfo.value.hyperparams, [3.5])
         assert str(excinfo.value).endswith("at lam=[3.5]")
+        # the finite model before that column goes with the error
+        np.testing.assert_array_equal(excinfo.value.models, solve(self.scaled_grad, alg, np.array([[0.5]])))
 
 
 class TestTrajectory:

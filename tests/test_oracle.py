@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hozog.oracle as oracle
 from hozog import (
     DimensionMismatch,
     InnerSolver,
@@ -13,6 +14,7 @@ from hozog import (
     evaluate,
     evaluate_batch,
     function_objective,
+    solve,
 )
 from hozog.problems import make_synthetic
 
@@ -138,6 +140,25 @@ class TestEvaluateBatch:
         assert str(got.value) == str(want.value)
         np.testing.assert_array_equal(got.value.hyperparams, [named])
         np.testing.assert_array_equal(want.value.hyperparams, [named])
+
+    @pytest.mark.parametrize(
+        "points, named", [([-3.0, 0.0, 2.0], 0.0), ([-3.0, 2.0, 0.0], 2.0)],
+        ids=["objective_first", "divergence_first"],
+    )
+    def test_a_failing_block_is_solved_once(self, monkeypatch, points, named):
+        # the diverged solve hands back the finite models before its column,
+        # so naming an earlier non-finite objective needs no second solve
+        widths = []
+
+        def counted(loss_grad, alg, lam):
+            widths.append(lam.shape[1])
+            return solve(loss_grad, alg, lam)
+
+        monkeypatch.setattr(oracle, "solve", counted)
+        with pytest.raises(NonFiniteObjective) as excinfo:
+            evaluate_batch(_LR5, points)
+        np.testing.assert_array_equal(excinfo.value.hyperparams, [named])
+        assert widths == [len(points)]
 
     def test_results_in_input_order(self):
         spec = make_synthetic(3.0, 1.0)

@@ -9,7 +9,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hozog import InnerSolver, InvalidConfig, evaluate, solve
+from conftest import overflowing_logreg
+from hozog import InnerSolver, InvalidConfig, NonFiniteObjective, evaluate, solve
 from hozog.data_io import (
     SparseDataset,
     design_matrices,
@@ -141,6 +142,15 @@ class TestLogReg:
         lam = np.array([[0.1]])
         assert prob_a.inner_loss(w, lam) == pytest.approx(prob_b.inner_loss(w, lam), rel=1e-12)
         assert prob_a.outer_value(w, lam) == prob_b.outer_value(w, lam)
+
+    def test_a_finite_model_whose_validation_loss_overflows_is_nonfinite(self):
+        spec = overflowing_logreg()
+        lam = np.array([[6.34]])
+        model = solve(spec.problem.inner_loss_grad, spec.solver, lam)
+        assert np.isfinite(model).all() and np.abs(model).max() > 1e300
+        with pytest.raises(NonFiniteObjective) as excinfo:
+            evaluate(spec, lam[0])
+        assert str(excinfo.value).startswith("objective is not finite")
 
 
 class TestLogRegTestError:
@@ -275,6 +285,16 @@ def _hand_built(x, y, n_classes, group_ids):
     )
 
 
+def _in_storage(prob, storage):
+    """``prob``'s CSR splits converted by ``storage`` (``sp.csr_matrix`` or ``np.asarray``)."""
+    return dataclasses.replace(
+        prob,
+        x_train=storage(prob.x_train.toarray()),
+        x_val=storage(prob.x_val.toarray()),
+        x_test=storage(prob.x_test.toarray()),
+    )
+
+
 def _model(weights, bias):
     """The (K, D) weights and K biases of one softmax model as a (d, 1) block."""
     return np.concatenate([weights.ravel(), bias])[:, None]
@@ -388,25 +408,30 @@ class TestHypercleanObjective:
         assert losses.shape == (7,)
         assert np.all(losses[1:] >= losses[0])
 
-    def test_large_logits_gradient_matches_shifted_reference(self):
+    @pytest.mark.parametrize("storage", [sp.csr_matrix, np.asarray], ids=["csr", "dense"])
+    def test_large_logits_gradient_matches_shifted_reference(self, storage):
+        # a block of three distinct models, each checked against a per-row
+        # softmax over the last axis: a slip in the class-major layout shows at k > 1
         ds = _blob_dataset(40, 3, seed=9, n_features=4)
-        prob = make_hyperclean(ds, 20, 10, 10, 4, corruption_seed=4)
+        csr = make_hyperclean(ds, 20, 10, 10, 4, corruption_seed=4)
+        prob = _in_storage(csr, storage)
         rng = np.random.default_rng(3)
-        w = rng.standard_normal(prob.d) * 300.0
-        lam = rng.standard_normal(4)
+        w = rng.standard_normal((prob.d, 3)) * 300.0
+        lam = rng.standard_normal((4, 3))
+        grad = prob.inner_loss_grad(w, lam)
+        assert grad.shape == (prob.d, 3) and np.all(np.isfinite(grad))
         nf = prob.n_features
-        weights, bias = w[: 3 * nf].reshape(3, nf), w[3 * nf :]
-        x = prob.x_train.toarray()
-        logits = x @ weights.T + bias
-        assert np.abs(logits).max() > 800.0  # exp overflows without the shift
-        shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
-        resid = shifted / shifted.sum(axis=1, keepdims=True)
-        resid[np.arange(20), prob.y_train] -= 1.0
-        resid *= (1.0 / (1.0 + np.exp(-lam)))[prob.group_ids][:, None] / 20
-        expected = np.concatenate([(resid.T @ x).ravel(), resid.sum(axis=0)])
-        grad = prob.inner_loss_grad(w[:, None], lam[:, None])[:, 0]
-        assert np.all(np.isfinite(grad))
-        np.testing.assert_allclose(grad, expected, rtol=1e-12, atol=1e-15)
+        x = csr.x_train.toarray()
+        for j in range(3):
+            weights, bias = w[: 3 * nf, j].reshape(3, nf), w[3 * nf :, j]
+            logits = x @ weights.T + bias
+            assert np.abs(logits).max() > 800.0  # exp overflows without the shift
+            shifted = np.exp(logits - logits.max(axis=1, keepdims=True))
+            resid = shifted / shifted.sum(axis=1, keepdims=True)
+            resid[np.arange(20), prob.y_train] -= 1.0
+            resid *= (1.0 / (1.0 + np.exp(-lam[:, j])))[prob.group_ids][:, None] / 20
+            expected = np.concatenate([(resid.T @ x).ravel(), resid.sum(axis=0)])
+            np.testing.assert_allclose(grad[:, j], expected, rtol=TestStorage.RTOL, atol=1e-15)
 
     def test_group_corruption_fractions(self):
         ds = _blob_dataset(60, 2, seed=12)
@@ -469,19 +494,23 @@ class TestCrossEntropy:
         value = self.validation_loss(np.eye(3), y, 3, np.zeros((3, 3)), np.zeros(3))
         assert value == pytest.approx(math.log(3.0), rel=1e-12)
 
-    def test_large_logits_match_shifted_reference(self):
+    @pytest.mark.parametrize("storage", [sp.csr_matrix, np.asarray], ids=["csr", "dense"])
+    def test_large_logits_match_shifted_reference(self, storage):
         rng = np.random.default_rng(4)
         x = rng.standard_normal((12, 4))
         y = rng.integers(0, 3, size=12)
-        weights = rng.standard_normal((3, 4)) * 500.0
-        bias = rng.standard_normal(3) * 100.0
-        logits = x @ weights.T + bias
-        assert np.abs(logits).max() > 800.0  # exp overflows without the shift
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expected = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(12), y]
-        value = self.validation_loss(x, y, 3, weights, bias)
-        assert np.isfinite(value)
-        assert value == pytest.approx(expected.mean(), rel=1e-12)
+        weights = rng.standard_normal((3, 3, 4)) * 500.0  # three models
+        bias = rng.standard_normal((3, 3)) * 100.0
+        prob = _hand_built(storage(x), y, 3, group_ids=np.zeros(12, dtype=int))
+        w = np.hstack([_model(weights[j], bias[j]) for j in range(3)])
+        values = prob.outer_value(w, np.zeros((1, 3)))
+        assert values.shape == (3,) and np.all(np.isfinite(values))
+        for j in range(3):
+            logits = x @ weights[j].T + bias[j]
+            assert np.abs(logits).max() > 800.0  # exp overflows without the shift
+            shifted = logits - logits.max(axis=1, keepdims=True)
+            expected = np.log(np.exp(shifted).sum(axis=1)) - shifted[np.arange(12), y]
+            np.testing.assert_allclose(values[j], expected.mean(), rtol=TestStorage.RTOL, atol=0)
 
     def test_confident_correct_model_vanishes(self):
         x = np.array([[1.0, 0.0], [0.0, 1.0]])

@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NonFiniteObjective, check_count
-from .oracle import Evaluation, ObjectiveSpec, check_box, evaluate, evaluate_batch
+from .oracle import Evaluation, ObjectiveSpec, check_box, evaluate_batch
 from .zo_core import IterationEvent
+# Not called here.  bench/tracer.py patches baselines.evaluate by name, so
+# the import stays until the tracer counts block-solved points (ROADMAP item 1).
+from .oracle import evaluate  # noqa: F401
 
 __all__ = ["RandomSearchConfig", "random_search"]
 
@@ -22,8 +26,8 @@ logger = logging.getLogger(__name__)
 #   run_s         0.92 s              0.40 s  0.38 s  0.38 s  0.41 s  0.49 s
 #   peak RSS      72.1 MB             72.2    72.5    72.6    72.8    76.6
 # Past 32 the gradients slow (see BLOCK_WIDTH in oracle.py) and a chunk holds
-# more models.  A chunk holding a diverged sample costs its block and then a
-# solve per sample: 1.5x the one-at-a-time loop on logreg, 1.05x on synthetic.
+# more models.  A failed call's error reports only the block that failed, so
+# a chunk must fit in one block: SEARCH_CHUNK <= BLOCK_WIDTH.
 SEARCH_CHUNK = 32
 
 
@@ -55,9 +59,9 @@ def random_search(
     :func:`~hozog.oracle.evaluate_batch` call a chunk, so a sample's f
     agrees with :func:`~hozog.oracle.evaluate` at its point to 1e-12
     relative.  Events reach the recorder in sample-index order after each
-    chunk, so the result is deterministic.  A chunk in which a sample
-    diverges is evaluated again point by point through ``evaluate``: the
-    diverged sample is logged (at debug level) and skipped rather than
+    chunk, so the result is deterministic.  A failed call's error reports
+    every sample's value, so a chunk is solved once: a sample whose value
+    is not finite is logged (at debug level) and skipped rather than
     killing the search, but it still counts against the budget.
     ``max_workers`` is accepted for compatibility and has no effect.
     """
@@ -71,27 +75,20 @@ def random_search(
         chunk = samples[start:start + SEARCH_CHUNK]
         try:
             values, models = evaluate_batch(spec, chunk)
-            # a copy per column: an incumbent keeps its own model, not the chunk's block
-            outcomes = [Evaluation(f, w.copy()) for f, w in zip(values.tolist(), models.T)]
-        except NonFiniteObjective:
-            outcomes = [_evaluate_or_none(spec, lam) for lam in chunk]
-        for index, (lam, outcome) in enumerate(zip(chunk, outcomes), start):
-            if outcome is None:
+        except NonFiniteObjective as err:
+            values, models = err.values, err.models
+        for index, (lam, f, w) in enumerate(zip(chunk, values.tolist(), models.T, strict=True), start):
+            if not math.isfinite(f):
                 logger.debug("random search: non-finite objective at sample %d, skipping", index)
                 continue
-            if outcome.f_value < best_f:
-                best_f = outcome.f_value
+            if f < best_f:
+                best_f = f
                 best_lam = lam.copy()
             if recorder is not None:
-                recorder(IterationEvent(meta_iter=index, hyperparams=lam.copy(), evaluation=outcome,
+                # a copy of the column: an event keeps its own model, not the chunk's block
+                recorder(IterationEvent(meta_iter=index, hyperparams=lam.copy(),
+                                        evaluation=Evaluation(f, w.copy()),
                                         gradient=None, optimizer_calls=index + 1))
     if best_lam is None:
         raise NonFiniteObjective("every random-search sample diverged")
     return best_lam
-
-
-def _evaluate_or_none(spec: ObjectiveSpec, lam: np.ndarray) -> Evaluation | None:
-    try:
-        return evaluate(spec, lam)
-    except NonFiniteObjective:
-        return None

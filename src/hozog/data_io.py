@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionMismatch, InsufficientData, ParseError
+from .errors import DimensionMismatch, InsufficientData, InvalidConfig, ParseError, check_count
 
 __all__ = [
     "SparseDataset",
@@ -262,8 +262,17 @@ def random_classification_dataset(
     Labels are 0..n_classes-1 for multi-class, or {-1, +1} when
     ``n_classes == 2``.  ``noise_flip`` relabels that fraction of rows to a
     uniformly drawn other class, for experiments where regularization or
-    reweighting should matter.
+    reweighting should matter.  Raises InsufficientData for fewer than two
+    classes and InvalidConfig for a count that is not an integer, no
+    features, or ``noise_flip`` outside [0, 1].
     """
+    check_count(n, "n", 0)
+    check_count(n_classes, "n_classes", 0)
+    if n_classes < 2:
+        raise InsufficientData(f"need >= 2 classes, got n_classes={n_classes}")
+    check_count(n_features, "n_features", 1)
+    if not 0.0 <= noise_flip <= 1.0:
+        raise InvalidConfig(f"noise_flip must be in [0, 1], got {noise_flip}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_classes, n_features))
     means *= class_sep / np.sqrt(n_features)
@@ -275,9 +284,6 @@ def random_classification_dataset(
         for i in flip_idx:
             others = [c for c in range(n_classes) if c != y[i]]
             y[i] = others[rng.integers(0, len(others))]
-    rows = []
-    for i in range(n):
-        label = float(y[i]) if n_classes != 2 else (1.0 if y[i] == 1 else -1.0)
-        feats = tuple((j + 1, float(x[i, j])) for j in range(n_features))
-        rows.append((label, feats))
-    return SparseDataset(rows=tuple(rows), n_features=n_features)
+    labels = np.where(y == 1, 1.0, -1.0) if n_classes == 2 else y.astype(float)
+    rows = tuple((label, tuple(enumerate(row, 1))) for label, row in zip(labels.tolist(), x.tolist()))
+    return SparseDataset(rows=rows, n_features=n_features)

@@ -30,15 +30,17 @@ class NonFiniteObjective(HozogError):
 
     Signals a diverging inner solve.  Carries the offending hyperparameter
     vector and, when raised from the outer loop, the meta-iteration index.
-    Raised by an inner solve on a block, it also carries ``models``: the
-    finite (d, j) models of the j columns before the diverged one.
+    Raised on a (d, k) block, it also carries the block's final iterate as
+    ``models``; from the oracle, also the k objectives as ``values``, NaN
+    where a column diverged.
     """
 
-    def __init__(self, message, hyperparams=None, meta_iter=None, models=None):
+    def __init__(self, message, hyperparams=None, meta_iter=None, models=None, values=None):
         super().__init__(message)
         self.hyperparams = hyperparams
         self.meta_iter = meta_iter
         self.models = models
+        self.values = values
 
 
 class InsufficientData(HozogError):

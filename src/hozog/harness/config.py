@@ -48,30 +48,13 @@ from ..zo_core import ZoConfig
 
 __all__ = ["ExperimentConfig", "LipschitzConfig", "load_config", "problem_p"]
 
-_TOP_KEYS = {
-    "method",
-    "problem",
-    "inner",
-    "hozog",
-    "random_search",
-    "lambda0",
-    "output",
-    "metric_every",
-    "max_workers",
-}
+_TOP_KEYS = {"method", "problem", "inner", "hozog", "random_search", "lambda0", "output",
+             "metric_every", "max_workers"}
 _LIPSCHITZ_KEYS = {"problem", "inner", "box", "n_pairs", "seed", "output", "max_workers"}
 _PROBLEM_KEYS = {
     "synthetic": {"kind", "c", "w_star"},
     "logreg": {"kind", "data", "split_seed", "binarize_seed"},
-    "hyperclean": {
-        "kind",
-        "data",
-        "n_train",
-        "n_val",
-        "n_test",
-        "n_groups",
-        "corruption_seed",
-    },
+    "hyperclean": {"kind", "data", "n_train", "n_val", "n_test", "n_groups", "corruption_seed"},
 }
 
 # keys an inner section leaves out

@@ -111,7 +111,7 @@ def solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
     ``w``; exactly ``alg.steps`` gradient evaluations are performed, each
     on the whole block.  Raises :class:`NonFiniteObjective` carrying the
     lam of the lowest non-finite column of the final iterate, and as its
-    ``models`` the finite columns before that one.
+    ``models`` that whole final block.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for w in _STEPS[alg.variant](loss_grad, alg, lam):
@@ -123,7 +123,7 @@ def solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
                 f"inner solve diverged (iterate is non-finite after {alg.steps} inner "
                 f"steps) at lam={array_text(lam[:, first])}",
                 hyperparams=lam[:, first],
-                models=w[:, :first],
+                models=w,
             )
     return w
 

@@ -98,6 +98,7 @@ def synthetic_step_jacobians(
         raise InvalidConfig(f"lambda box must satisfy lo <= hi, got [{lo}, {hi}]")
     if eta < 0:
         raise InvalidConfig(f"eta must be >= 0, got {eta}")
+    check_count(t_inner, "t_inner", 0)
     # e^lam as the solver's step map takes it, through the synthetic exp cap
     e_lo, e_hi = capped_exp(np.array([lo, hi]))
     if eta * (1.0 + 2.0 * e_hi) > 2.0:
@@ -109,10 +110,8 @@ def synthetic_step_jacobians(
     a_step = max(abs(1.0 - eta * (1.0 + 2.0 * e_lo)), abs(1.0 - eta * (1.0 + 2.0 * e_hi)))
     b_step = 2.0 * eta * e_hi * c
     # outer loss E(w) = 0.5*(w - w_star)^2: dE/dw = w - w_star, dE/dlam = 0
-    a_outer = c + abs(w_star)
-    b_outer = 0.0
-    a = np.concatenate([np.full(t_inner, a_step), [a_outer]])
-    b = np.concatenate([np.full(t_inner, b_step), [b_outer]])
+    a = np.concatenate([np.full(t_inner, a_step), [c + abs(w_star)]])
+    b = np.concatenate([np.full(t_inner, b_step), [0.0]])
     return StepJacobians(a=a, b=b)
 
 

@@ -40,15 +40,15 @@ BLOCK_WIDTH = 1024
 
 
 def check_box(box, p: int | None = None) -> np.ndarray:
-    """``box`` as a float array of ``p`` [lo, hi] rows, lo < hi in each (NaN fails).
+    """``box`` as a float array of ``p`` [lo, hi] rows, finite lo < hi in each.
 
     ``p`` None accepts any number of rows.  Raises InvalidConfig.
     """
     arr = np.atleast_2d(np.asarray(box, dtype=float))
     rows = arr.shape[0] if p is None else p
-    if arr.shape != (rows, 2) or not np.all(arr[:, 0] < arr[:, 1]):
+    if arr.shape != (rows, 2) or not (np.all(arr[:, 0] < arr[:, 1]) and np.isfinite(arr).all()):
         got = array_text(arr)
-        raise InvalidConfig(f"box must be ({rows}, 2) with lo < hi in each row, got {got}")
+        raise InvalidConfig(f"box must be ({rows}, 2) with finite lo < hi in each row, got {got}")
     return arr
 
 
@@ -150,10 +150,11 @@ def evaluate_batch(spec: ObjectiveSpec, lams) -> tuple[np.ndarray, np.ndarray]:
     :func:`~hozog.inner_solvers.solve` as a (p, k) block of lam, in blocks
     of at most ``BLOCK_WIDTH`` columns, and one ``outer_value`` call scores
     each block.  A failure names the lowest input index whose final iterate
-    or objective is not finite: the point a one-at-a-time loop names.  A
-    column agrees with :func:`evaluate` at its point to 1e-12 relative in f
-    and in the model, not bitwise, since BLAS may pick another kernel at
-    another block width.
+    or objective is not finite: the point a one-at-a-time loop names; the
+    error carries that block's ``values`` and ``models``.  A column agrees
+    with :func:`evaluate` at its point to 1e-12 relative in f and in the
+    model, not bitwise, since BLAS may pick another kernel at another block
+    width.
     """
     points = check_lambdas(spec, lams)
     values, models = np.empty(len(points)), np.empty((spec.problem.d, len(points)))
@@ -171,23 +172,26 @@ def _evaluate_block(spec: ObjectiveSpec, points: np.ndarray) -> tuple[np.ndarray
         else:
             w = solve(problem.inner_loss_grad, spec.solver, points.T)
     except NonFiniteObjective as err:
-        # the solve names its lowest diverged point and keeps the finite models
-        # before it; one of those whose objective is not finite comes first
-        if err.models is not None and err.models.shape[1]:
-            _score(problem, err.models, points[: err.models.shape[1]])
+        # score the columns that did not diverge: an objective that is not
+        # finite before the lowest diverged column is the one to name
+        kept = np.isfinite(err.models).all(axis=0)
+        err.values = np.full(len(points), np.nan)
+        if kept.any():
+            err.values[kept] = problem.outer_value(err.models[:, kept], points[kept].T)
+        if not np.isfinite(err.values[: np.argmin(kept)]).all():
+            _checked(err.values, err.models, points)
         raise
-    return _score(problem, w, points), w
+    return _checked(np.asarray(problem.outer_value(w, points.T), dtype=float), w, points), w
 
 
-def _score(problem, w: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``outer_value`` of the models ``w`` at ``points``, or NonFiniteObjective
-    naming the lowest point whose value is not finite."""
-    values = np.asarray(problem.outer_value(w, points.T), dtype=float)
+def _checked(values: np.ndarray, w: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """``values``, or NonFiniteObjective naming the lowest point whose value is not finite."""
     # one pass over Python floats: np.isfinite's fixed cost shows at k=1
     if all(map(math.isfinite, values.tolist())):
         return values
     lam = points[np.argmin(np.isfinite(values))]
-    raise NonFiniteObjective(f"objective is not finite at lam={array_text(lam)}", hyperparams=lam)
+    raise NonFiniteObjective(f"objective is not finite at lam={array_text(lam)}",
+                             hyperparams=lam, models=w, values=values)
 
 
 class _FunctionProblem:

@@ -158,6 +158,9 @@ class HyperCleanProblem:
         return self._cross_entropy(self.x_val, self.y_val, w).mean(axis=0)
 
     def test_metric(self, w: np.ndarray) -> float:
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.d,):
+            raise DimensionMismatch(f"model has shape {w.shape}, expected ({self.d},)")
         return float(self._cross_entropy(self.x_test, self.y_test, w[:, None]).mean(axis=0)[0])
 
 

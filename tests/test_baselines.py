@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import hozog.baselines as baselines
+import hozog.oracle as oracle
 from conftest import overflowing_logreg
 from hozog import (
     InnerSolver,
@@ -15,6 +16,7 @@ from hozog import (
     evaluate,
     function_objective,
     random_search,
+    solve,
 )
 from hozog.problems import make_synthetic
 
@@ -85,7 +87,7 @@ class TestRandomSearch:
     "spec, box, seed",
     [
         (function_objective(partial, p=1), [[-1.0, 1.0]], 5),
-        # GD at lr 0.5 diverges where 2 e^lam > 3: samples 0 and 4-9, so every chunk falls back
+        # GD at lr 0.5 diverges where 2 e^lam > 3: samples 0 and 4-9, so every chunk holds one
         (make_synthetic(3.0, 1.0, inner=InnerSolver(steps=3000, lr=0.5)), [[0.0, 1.0]], 0),
         # finite models whose validation loss overflows at samples 4, 5 and 9
         (overflowing_logreg(), [[6.30, 6.345]], 0),
@@ -106,16 +108,30 @@ def test_a_chunk_with_a_diverged_sample_skips_only_that_sample(spec, box, seed):
     with mock.patch.object(baselines, "SEARCH_CHUNK", 4):
         best = random_search(spec, cfg, recorder=events.append)
     skipped = sorted(set(range(cfg.budget)) - set(want))
-    assert skipped  # at least one chunk falls back
+    assert skipped  # at least one sample diverges
     assert [e.meta_iter for e in events] == sorted(want)
     assert [e.optimizer_calls for e in events] == [i + 1 for i in sorted(want)]
     incumbent = min(want, key=lambda i: want[i].f_value)
     np.testing.assert_array_equal(best, samples[incumbent])
-    fell_back = {i // 4 for i in skipped}
     for event in events:
         f, expected = event.evaluation.f_value, want[event.meta_iter].f_value
         np.testing.assert_array_equal(event.hyperparams, samples[event.meta_iter])
-        if event.meta_iter // 4 in fell_back:
-            assert f == expected
-        else:
-            assert abs(f - expected) <= 1e-12 * abs(expected)
+        assert abs(f - expected) <= 1e-12 * abs(expected)
+
+
+def test_a_chunk_with_a_diverged_sample_is_solved_once(monkeypatch):
+    assert baselines.SEARCH_CHUNK <= oracle.BLOCK_WIDTH  # a chunk's error reports the whole chunk
+    widths = []
+
+    def counted(loss_grad, alg, lam):
+        widths.append(lam.shape[1])
+        return solve(loss_grad, alg, lam)
+
+    monkeypatch.setattr(oracle, "solve", counted)
+    monkeypatch.setattr(baselines, "SEARCH_CHUNK", 4)
+    # samples 0 and 4-9 diverge, so each of the three chunks holds one
+    spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=3000, lr=0.5))
+    events = []
+    random_search(spec, RandomSearchConfig(budget=10, box=[[0.0, 1.0]], seed=0), events.append)
+    assert widths == [4, 4, 2]
+    assert [e.meta_iter for e in events] == [1, 2, 3]

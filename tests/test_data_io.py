@@ -16,7 +16,7 @@ from hozog.data_io import (
     serialize_libsvm,
     split_2_1_1,
 )
-from hozog.errors import InsufficientData, ParseError
+from hozog.errors import InsufficientData, InvalidConfig, ParseError
 
 
 class TestParse:
@@ -127,6 +127,32 @@ class TestRoundTrip:
         mat = ds.to_csr()
         assert mat.shape == (2, 3)
         np.testing.assert_allclose(mat.toarray(), [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]])
+
+
+class TestRandomClassification:
+    @pytest.mark.parametrize(
+        "n_features, noise_flip",
+        [(0, 0.0), (True, 0.0), (4, 1.5), (4, -0.1), (4, float("nan"))],
+        ids=["no_features", "bool_features", "flip_above_one", "flip_below_zero", "flip_nan"],
+    )
+    def test_bad_sizes_are_config_errors(self, n_features, noise_flip):
+        with pytest.raises(InvalidConfig):
+            random_classification_dataset(10, n_features, seed=0, noise_flip=noise_flip)
+
+    @pytest.mark.parametrize("n, n_classes", [(-1, 2), (2.5, 2), (10, 2.5), (10, True)])
+    def test_counts_must_be_integers(self, n, n_classes):
+        with pytest.raises(InvalidConfig):
+            random_classification_dataset(n, 2, n_classes, seed=0)
+
+    @pytest.mark.parametrize("noise_flip", [0.0, 0.5])
+    def test_one_class_is_insufficient(self, noise_flip):
+        with pytest.raises(InsufficientData):
+            random_classification_dataset(10, 2, n_classes=1, seed=0, noise_flip=noise_flip)
+
+    def test_a_flip_of_one_relabels_every_row(self):
+        clean = random_classification_dataset(30, 3, n_classes=3, seed=4)
+        flipped = random_classification_dataset(30, 3, n_classes=3, seed=4, noise_flip=1.0)
+        assert all(a[0] != b[0] for a, b in zip(clean.rows, flipped.rows))
 
 
 class TestBinarize:

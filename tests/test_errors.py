@@ -19,9 +19,10 @@ from hozog import (
     random_search,
     run_hozog,
     solve,
+    synthetic_step_jacobians,
 )
 from hozog import errors
-from hozog.data_io import SparseDataset, binarize, split_2_1_1
+from hozog.data_io import SparseDataset, binarize, random_classification_dataset, split_2_1_1
 from hozog.problems import (
     HyperCleanProblem,
     LogRegProblem,
@@ -41,6 +42,7 @@ FAULT_TYPES = {
     "a start point of the wrong length": DimensionMismatch,
     "a non-finite start point": InvalidConfig,
     "a count that is not an integer": InvalidConfig,
+    "a model of the wrong shape": DimensionMismatch,
 }
 
 
@@ -87,6 +89,9 @@ SITES = {
     ("fewer than two classes", "make_hyperclean"): lambda: make_hyperclean(
         _ONE_CLASS, 4, 4, 4, n_groups=2, corruption_seed=0
     ),
+    ("fewer than two classes", "data_io.random_classification_dataset"): lambda: (
+        random_classification_dataset(4, 2, n_classes=1, noise_flip=0.5)
+    ),
     ("too few rows", "LogRegProblem"): lambda: LogRegProblem.from_datasets(
         _BINARY, _rows([]), _BINARY
     ),
@@ -114,6 +119,9 @@ SITES = {
     ),
     ("malformed box", "RandomSearchConfig"): lambda: RandomSearchConfig(
         budget=1, box=[[1.0, 0.0]]
+    ),
+    ("malformed box", "RandomSearchConfig infinite"): lambda: RandomSearchConfig(
+        budget=1, box=[[0.0, np.inf]]
     ),
     ("malformed box", "baselines.random_search"): lambda: random_search(_P2, _RS),
     ("malformed box", "lipschitz.empirical_lipschitz"): lambda: empirical_lipschitz(
@@ -154,6 +162,15 @@ SITES = {
     ),
     ("a count that is not an integer", "lipschitz.empirical_lipschitz"): lambda: (
         empirical_lipschitz(_P1, [[0.0, 1.0]], n_pairs=2, seed=0.5)
+    ),
+    ("a count that is not an integer", "lipschitz.synthetic_step_jacobians"): lambda: (
+        synthetic_step_jacobians(3.0, 1.0, eta=0.1, t_inner=2.5, lambda_box=(0.0, 1.0))
+    ),
+    ("a model of the wrong shape", "LogRegProblem.test_metric"): lambda: _logreg().test_metric(
+        np.zeros(2)
+    ),
+    ("a model of the wrong shape", "HyperCleanProblem.test_metric"): lambda: (
+        _hyperclean().test_metric(np.zeros((_hyperclean().d, 1)))
     ),
 }
 

@@ -155,8 +155,12 @@ class TestBlockSolve:
             solve(self.scaled_grad, alg, np.array([[0.5, 3.5, 1.0, 4.0]]))
         np.testing.assert_array_equal(excinfo.value.hyperparams, [3.5])
         assert str(excinfo.value).endswith("at lam=[3.5]")
-        # the finite model before that column goes with the error
-        np.testing.assert_array_equal(excinfo.value.models, solve(self.scaled_grad, alg, np.array([[0.5]])))
+        # the whole final block goes with the error: finite columns are their one-point solves
+        models = excinfo.value.models
+        assert models.shape == (1, 4)
+        for j, lam in [(0, 0.5), (2, 1.0)]:
+            np.testing.assert_array_equal(models[:, [j]], solve(self.scaled_grad, alg, np.array([[lam]])))
+        assert not np.isfinite(models[:, 1]).any() and not np.isfinite(models[:, 3]).any()
 
 
 class TestTrajectory:

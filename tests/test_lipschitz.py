@@ -65,6 +65,15 @@ class TestProductBound:
 
 
 class TestSyntheticStepJacobians:
+    @pytest.mark.parametrize("t_inner", [2.5, True, -1])
+    def test_t_inner_must_be_a_count(self, t_inner):
+        with pytest.raises(InvalidConfig, match="t_inner"):
+            synthetic_step_jacobians(3.0, 1.0, eta=0.1, t_inner=t_inner, lambda_box=(0.0, 1.0))
+
+    def test_zero_inner_steps_leave_the_outer_term(self):
+        jacs = synthetic_step_jacobians(3.0, 1.0, eta=0.1, t_inner=0, lambda_box=(0.0, 1.0))
+        assert len(jacs.a) == len(jacs.b) == 1
+
     def test_point_box_hand_value(self):
         jacs = synthetic_step_jacobians(3.0, 1.0, eta=0.1, t_inner=5, lambda_box=(0.0, 0.0))
         np.testing.assert_allclose(jacs.a[:-1], 0.7, atol=1e-12)

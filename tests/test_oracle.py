@@ -160,6 +160,24 @@ class TestEvaluateBatch:
         np.testing.assert_array_equal(excinfo.value.hyperparams, [named])
         assert widths == [len(points)]
 
+    @pytest.mark.parametrize("points", [[-3.0, 2.0, 0.0, -4.0], [-3.0, 0.0, -4.0]],
+                             ids=["diverged_solve", "objective_only"])
+    def test_a_failing_block_reports_every_column(self, points):
+        # 2.0 diverges; 0.0 trains a finite model whose objective overflows
+        with pytest.raises(NonFiniteObjective) as excinfo:
+            evaluate_batch(_LR5, points)
+        values, models = excinfo.value.values, excinfo.value.models
+        assert values.shape == (len(points),) and models.shape == (1, len(points))
+        for j, lam in enumerate(points):
+            if lam == 2.0:
+                assert np.isnan(values[j]) and not np.isfinite(models[:, j]).any()
+            elif lam == 0.0:
+                assert not np.isfinite(values[j]) and np.isfinite(models[:, j]).all()
+            else:
+                single = evaluate(_LR5, [lam])
+                assert values[j] == pytest.approx(single.f_value, rel=1e-12, abs=0)
+                np.testing.assert_allclose(models[:, j], single.model, rtol=1e-12, atol=0)
+
     def test_results_in_input_order(self):
         spec = make_synthetic(3.0, 1.0)
         values, models = evaluate_batch(spec, [np.array([0.0]), np.array([30.0])])

@@ -9,7 +9,7 @@ baseline get the same oracle budget.
 
 from hozog import InnerSolver, RandomSearchConfig, ZoConfig, random_search, run_hozog
 from hozog.data_io import random_classification_dataset, split_2_1_1
-from hozog.problems import LogRegProblem, logreg_objective, logreg_test_error
+from hozog.problems import LogRegProblem, logreg_objective
 
 dataset = random_classification_dataset(
     2000, 40, seed=100, class_sep=2.0, noise_flip=0.05
@@ -45,4 +45,4 @@ print(f"random search:          lam {incumbent[0]:+.3f}, best f {min(search_f):.
 from hozog import evaluate
 
 model = evaluate(spec, final).model
-print(f"test misclassification at the tuned lam: {logreg_test_error(problem, model):.3f}")
+print(f"test misclassification at the tuned lam: {problem.test_metric(model):.3f}")

@@ -264,7 +264,7 @@ def random_classification_dataset(
     uniformly drawn other class, for experiments where regularization or
     reweighting should matter.  Raises InsufficientData for fewer than two
     classes and InvalidConfig for a count that is not an integer, no
-    features, or ``noise_flip`` outside [0, 1].
+    features, ``noise_flip`` outside [0, 1] or a ``class_sep`` that is not finite.
     """
     check_count(n, "n", 0)
     check_count(n_classes, "n_classes", 0)
@@ -273,17 +273,21 @@ def random_classification_dataset(
     check_count(n_features, "n_features", 1)
     if not 0.0 <= noise_flip <= 1.0:
         raise InvalidConfig(f"noise_flip must be in [0, 1], got {noise_flip}")
+    if not math.isfinite(class_sep):
+        raise InvalidConfig(f"class_sep must be finite, got {class_sep}")
     rng = np.random.default_rng(seed)
     means = rng.standard_normal((n_classes, n_features))
     means *= class_sep / np.sqrt(n_features)
     y = rng.integers(0, n_classes, size=n)
     x = rng.standard_normal((n, n_features)) / np.sqrt(n_features) + means[y]
-    if noise_flip > 0.0:
-        n_flip = int(round(noise_flip * n))
-        flip_idx = rng.choice(n, size=n_flip, replace=False)
-        for i in flip_idx:
-            others = [c for c in range(n_classes) if c != y[i]]
-            y[i] = others[rng.integers(0, len(others))]
+    flip_idx = rng.choice(n, size=int(round(noise_flip * n)), replace=False)
+    y[flip_idx] = draw_other_class(y[flip_idx], n_classes, rng)
     labels = np.where(y == 1, 1.0, -1.0) if n_classes == 2 else y.astype(float)
     rows = tuple((label, tuple(enumerate(row, 1))) for label, row in zip(labels.tolist(), x.tolist()))
     return SparseDataset(rows=rows, n_features=n_features)
+
+
+def draw_other_class(labels: np.ndarray, n_classes: int, rng: np.random.Generator) -> np.ndarray:
+    """For each of ``labels`` (classes 0..n_classes-1), a class drawn uniformly from the others."""
+    r = rng.integers(0, n_classes - 1, size=len(labels))
+    return r + (r >= labels)  # r indexes the n_classes-1 others: skip the label itself

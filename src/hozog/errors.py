@@ -7,6 +7,7 @@ individual failure modes apart.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 
@@ -75,7 +76,7 @@ def array_text(arr) -> str:
 def check_count(value, name: str, minimum: int) -> None:
     """Raise InvalidConfig naming ``name`` unless ``value`` is an integer of at least ``minimum``.
 
-    A bool is not a count, though Python treats it as an int.
+    The package's one count test.  A bool is not a count, though Python treats it as an int.
     """
     # the exact-type test first: it excludes bool, and the ABC test alone costs
     # about 0.5 us, which shows in a small problem's 3 us set-up
@@ -83,3 +84,13 @@ def check_count(value, name: str, minimum: int) -> None:
         raise InvalidConfig(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise InvalidConfig(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_positive(value, name: str) -> None:
+    """Raise InvalidConfig naming ``name`` unless ``value`` is a real number, finite and > 0.
+
+    The package's one test of a step size or radius.  A bool, NaN or ±inf is rejected.
+    """
+    real = type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0 < value < math.inf):  # real tests the exact type first, as check_count does
+        raise InvalidConfig(f"{name} must be a finite number > 0, got {value!r}")

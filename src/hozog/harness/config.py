@@ -13,20 +13,20 @@ time, over the defaults below, which are the only copy of them in the
 harness: ``inner`` an :class:`~hozog.inner_solvers.InnerSolver`,
 ``hozog`` a :class:`~hozog.zo_core.ZoConfig` and ``random_search`` a
 :class:`~hozog.baselines.RandomSearchConfig` (its box defaults to the
-logreg bounds for logreg, else to [-5, 5] per coordinate).  Each value is
-checked here against its field's declared type (an int field takes no
-bool or float, a float field takes an int) and by the class's own range
-check, so each range is written once; no number may be NaN or infinite; a
-box goes through :func:`~hozog.oracle.check_box`.  The rest is checked
-here too: problem sizes and seeds, ``metric_every``, the report's
-``n_pairs`` and seed, ``0 < w_star < c``, ``n_groups <= n_train``, and
-each length set by the problem's p (:func:`problem_p`), that of a list
-``lambda0`` and both boxes' row counts.  So a bad value is a config error
-before any data is read.  A run takes only its method's section.
-A synthetic problem runs its ``inner`` solver when the section is
-present and its exact inner solution otherwise.  ``max_workers`` is
-still accepted and checked (an integer >= 1) so that existing configs
-load, but it has no effect: every evaluation runs in sequence.
+logreg bounds for logreg, else to [-5, 5] per coordinate).  The loader
+checks JSON numbers and boxes itself (a float field takes an int, no
+number may be NaN or infinite, a box goes through
+:func:`~hozog.oracle.check_box`) and leaves counts, positive numbers and
+choices to the class's own check on each key, so each rule is written
+once.  The rest is checked here too: problem sizes and seeds,
+``metric_every``, the report's ``n_pairs`` and seed, ``0 < w_star < c``,
+``n_groups <= n_train``, and each length set by the problem's p
+(:func:`problem_p`), that of a list ``lambda0`` and both boxes' row
+counts.  So a bad value is a config error before any data is read.  A
+run takes only its method's section.  A synthetic problem runs its
+``inner`` solver when the section is present and its exact inner
+solution otherwise.  ``max_workers`` is still accepted and checked (an
+integer >= 1) so that existing configs load, but it has no effect.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from ..baselines import RandomSearchConfig
-from ..errors import ConfigError, InvalidConfig
+from ..errors import ConfigError, InvalidConfig, check_count
 from ..inner_solvers import InnerSolver
 from ..oracle import check_box
 from ..problems import SyntheticBilevel
@@ -93,11 +93,9 @@ class LipschitzConfig:
     output: str | None
 
 
-def _int(value, name: str, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(name, f"must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(name, f"must be >= {minimum}, got {value}")
+def _int(value, name: str, minimum: int) -> int:
+    with config_field(name):
+        check_count(value, name.rsplit(".", 1)[-1], minimum)
     return value
 
 
@@ -109,12 +107,6 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
-def _string(value, name: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(name, f"must be a string, got {value!r}")
-    return value
-
-
 def _box(value, name: str) -> list:
     if not isinstance(value, list) or not all(
         isinstance(pair, list) and len(pair) == 2 for pair in value
@@ -123,8 +115,8 @@ def _box(value, name: str) -> list:
     return [[_number(lo, name), _number(hi, name)] for lo, hi in value]
 
 
-# dataclass field annotation (a string under postponed evaluation) -> check
-_TYPE_CHECKS = {"int": _int, "float": _number, "str": _string, "tuple": _box}
+# field annotation (a string under postponed evaluation) -> the loader's check, if any
+_TYPE_CHECKS = {"float": _number, "tuple": _box}
 
 
 @contextmanager
@@ -139,9 +131,9 @@ def config_field(name: str):
 def _section(section, where: str, base):
     """``base`` with the keys of config section ``where`` replaced.
 
-    Each value is checked against its field's declared type, then by the
-    class's own ``__post_init__`` with that one key replaced, so a range
-    failure names its key.
+    A float or box value is checked by the loader, then every value by the
+    class's own ``__post_init__`` with that one key replaced, so a failure
+    names its key.
     """
     if not isinstance(section, dict):
         raise ConfigError(where, "must be a section")
@@ -152,7 +144,8 @@ def _section(section, where: str, base):
         name = f"{where}.{key}"
         if key not in types:
             raise ConfigError(name, "unknown key")
-        values[key] = _TYPE_CHECKS[types[key]](value, name)
+        check = _TYPE_CHECKS.get(types[key])
+        values[key] = value if check is None else check(value, name)
         with config_field(name):
             replace(base, **{key: values[key]})
     return replace(base, **values)
@@ -179,6 +172,7 @@ def _top_level(raw, allowed: set) -> None:
     if not isinstance(raw, dict):
         raise ConfigError("config", "top level must be an object")
     _reject_unknown(raw, allowed, "")
+    _int(raw.get("max_workers", 1), "max_workers", minimum=1)
 
 
 def _problem(problem) -> dict:
@@ -286,7 +280,6 @@ def config_from_dict(raw) -> ExperimentConfig:
             raise ConfigError("lambda0", f"has {len(lambda0)} entries, problem has p={p}")
     else:
         lambda0 = _number(lambda0, "lambda0")
-    _int(raw.get("max_workers", 1), "max_workers", minimum=1)
     return ExperimentConfig(
         method=method,
         problem=problem,
@@ -308,7 +301,6 @@ def lipschitz_config(raw) -> LipschitzConfig:
     _top_level(raw, _LIPSCHITZ_KEYS)
     problem = _problem(_require(raw, "problem", ""))
     inner = _inner(_require(raw, "inner", ""), problem["kind"])
-    _int(raw.get("max_workers", 1), "max_workers", minimum=1)
     box = _box(_require(raw, "box", ""), "box")
     with config_field("box"):
         check_box(box, problem_p(problem))

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from ..errors import InvalidConfig
+from ..errors import check_count
 from ..oracle import Evaluation, ObjectiveSpec, evaluate
 from ..zo_core import IterationEvent
 
@@ -76,8 +76,7 @@ class TraceWriter:
     """
 
     def __init__(self, path, method: str, spec: ObjectiveSpec, cadence: int = 1):
-        if isinstance(cadence, bool) or not isinstance(cadence, int) or cadence < 1:
-            raise InvalidConfig(f"cadence must be an integer >= 1, got {cadence!r}")
+        check_count(cadence, "cadence", 1)
         self._fh = open(path, "w", newline="")
         self._fh.write(",".join(TRACE_COLUMNS) + "\n")
         self._fh.flush()

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, NonFiniteObjective, array_text, check_count
+from .errors import DimensionMismatch, InvalidConfig, NonFiniteObjective, array_text
+from .errors import check_count, check_positive
 
 __all__ = ["InnerSolver", "solve", "trajectory"]
 
@@ -51,8 +52,7 @@ class InnerSolver:
 
     def __post_init__(self):
         check_count(self.steps, "steps", 0)
-        if not self.lr > 0:
-            raise InvalidConfig(f"lr must be > 0, got {self.lr}")
+        check_positive(self.lr, "lr")
         if self.variant not in _VARIANTS:
             raise InvalidConfig(f"variant must be one of {_VARIANTS}, got {self.variant!r}")
         if self.w0 is not None:

@@ -25,7 +25,7 @@ from .hyperclean import (
     hyperclean_objective,
     make_hyperclean,
 )
-from .logreg import LogRegProblem, logreg_objective, logreg_test_error
+from .logreg import LogRegProblem, logreg_objective
 from .synthetic import (
     SyntheticBilevel,
     make_synthetic,
@@ -40,7 +40,6 @@ __all__ = [
     "group_corruption_fractions",
     "hyperclean_objective",
     "logreg_objective",
-    "logreg_test_error",
     "make_hyperclean",
     "make_synthetic",
     "synthetic_analytic_hypergradient",

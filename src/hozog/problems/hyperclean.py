@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from ..data_io import SparseDataset, check_splits
+from ..data_io import SparseDataset, check_splits, draw_other_class
 from ..errors import DimensionMismatch, InsufficientData
 from ..inner_solvers import InnerSolver
 from ..oracle import ObjectiveSpec
@@ -206,12 +206,9 @@ def make_hyperclean(
     group_ids[group_order] = np.repeat(np.arange(n_groups), block_sizes)
 
     y_clean = y_all[idx_train]
-    n_corrupt = math.ceil(0.5 * n_train)
-    corrupt_idx = rng.choice(n_train, size=n_corrupt, replace=False)
-    # a draw r among the K-1 other classes skips the clean label
-    r = rng.integers(0, classes.size - 1, size=n_corrupt)
+    corrupt_idx = rng.choice(n_train, size=math.ceil(0.5 * n_train), replace=False)
     y_noisy = y_clean.copy()
-    y_noisy[corrupt_idx] = r + (r >= y_clean[corrupt_idx])
+    y_noisy[corrupt_idx] = draw_other_class(y_clean[corrupt_idx], classes.size, rng)
 
     return HyperCleanProblem(
         x_train=x_all[idx_train],

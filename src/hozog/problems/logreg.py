@@ -23,7 +23,7 @@ from ..inner_solvers import InnerSolver
 from ..oracle import ObjectiveSpec
 from .synthetic import capped_exp
 
-__all__ = ["LogRegProblem", "logreg_objective", "logreg_test_error"]
+__all__ = ["LogRegProblem", "logreg_objective"]
 
 LOGREG_BOUNDS = np.array([[-10.0, 10.0]])
 
@@ -96,19 +96,13 @@ class LogRegProblem:
             return _log_loss_sums(self.y_val[:, None] * (self.x_val @ w))
 
     def test_metric(self, w: np.ndarray) -> float:
-        return logreg_test_error(self, w)
+        """Misclassification rate on the test split; zero scores count as errors."""
+        w = np.asarray(w, dtype=float)
+        if w.shape != (self.d,):
+            raise DimensionMismatch(f"model has shape {w.shape}, expected ({self.d},)")
+        return 1.0 - float(np.mean((self.x_test @ w) * self.y_test > 0.0))
 
 
 def logreg_objective(prob: LogRegProblem, inner: InnerSolver) -> ObjectiveSpec:
     """Spec with p=1 and the declared lam box [-10, 10]."""
     return ObjectiveSpec(problem=prob, inner=inner, bounds=LOGREG_BOUNDS.copy())
-
-
-def logreg_test_error(prob: LogRegProblem, w: np.ndarray) -> float:
-    """Misclassification rate on the test split; zero scores count as errors."""
-    w = np.asarray(w, dtype=float)
-    if w.shape != (prob.d,):
-        raise DimensionMismatch(f"model has shape {w.shape}, expected ({prob.d},)")
-    scores = prob.x_test @ w
-    correct = (scores * prob.y_test) > 0.0
-    return 1.0 - float(np.mean(correct))

@@ -44,16 +44,14 @@ def capped_exp(lam):
 
 @dataclass(frozen=True)
 class SyntheticBilevel:
-    """Problem data: inner target c, outer target w_star, with 0 < w_star < c."""
+    """Problem data: inner target c, outer target w_star, with 0 < w_star < c < inf."""
 
     c: float
     w_star: float
 
     def __post_init__(self):
-        if not (0.0 < self.w_star < self.c):
-            raise InvalidConfig(
-                f"need 0 < w_star < c, got c={self.c}, w_star={self.w_star}"
-            )
+        if not (0.0 < self.w_star < self.c < math.inf):
+            raise InvalidConfig(f"need 0 < w_star < c < inf, got c={self.c}, w_star={self.w_star}")
 
     p = 1
     d = 1

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, NonFiniteObjective, check_count
+from .errors import InvalidConfig, NonFiniteObjective, check_count, check_positive
 from .oracle import Evaluation, ObjectiveSpec, check_lambda, evaluate
 # Not called here.  bench/tracer.py patches zo_core.evaluate_batch by name, so
 # the import stays until the tracer counts block-solved points (ROADMAP item 1).
@@ -75,17 +75,13 @@ class ZoConfig:
 
     def __post_init__(self):
         check_count(self.q, "q", 1)
-        if not self.mu > 0:
-            raise InvalidConfig(f"mu must be > 0, got {self.mu}")
-        if not self.gamma > 0:
-            raise InvalidConfig(f"gamma must be > 0, got {self.gamma}")
+        check_positive(self.mu, "mu")
+        check_positive(self.gamma, "gamma")
         check_count(self.iterations, "iterations", 0)
         check_count(self.seed, "seed", 0)
         if self.direction_scheme not in DIRECTION_SCHEMES:
-            raise InvalidConfig(
-                f"direction_scheme must be one of {DIRECTION_SCHEMES}, "
-                f"got {self.direction_scheme!r}"
-            )
+            raise InvalidConfig(f"direction_scheme must be one of {DIRECTION_SCHEMES}, "
+                                f"got {self.direction_scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -112,8 +108,8 @@ def sample_directions(p: int, q: int, scheme: str, rng: np.random.Generator) -> 
     returns the raw standard-normal draws.  Drawing is a pure function of
     the generator state, so replaying a seed reproduces the set exactly.
     """
-    if p < 1 or q < 1:
-        raise InvalidConfig(f"need p >= 1 and q >= 1, got p={p}, q={q}")
+    check_count(p, "p", 1)
+    check_count(q, "q", 1)
     u = rng.standard_normal((q, p))
     if scheme == "gaussian":
         return u

@@ -149,6 +149,18 @@ class TestRandomClassification:
         with pytest.raises(InsufficientData):
             random_classification_dataset(10, 2, n_classes=1, seed=0, noise_flip=noise_flip)
 
+    @pytest.mark.parametrize("n_classes", [2, 3, 7])
+    def test_flip_draw_matches_a_per_row_loop(self, n_classes):
+        # replay the stream: means, labels, features, the rows to flip, then one draw per row
+        ds = random_classification_dataset(90, 3, n_classes, seed=8, noise_flip=0.4)
+        rng = np.random.default_rng(8)
+        rng.standard_normal((n_classes, 3))
+        y = rng.integers(0, n_classes, size=90)
+        rng.standard_normal((90, 3))
+        for i in rng.choice(90, size=36, replace=False):
+            y[i] = np.delete(np.arange(n_classes), y[i])[rng.integers(0, n_classes - 1)]
+        np.testing.assert_array_equal(ds.labels, np.where(y == 1, 1.0, -1.0) if n_classes == 2 else y)
+
     def test_a_flip_of_one_relabels_every_row(self):
         clean = random_classification_dataset(30, 3, n_classes=3, seed=4)
         flipped = random_classification_dataset(30, 3, n_classes=3, seed=4, noise_flip=1.0)

@@ -1,5 +1,7 @@
 """Each fault raises one exception type, wherever it is detected."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,7 @@ FAULT_TYPES = {
     "a start point of the wrong length": DimensionMismatch,
     "a non-finite start point": InvalidConfig,
     "a count that is not an integer": InvalidConfig,
+    "a setting that is not finite": InvalidConfig,
     "a model of the wrong shape": DimensionMismatch,
 }
 
@@ -166,6 +169,17 @@ SITES = {
     ("a count that is not an integer", "lipschitz.synthetic_step_jacobians"): lambda: (
         synthetic_step_jacobians(3.0, 1.0, eta=0.1, t_inner=2.5, lambda_box=(0.0, 1.0))
     ),
+    ("a setting that is not finite", "ZoConfig mu"): lambda: ZoConfig(
+        q=1, mu=np.inf, gamma=0.1, iterations=1
+    ),
+    ("a setting that is not finite", "ZoConfig gamma"): lambda: ZoConfig(
+        q=1, mu=0.1, gamma=np.inf, iterations=1
+    ),
+    ("a setting that is not finite", "InnerSolver"): lambda: InnerSolver(steps=5, lr=np.inf),
+    ("a setting that is not finite", "SyntheticBilevel"): lambda: make_synthetic(np.inf, 1.0),
+    ("a setting that is not finite", "data_io.random_classification_dataset"): lambda: (
+        random_classification_dataset(4, 2, class_sep=np.nan)
+    ),
     ("a model of the wrong shape", "LogRegProblem.test_metric"): lambda: _logreg().test_metric(
         np.zeros(2)
     ),
@@ -185,6 +199,17 @@ def test_each_fault_raises_one_type_wherever_detected(fault, site):
 def test_a_count_that_is_not_an_integer_is_named():
     with pytest.raises(InvalidConfig, match=r"^steps must be an integer, got True$"):
         InnerSolver(steps=True, lr=0.1)
+
+
+@pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf, -np.inf, True, None, "0.1"])
+def test_a_setting_that_is_not_a_finite_positive_number_is_named(lr):
+    with pytest.raises(InvalidConfig, match=rf"^lr must be a finite number > 0, got {re.escape(repr(lr))}$"):
+        InnerSolver(steps=5, lr=lr)
+
+
+@pytest.mark.parametrize("lr", [0.1, 1, np.float32(0.5), np.float64(1e300), np.int64(2)])
+def test_a_finite_positive_number_of_any_real_type_is_a_setting(lr):
+    assert InnerSolver(steps=5, lr=lr).lr == lr
 
 
 def test_diverging_solve_names_its_steps_and_lambda():

@@ -101,9 +101,14 @@ class TestTraceWriter:
     @pytest.mark.parametrize("cadence", [0, -1, 2.7, 2.0, True, "2"])
     def test_a_cadence_that_is_not_a_positive_integer_is_rejected(self, tmp_path, cadence):
         spec = function_objective(lambda lam: 1.0, p=1)
-        with pytest.raises(InvalidConfig, match="cadence must be an integer >= 1"):
+        with pytest.raises(InvalidConfig, match=r"^cadence must be (an integer|>= 1), got"):
             TraceWriter(tmp_path / "t.csv", "hozog", spec, cadence=cadence)
         assert not (tmp_path / "t.csv").exists()
+
+    def test_a_numpy_integer_cadence_is_a_count(self, tmp_path):
+        spec = function_objective(lambda lam: 1.0, p=1)
+        with TraceWriter(tmp_path / "t.csv", "hozog", spec, cadence=np.int64(2)) as writer:
+            assert writer.cadence == 2
 
     @settings(max_examples=100)
     @given(

@@ -24,7 +24,6 @@ from hozog.problems import (
     group_corruption_fractions,
     hyperclean_objective,
     logreg_objective,
-    logreg_test_error,
     make_hyperclean,
     make_synthetic,
     synthetic_analytic_hypergradient,
@@ -160,7 +159,7 @@ class TestLogRegTestError:
 
     def test_zero_model_ties_count_as_errors(self):
         prob = self._problem([(1.0, ((1, 1.0),)), (-1.0, ((1, -2.0),))])
-        assert logreg_test_error(prob, np.zeros(1)) == 1.0
+        assert prob.test_metric(np.zeros(1)) == 1.0
 
     def test_perfect_separator(self):
         rows = [
@@ -172,14 +171,14 @@ class TestLogRegTestError:
         prob = self._problem(rows)
         w = np.zeros(prob.d)
         w[0] = 1.0
-        assert logreg_test_error(prob, w) == 0.0
+        assert prob.test_metric(w) == 0.0
 
     def test_label_flip_symmetry(self):
         rows = [(1.0, ((1, 0.5),)), (1.0, ((1, -1.5),)), (-1.0, ((1, 2.0),)), (-1.0, ((1, -0.7),))]
         flipped = [(-label, feats) for label, feats in rows]
         w = np.array([1.0])
-        e = logreg_test_error(self._problem(rows), w)
-        e_flipped = logreg_test_error(self._problem(flipped), w)
+        e = self._problem(rows).test_metric(w)
+        e_flipped = self._problem(flipped).test_metric(w)
         assert e_flipped == pytest.approx(1.0 - e)
 
     def test_empty_test_split(self):

@@ -21,13 +21,15 @@ logger = logging.getLogger(__name__)
 
 # Samples one evaluate_batch call solves.  bench/run.py's random_search_logreg
 # (budget 192, Adam 150 steps, 1000 x 40 train split), median run_s of seeds
-# 1-3 at a 6 s window, BLAS at one thread on a 2-core x86-64 box:
-#   chunk width   1 (one at a time)   8       16      32      64      192 (one block)
-#   run_s         0.92 s              0.40 s  0.38 s  0.38 s  0.41 s  0.49 s
-#   peak RSS      72.1 MB             72.2    72.5    72.6    72.8    76.6
-# Past 32 the gradients slow (see BLOCK_WIDTH in oracle.py) and a chunk holds
-# more models.  A failed call's error reports only the block that failed, so
-# a chunk must fit in one block: SEARCH_CHUNK <= BLOCK_WIDTH.
+# 1-3 at a 6 s window (a range where three sets ran), BLAS at one thread on
+# a 2-core x86-64 box:
+#   chunk width   1 (one at a time)   8       16           32           64      192 (one block)
+#   run_s         0.81 s              0.23 s  0.13-0.15 s  0.17-0.18 s  0.16 s  0.14 s
+#   peak RSS      72.5 MB             72.6    73.0         73.1         72.9    74.8
+# Past 8 a point's gradient costs the same (see BLOCK_WIDTH in oracle.py), so
+# a wider chunk saves little and holds more models; another width also moves
+# every sample's f in its last bits.  A failed call's error reports only the
+# block that failed, so a chunk must fit in one block: SEARCH_CHUNK <= BLOCK_WIDTH.
 SEARCH_CHUNK = 32
 
 

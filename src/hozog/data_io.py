@@ -39,10 +39,11 @@ __all__ = [
 ]
 
 # Splits that store at least this share of their entries are held dense.
-# Measured on one logreg gradient (Intel Xeon, BLAS at one thread), as the
-# dense speed-up over CSR: at 1000x40, 1.8x to 3.8x at every density from
-# 0.02 to 1.0; at 1000x1000, 0.14x at density 0.02 and 0.74x at 0.3 (CSR
-# wins), then 1.27x at 0.5 and 2.63x at 1.0 (dense wins).
+# Measured on one logreg gradient at k=1 (Intel Xeon, BLAS at one thread,
+# two runs), as the dense speed-up over CSR: at 1000x40, 1.7x to 4.6x at
+# every density from 0.02 to 1.0; at 1000x1000, 0.11x at density 0.02 and
+# 0.4x at 0.1 (CSR wins), 1.0x at 0.3, then 1.2x to 1.7x at 0.5 and 2.3x to
+# 3.3x at 1.0 (dense wins).
 DENSE_MIN_DENSITY = 0.5
 
 

@@ -34,8 +34,9 @@ __all__ = ["ObjectiveSpec", "Evaluation", "evaluate", "evaluate_batch", "functio
 # median of 7, BLAS at one thread on a 2-core x86-64 box:
 #   block width   64      256     1024    4000 (one block)
 #   time          62 ms   27 ms   17 ms   13 ms
-# Dense logreg gradients (1000 x 40) cost 45 us a point at k=1, 23 us at k=8,
-# 21 us at k=32 and 29-30 us at k=128 and 512, where expit dominates.
+# Dense logreg gradients (1000 x 40, same box, two runs) cost 20-22 us a
+# point at k=1, 6-8.5 us at k=8 and 5.4-7.4 us at every width from 32 to 512:
+# the sigmoid goes through numpy's SIMD exp, so past k=8 a point costs the same.
 BLOCK_WIDTH = 1024
 
 

@@ -12,10 +12,10 @@ weight, searched over the declared box [-10, 10].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from ..data_io import SparseDataset, check_splits, design_matrices
 from ..errors import DimensionMismatch
@@ -77,17 +77,35 @@ class LogRegProblem:
     def d(self) -> int:
         return self.x_train.shape[1]
 
+    @cached_property
+    def _z_train(self):
+        """The signed training matrix diag(y_train) @ x_train, in x_train's storage.
+
+        Row i is y_i x_i, so ``Z @ w`` gives every training margin in one
+        product.  Scaling by +-1 is exact, and a CSR ``Z`` keeps x_train's
+        stored entries in their order (``sp.diags(y) @ x`` would reorder
+        them), so a margin sums the same products in the same order as
+        ``y * (x_train @ w)``.
+        """
+        y = self.y_train[:, None]
+        if sp.issparse(self.x_train):
+            return self.x_train.multiply(y).tocsr()
+        return y * self.x_train
+
     def inner_loss(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        margins = self.y_train[:, None] * (self.x_train @ w)
-        return _log_loss_sums(margins) + capped_exp(lam[0]) * (w * w).sum(axis=0)
+        return _log_loss_sums(self._z_train @ w) + capped_exp(lam[0]) * (w * w).sum(axis=0)
 
     def inner_loss_grad(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        # column j of w is trained with the ridge weight exp(lam[0, j])
-        y = self.y_train[:, None]
-        margins = y * (self.x_train @ w)
-        # d/dm log(1+e^-m) = -sigmoid(-m)
-        coeff = -y * expit(-margins)
-        return self.x_train.T @ coeff + 2.0 * capped_exp(lam) * w
+        # column j of w is trained with the ridge weight exp(lam[0, j]).  With
+        # margins m = Z @ w, d/dm log(1 + e^-m) = -s, s = 1/(1 + e^m), built in
+        # place; a margin past exp's range gives e^m = inf, so s is exactly 0
+        s = self._z_train @ w
+        with np.errstate(over="ignore"):
+            np.exp(s, out=s)
+        s += 1.0
+        np.reciprocal(s, out=s)
+        # Z.T is a view (CSC over a CSR Z's arrays), so no transpose is copied
+        return 2.0 * capped_exp(lam) * w - self._z_train.T @ s
 
     def outer_value(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
         # a finite but huge model can overflow its margins or their sum: the

@@ -8,9 +8,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from conftest import overflowing_logreg
-from hozog import InnerSolver, InvalidConfig, NonFiniteObjective, evaluate, solve
+from hozog import InnerSolver, InvalidConfig, NonFiniteObjective, evaluate, evaluate_batch, solve
 from hozog.data_io import (
     SparseDataset,
     design_matrices,
@@ -29,6 +30,7 @@ from hozog.problems import (
     synthetic_analytic_hypergradient,
     synthetic_optimum,
 )
+from hozog.problems.synthetic import capped_exp
 
 
 def central_fd(fn, x, step=1e-6):
@@ -151,6 +153,24 @@ class TestLogReg:
             evaluate(spec, lam[0])
         assert str(excinfo.value).startswith("objective is not finite")
 
+    @pytest.mark.parametrize("storage", [sp.csr_matrix, np.asarray], ids=["csr", "dense"])
+    def test_huge_margins_give_the_limit_coefficients(self, storage):
+        # one feature per row, so gradient entry i is row i's coefficient alone;
+        # a warning (exp's overflow) would fail the test, as pytest raises it
+        x = np.diag([1.0, 2.0, 3.0, 4.0])
+        y = np.array([1.0, -1.0, 1.0, -1.0])
+        margins = np.array([900.0, -900.0, -801.0, 5000.0])
+        w = margins / (y * np.diag(x))
+        prob = LogRegProblem(storage(x), y, storage(x), y, storage(x), y)
+        # the second model flips every margin; e^-800 underflows to 0, so the
+        # ridge term drops out and the gradient is the loss part alone
+        grad = prob.inner_loss_grad(np.column_stack([w, -w]), np.full((1, 2), -800.0))
+        # d/dm log(1 + e^-m) is 0 for a huge positive m and -1 for a huge negative one
+        signed = margins[:, None] * [1.0, -1.0]
+        limit = np.where(signed > 0.0, 0.0, -(y * np.diag(x))[:, None])
+        assert np.isfinite(grad).all()
+        np.testing.assert_array_equal(grad, limit)
+
 
 class TestLogRegTestError:
     def _problem(self, test_rows):
@@ -268,6 +288,61 @@ class TestStorage:
             np.testing.assert_array_equal(
                 m if isinstance(m, np.ndarray) else m.toarray(), ds.to_csr().toarray()
             )
+
+
+class _ExpitLogReg(LogRegProblem):
+    """Logreg with the gradient it had before the signed-matrix kernel: scipy's expit."""
+
+    def inner_loss_grad(self, w, lam):
+        y = self.y_train[:, None]
+        coeff = -y * expit(-y * (self.x_train @ w))
+        return self.x_train.T @ coeff + 2.0 * capped_exp(lam) * w
+
+
+class TestExpKernel:
+    """The exp-based logreg gradient against the expit one it replaced.
+
+    Both compute s = 1/(1 + e^m); numpy's SIMD exp and the scalar exp under
+    expit round differently in the last bit.  Over the 192 samples of the
+    benchmark's random_search_logreg, seed 1, f moved by at most 5.2e-16
+    relative.
+    """
+
+    RTOL = 1e-12
+    LAMS = np.linspace(-10.0, 10.0, 32)
+
+    @pytest.fixture(scope="class")
+    def acceptance_4_problem(self):
+        data = random_classification_dataset(2000, 40, seed=100, class_sep=2.0, noise_flip=0.05)
+        return LogRegProblem.from_datasets(*split_2_1_1(data, seed=0))
+
+    @pytest.mark.parametrize("width", [1, 32])
+    @pytest.mark.parametrize("storage", [np.asarray, sp.csr_matrix], ids=["dense", "csr"])
+    @pytest.mark.parametrize(
+        "inner",
+        [InnerSolver(steps=150, lr=0.1, variant="adam"), InnerSolver(steps=150, lr=2e-5)],
+        ids=["adam", "gd"],
+    )
+    def test_evaluate_batch_matches_the_expit_kernel(
+        self, acceptance_4_problem, inner, storage, width
+    ):
+        fields = {
+            f.name: getattr(acceptance_4_problem, f.name) for f in dataclasses.fields(LogRegProblem)
+        }
+        for name in ("x_train", "x_val", "x_test"):
+            fields[name] = storage(fields[name])
+        prob, old = LogRegProblem(**fields), _ExpitLogReg(**fields)
+        # k=1 solves every fourth point on its own, k=32 the whole grid in one block
+        lams = self.LAMS[::4] if width == 1 else self.LAMS
+        f_values = []
+        for block in np.split(lams, len(lams) // width):
+            f_new, m_new = evaluate_batch(logreg_objective(prob, inner), block)
+            f_old, m_old = evaluate_batch(logreg_objective(old, inner), block)
+            np.testing.assert_allclose(f_new, f_old, rtol=self.RTOL, atol=0.0)
+            gaps = np.linalg.norm(m_new - m_old, axis=0)
+            assert np.all(gaps <= self.RTOL * np.linalg.norm(m_old, axis=0))
+            f_values.extend(f_new)
+        assert np.ptp(f_values) > 0.1  # the grid spans values, not one constant
 
 
 def _blob_dataset(n, n_classes, seed, n_features=6, class_sep=2.5):

@@ -123,7 +123,10 @@ def check_splits(labels, **splits) -> None:
 
 
 def _parse_float(token: str, line_no: int, col: int, what: str) -> float:
+    # float() also takes underscores, surrounding whitespace and non-ASCII digits
     try:
+        if not token.isascii() or "_" in token or token.strip() != token:
+            raise ValueError
         value = float(token)
     except ValueError:
         raise ParseError(line_no, col, f"{what} is not a number: {token!r}") from None
@@ -133,9 +136,9 @@ def _parse_float(token: str, line_no: int, col: int, what: str) -> float:
 
 
 def _parse_index(token: str, line_no: int, col: int) -> int:
-    # An index must be a plain positive decimal integer; '1.5' or '+2' are
-    # rejected even though int() variants could be coerced.
-    if not token.isdigit():
+    # An index must be a plain positive decimal integer of ASCII digits; '1.5',
+    # '+2' or '²' are rejected even though int() variants could be coerced.
+    if not (token.isascii() and token.isdigit()):
         raise ParseError(line_no, col, f"feature index is not an integer: {token!r}")
     idx = int(token)
     if idx <= 0:

@@ -32,7 +32,8 @@ class NonFiniteObjective(HozogError):
     Signals a diverging inner solve.  Carries the offending hyperparameter
     vector and, when raised from the outer loop, the meta-iteration index.
     Raised on a (d, k) block, it also carries the block's final iterate as
-    ``models``; from the oracle, also the k objectives as ``values``, NaN
+    ``models``.  From :func:`~hozog.oracle.evaluate_batch`, ``models`` is
+    the whole batch's (d, k) block and ``values`` its (k,) objectives, NaN
     where a column diverged.
     """
 

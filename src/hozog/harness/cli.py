@@ -122,7 +122,7 @@ def _cmd_lipschitz(args) -> int:
         "bound": bound,
         "empirical_max_ratio": report.empirical_max_ratio,
         "samples": report.samples,
-        "domain_box": report.domain_box.tolist(),
+        "domain_box": cfg.box,
     }
     if cfg.output is not None:
         with open(cfg.output, "w", encoding="utf-8") as fh:

@@ -60,7 +60,6 @@ class StepJacobians:
 class LipschitzReport:
     empirical_max_ratio: float
     samples: int
-    domain_box: np.ndarray
 
 
 def lipschitz_product_bound(jacs: StepJacobians) -> float:
@@ -144,4 +143,4 @@ def empirical_lipschitz(
     gaps = np.linalg.norm(first - second, axis=1)
     moved = gaps > 0
     max_ratio = np.max(np.abs(values[0::2] - values[1::2])[moved] / gaps[moved], initial=0.0)
-    return LipschitzReport(empirical_max_ratio=float(max_ratio), samples=n_pairs, domain_box=box)
+    return LipschitzReport(empirical_max_ratio=float(max_ratio), samples=n_pairs)

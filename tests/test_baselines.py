@@ -5,7 +5,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-import hozog.baselines as baselines
 import hozog.oracle as oracle
 from conftest import overflowing_logreg
 from hozog import (
@@ -87,14 +86,14 @@ class TestRandomSearch:
     "spec, box, seed",
     [
         (function_objective(partial, p=1), [[-1.0, 1.0]], 5),
-        # GD at lr 0.5 diverges where 2 e^lam > 3: samples 0 and 4-9, so every chunk holds one
+        # GD at lr 0.5 diverges where 2 e^lam > 3: samples 0 and 4-9, so every block holds one
         (make_synthetic(3.0, 1.0, inner=InnerSolver(steps=3000, lr=0.5)), [[0.0, 1.0]], 0),
         # finite models whose validation loss overflows at samples 4, 5 and 9
         (overflowing_logreg(), [[6.30, 6.345]], 0),
     ],
     ids=["partial", "synthetic_gd", "logreg_outer_overflow"],
 )
-def test_a_chunk_with_a_diverged_sample_skips_only_that_sample(spec, box, seed):
+def test_a_block_with_a_diverged_sample_skips_only_that_sample(spec, box, seed):
     cfg = RandomSearchConfig(budget=10, box=box, seed=seed)
     lo, hi = np.array(box).T
     samples = lo + (hi - lo) * np.random.default_rng(seed).random((cfg.budget, spec.p))
@@ -105,7 +104,7 @@ def test_a_chunk_with_a_diverged_sample_skips_only_that_sample(spec, box, seed):
         except NonFiniteObjective:
             pass
     events = []
-    with mock.patch.object(baselines, "SEARCH_CHUNK", 4):
+    with mock.patch.object(oracle, "BLOCK_WIDTH", 4):
         best = random_search(spec, cfg, recorder=events.append)
     skipped = sorted(set(range(cfg.budget)) - set(want))
     assert skipped  # at least one sample diverges
@@ -119,8 +118,7 @@ def test_a_chunk_with_a_diverged_sample_skips_only_that_sample(spec, box, seed):
         assert abs(f - expected) <= 1e-12 * abs(expected)
 
 
-def test_a_chunk_with_a_diverged_sample_is_solved_once(monkeypatch):
-    assert baselines.SEARCH_CHUNK <= oracle.BLOCK_WIDTH  # a chunk's error reports the whole chunk
+def test_a_block_with_a_diverged_sample_is_solved_once(monkeypatch):
     widths = []
 
     def counted(loss_grad, alg, lam):
@@ -128,8 +126,8 @@ def test_a_chunk_with_a_diverged_sample_is_solved_once(monkeypatch):
         return solve(loss_grad, alg, lam)
 
     monkeypatch.setattr(oracle, "solve", counted)
-    monkeypatch.setattr(baselines, "SEARCH_CHUNK", 4)
-    # samples 0 and 4-9 diverge, so each of the three chunks holds one
+    monkeypatch.setattr(oracle, "BLOCK_WIDTH", 4)
+    # samples 0 and 4-9 diverge, so each of the three blocks holds one
     spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=3000, lr=0.5))
     events = []
     random_search(spec, RandomSearchConfig(budget=10, box=[[0.0, 1.0]], seed=0), events.append)

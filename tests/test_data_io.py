@@ -75,6 +75,19 @@ MALFORMED = [
     ("nan label", "nan 1:1.0"),
 ]
 
+# float() and int() take more than the grammar does: underscores, surrounding
+# whitespace and non-ASCII digits.  (name, line, column of the bad token)
+LOOSE_NUMBERS = [
+    ("underscore in value", "1 1:1_0", 5),
+    ("underscore in label", "1_0 1:1", 1),
+    ("arabic-indic index", "1 \u0661:1.0", 3),
+    ("fullwidth index", "1 \uff12:1.0", 3),
+    ("superscript index", "1 \u00b2:1.0", 3),
+    ("fullwidth value", "1 1:\uff12", 5),
+    ("trailing tab", "1 1:1.0\t", 5),
+]
+MALFORMED += [(name, line) for name, line, _ in LOOSE_NUMBERS]
+
 
 class TestMalformedLines:
     @pytest.mark.parametrize("name,line", MALFORMED, ids=[m[0] for m in MALFORMED])
@@ -82,6 +95,12 @@ class TestMalformedLines:
         with pytest.raises(ParseError) as excinfo:
             parse_libsvm(f"1 1:1.0\n{line}\n")
         assert excinfo.value.line == 2
+
+    @pytest.mark.parametrize("name,line,column", LOOSE_NUMBERS, ids=[m[0] for m in LOOSE_NUMBERS])
+    def test_loose_number_rejected_at_its_column(self, name, line, column):
+        with pytest.raises(ParseError) as excinfo:
+            parse_libsvm(f"{line}\n")
+        assert (excinfo.value.line, excinfo.value.column) == (1, column)
 
 
 @st.composite
@@ -241,3 +260,12 @@ class TestGrammarProperty:
     def test_valid_lines_accepted(self, lines):
         ds = parse_libsvm("\n".join(lines))
         assert len(ds) == len(lines)
+
+    @given(st.lists(st.sampled_from("0123456789:.-+e_ \t\u00b2\u0661\uff12"), max_size=12))
+    def test_only_ascii_numbers_without_underscores_parse(self, tokens):
+        text = "".join(tokens)
+        try:
+            parse_libsvm(text)
+        except ParseError:
+            return
+        assert text.isascii() and "_" not in text

@@ -817,11 +817,21 @@ class TestCli:
         assert "rows: 120" in out
         assert "n_features: 8" in out
 
-    def test_parse_data_failure_exit_one(self, tmp_path, capsys):
+    # a superscript two passes str.isdigit but not int()
+    @pytest.mark.parametrize("line", ["1 0:1.0", "1 \u00b2:1.0"])
+    def test_parse_data_failure_exit_one(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.libsvm"
-        bad.write_text("1 0:1.0\n")
+        bad.write_text(f"{line}\n", encoding="utf-8")
         assert cli_main(["parse-data", "--input", str(bad)]) == 1
-        assert "parse error" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("parse error: line 1, column 3:")
+
+    def test_lipschitz_report_writes_the_configs_box(self, tmp_path, capsys):
+        cfg = lipschitz_report_config(tmp_path)
+        cfg["box"] = [[-2, 1.5]]
+        path = write_config(tmp_path, cfg, name="lip.json")
+        assert cli_main(["lipschitz-report", "--config", str(path)]) == 0
+        assert json.loads((tmp_path / "report.json").read_text())["domain_box"] == [[-2.0, 1.5]]
+        assert '"domain_box": [[-2.0, 1.5]]' in capsys.readouterr().out
 
     def test_lipschitz_report(self, tmp_path, capsys):
         path = write_config(tmp_path, lipschitz_report_config(tmp_path), name="lip.json")

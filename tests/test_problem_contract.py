@@ -19,7 +19,8 @@ from hypothesis.extra.numpy import arrays
 
 import hozog.oracle as oracle
 from conftest import CONFIGS, build
-from hozog import DimensionMismatch, NonFiniteObjective, evaluate, evaluate_batch
+from hozog import DimensionMismatch, InnerSolver, NonFiniteObjective, evaluate, evaluate_batch
+from hozog.problems import make_synthetic
 
 # a row with an inner section runs under both iterative variants, the closed form as it is
 SOLVES = [(name, variant) for name, raw in CONFIGS.items()
@@ -129,3 +130,23 @@ def test_each_batch_column_matches_evaluate_at_its_point(specs, name, variant, m
     assert scored == [2, 2, 1]
     assert wide_values.tobytes() == np.concatenate([v for v, _ in pieces]).tobytes()
     assert wide_models.tobytes() == np.hstack([m for _, m in pieces]).tobytes()
+
+
+def test_a_failed_batch_reports_every_block(monkeypatch):
+    """Every block is solved even after one fails: the one error names the
+    lowest bad point and carries the whole batch's values and models."""
+    monkeypatch.setattr(oracle, "BLOCK_WIDTH", 2)
+    # GD at lr 0.5 diverges where 2 e^lam > 3, at points 0 and 2
+    spec = make_synthetic(3.0, 1.0, inner=InnerSolver(steps=3000, lr=0.5))
+    points = np.array([[0.9], [0.1], [0.6], [-0.5], [0.2]])
+    with pytest.raises(NonFiniteObjective) as excinfo:
+        evaluate_batch(spec, points)
+    err = excinfo.value
+    np.testing.assert_array_equal(err.hyperparams, points[0])
+    assert err.values.shape == (5,) and err.models.shape == (spec.problem.d, 5)
+    diverged = ~np.isfinite(err.models).all(axis=0)
+    assert diverged.tolist() == [True, False, True, False, False]
+    assert np.isnan(err.values).tolist() == diverged.tolist()
+    for lam, f in zip(points[~diverged], err.values[~diverged], strict=True):
+        want = evaluate(spec, lam).f_value
+        assert abs(f - want) <= 1e-12 * abs(want)

@@ -29,12 +29,11 @@ class DimensionMismatch(HozogError):
 class NonFiniteObjective(HozogError):
     """An oracle evaluation returned NaN or infinity.
 
-    Signals a diverging inner solve.  Carries the offending hyperparameter
-    vector and, when raised from the outer loop, the meta-iteration index.
-    Raised on a (d, k) block, it also carries the block's final iterate as
-    ``models``.  From :func:`~hozog.oracle.evaluate_batch`, ``models`` is
-    the whole batch's (d, k) block and ``values`` its (k,) objectives, NaN
-    where a column diverged.
+    Signals a diverging inner solve or an objective that is not finite.
+    Carries the offending hyperparameter vector and, when raised from the
+    outer loop, the meta-iteration index.  Raised by the oracle, it also
+    carries what it evaluated: ``values``, the (k,) objectives, NaN where a
+    column diverged, and ``models``, the (d, k) block of trained models.
     """
 
     def __init__(self, message, hyperparams=None, meta_iter=None, models=None, values=None):

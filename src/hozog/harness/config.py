@@ -240,14 +240,25 @@ def _output(value, name: str) -> str:
 
 
 def read_json(path):
-    """Parse a JSON config file; an unreadable or malformed file is a ConfigError."""
+    """Parse a JSON config file; an unreadable or malformed file, or a key
+    that repeats within one object, is a ConfigError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as err:
         raise ConfigError("config", f"cannot read {path}: {err.strerror}") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as err:
         raise ConfigError("config", f"not valid JSON: {err}") from None
+
+
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict; json alone would keep a repeated key's last value."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(key, "appears more than once in one object")
+        obj[key] = value
+    return obj
 
 
 def load_config(path) -> ExperimentConfig:

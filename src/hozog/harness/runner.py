@@ -1,9 +1,10 @@
 """Experiment orchestration: build the objective, run a method, persist traces.
 
-Every run writes its trace CSV and, next to it, a manifest recording the
-resolved config (what ran, every default filled in, the random-search box
-included) and the library versions.  The manifest's path is the output's
-with one trailing ``.csv`` removed, plus ``.manifest.json``.
+Every run writes its trace CSV and, once it finishes, a manifest next to
+it recording the resolved config (what ran, every default filled in, the
+random-search box included) and the library versions.  The manifest's
+path is the output's with one trailing ``.csv`` removed, plus
+``.manifest.json``.
 """
 
 from __future__ import annotations
@@ -104,7 +105,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
 def _run(cfg: ExperimentConfig, spec: ObjectiveSpec) -> dict:
     """``run_experiment`` on an objective already built from ``cfg``."""
+    manifest_path = cfg.output.removesuffix(".csv") + ".manifest.json"
     with TraceWriter(cfg.output, method=cfg.method, spec=spec, cadence=cfg.metric_every) as writer:
+        # a run that fails leaves its partial trace and no manifest, not the last run's
+        Path(manifest_path).unlink(missing_ok=True)
         if cfg.method == "hozog":
             meta_iter, calls = cfg.hozog.iterations, cfg.hozog.iterations * (cfg.hozog.q + 1)
             final = run_hozog(spec, np.full(spec.p, cfg.lambda0), cfg.hozog, recorder=writer)
@@ -120,7 +124,6 @@ def _run(cfg: ExperimentConfig, spec: ObjectiveSpec) -> dict:
             "oracle_calls_metrics": writer.metric_calls,
             "trace": str(cfg.output),
         }
-    manifest_path = cfg.output.removesuffix(".csv") + ".manifest.json"
     _write_manifest(manifest_path, cfg, summary)
     summary["manifest"] = manifest_path
     return summary

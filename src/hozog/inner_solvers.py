@@ -7,14 +7,15 @@ finite-difference probing of the outer objective meaningful.  Mini-batch
 variants are deliberately absent: sampling noise in the inner solve would
 leak into the zeroth-order differences.
 
-:func:`solve` is the one entry point; it checks finiteness once, on the
-final iterate.  Each update has the form ``w - (...)``, and that is NaN or
-infinite whenever ``w`` is, so an iterate that leaves the finite range
-never comes back and the final check catches every divergence.  The
-hyperparameters come as a (p, k) block, one point a column, and the steps
-run the k models at once as the columns of a (d, k) block, each started
-from ``w0``; every update is column-wise (Adam's bias-correction factors
-depend on the step alone), so the columns never mix.
+:func:`solve` is the one entry point; it returns the final iterate as
+computed and judges nothing.  Each update has the form ``w - (...)``, and
+that is NaN or infinite whenever ``w`` is, so an iterate that leaves the
+finite range never comes back: the oracle's one finiteness check, on the
+final block, catches every divergence.  The hyperparameters come as a
+(p, k) block, one point a column, and the steps run the k models at once
+as the columns of a (d, k) block, each started from ``w0``; every update
+is column-wise (Adam's bias-correction factors depend on the step alone),
+so the columns never mix.
 :func:`trajectory` is the diagnostic view: every iterate as computed,
 non-finite ones included.
 """
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidConfig, NonFiniteObjective, array_text
+from .errors import DimensionMismatch, InvalidConfig, array_text
 from .errors import check_count, check_positive
 
 __all__ = ["InnerSolver", "solve", "trajectory"]
@@ -109,22 +110,13 @@ def solve(loss_grad, alg: InnerSolver, lam: np.ndarray) -> np.ndarray:
     ``lam`` is a (p, k) block and the result a (d, k) block of models.
     ``loss_grad(w, lam)`` must return the gradient of the inner loss at
     ``w``; exactly ``alg.steps`` gradient evaluations are performed, each
-    on the whole block.  Raises :class:`NonFiniteObjective` carrying the
-    lam of the lowest non-finite column of the final iterate, and as its
-    ``models`` that whole final block.
+    on the whole block.  The block is returned as computed, diverged
+    columns included, bitwise-equal to ``trajectory(...)[-1]``; the oracle
+    names a diverged point.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for w in _STEPS[alg.variant](loss_grad, alg, lam):
             pass
-        finite = np.isfinite(w).all(axis=0)  # one flag per column of a block
-        if not finite.all():
-            first = np.argmin(finite)
-            raise NonFiniteObjective(
-                f"inner solve diverged (iterate is non-finite after {alg.steps} inner "
-                f"steps) at lam={array_text(lam[:, first])}",
-                hyperparams=lam[:, first],
-                models=w,
-            )
     return w
 
 
@@ -132,8 +124,7 @@ def trajectory(loss_grad, alg: InnerSolver, lam: np.ndarray) -> list:
     """All iterates ``[w_0, w_1, ..., w_T]``, (d, k) blocks, non-finite ones included.
 
     The iterates come from the same step generator :func:`solve` consumes,
-    so when the solve succeeds the last element is bitwise-equal to its
-    output.
+    so the last element is bitwise-equal to its output.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         return list(_STEPS[alg.variant](loss_grad, alg, lam))

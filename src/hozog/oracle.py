@@ -139,7 +139,8 @@ def evaluate(spec: ObjectiveSpec, lam) -> Evaluation:
     The k=1 view of :func:`evaluate_batch`, on a block of one without the
     batch's conversion of a list (the estimator calls this once per point).
     """
-    values, models = _evaluate_block(spec, check_lambda(spec, lam)[None])
+    points = check_lambda(spec, lam)[None]
+    values, models = _checked(spec, points, *_evaluate_block(spec, points))
     return Evaluation(float(values[0]), models[:, 0])
 
 
@@ -151,9 +152,9 @@ def evaluate_batch(spec: ObjectiveSpec, lams) -> tuple[np.ndarray, np.ndarray]:
     before any solve runs.  The points then go through
     :func:`~hozog.inner_solvers.solve` as a (p, k) block of lam, in blocks
     of at most ``BLOCK_WIDTH`` columns, and one ``outer_value`` call scores
-    each block.  Every block is solved, even after one fails; then one
-    failure names the lowest input index whose final iterate or objective
-    is not finite, the point a one-at-a-time loop names, and carries the
+    each block's finite columns.  Every block is solved; then, if a value
+    is not finite, one :class:`NonFiniteObjective` names the lowest such
+    input index, the point a one-at-a-time loop names, and carries the
     whole batch: the (k,) ``values``, NaN where a column diverged, and the
     (d, k) ``models``.  A column agrees with :func:`evaluate` at its point
     to 1e-12 relative in f and in the model, not bitwise, since BLAS may
@@ -161,48 +162,42 @@ def evaluate_batch(spec: ObjectiveSpec, lams) -> tuple[np.ndarray, np.ndarray]:
     """
     points = check_lambdas(spec, lams)
     values, models = np.empty(len(points)), np.empty((spec.problem.d, len(points)))
-    failed = None
     for start in range(0, len(points), BLOCK_WIDTH):
         block = slice(start, start + BLOCK_WIDTH)
-        try:
-            values[block], models[:, block] = _evaluate_block(spec, points[block])
-        except NonFiniteObjective as err:
-            values[block], models[:, block] = err.values, err.models
-            failed = failed or err  # the first failed block holds the lowest bad index
-    if failed is not None:
-        failed.values, failed.models = values, models
-        raise failed
-    return values, models
+        values[block], models[:, block] = _evaluate_block(spec, points[block])
+    return _checked(spec, points, values, models)
 
 
 def _evaluate_block(spec: ObjectiveSpec, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    problem = spec.problem
-    try:
-        if spec.inner is None:
-            w = problem.exact_solution(points.T)
-        else:
-            w = solve(problem.inner_loss_grad, spec.solver, points.T)
-    except NonFiniteObjective as err:
-        # score the columns that did not diverge: an objective that is not
-        # finite before the lowest diverged column is the one to name
-        kept = np.isfinite(err.models).all(axis=0)
-        err.values = np.full(len(points), np.nan)
-        if kept.any():
-            err.values[kept] = problem.outer_value(err.models[:, kept], points[kept].T)
-        if not np.isfinite(err.values[: np.argmin(kept)]).all():
-            _checked(err.values, err.models, points)
-        raise
-    return _checked(np.asarray(problem.outer_value(w, points.T), dtype=float), w, points), w
+    """The (k,) values and (d, k) models of a block, NaN where a solved model is not finite."""
+    problem, lams = spec.problem, points.T
+    if spec.inner is None:  # scored as is: a finiteness pass costs more than a closed-form model
+        w = problem.exact_solution(lams)
+    else:
+        w = solve(problem.inner_loss_grad, spec.solver, lams)
+        kept = np.isfinite(w).all(axis=0)  # one flag per column
+        if not kept.all():
+            values = np.full(len(points), np.nan)
+            if kept.any():
+                values[kept] = problem.outer_value(w[:, kept], lams[:, kept])
+            return values, w
+    return np.asarray(problem.outer_value(w, lams), dtype=float), w
 
 
-def _checked(values: np.ndarray, w: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """``values``, or NonFiniteObjective naming the lowest point whose value is not finite."""
+def _checked(spec: ObjectiveSpec, points: np.ndarray, values: np.ndarray, models: np.ndarray):
+    """``(values, models)``, else the one report of a failed point: a NonFiniteObjective
+    naming the lowest point whose value is not finite and carrying both arrays."""
     # one pass over Python floats: np.isfinite's fixed cost shows at k=1
     if all(map(math.isfinite, values.tolist())):
-        return values
-    lam = points[np.argmin(np.isfinite(values))]
-    raise NonFiniteObjective(f"objective is not finite at lam={array_text(lam)}",
-                             hyperparams=lam, models=w, values=values)
+        return values, models
+    first = np.argmin(np.isfinite(values))
+    if spec.inner is None or np.isfinite(models[:, first]).all():
+        reason = "objective is not finite"
+    else:
+        reason = f"inner solve diverged (iterate is non-finite after {spec.inner.steps} inner steps)"
+    lam = points[first]
+    raise NonFiniteObjective(f"{reason} at lam={array_text(lam)}",
+                             hyperparams=lam, models=models, values=values)
 
 
 class _FunctionProblem:

@@ -81,10 +81,10 @@ def _hyperclean(**changes):
 
 # (fault, site): a call that runs into the fault where that site detects it
 SITES = {
-    ("diverging inner solve", "inner_solvers.solve"): lambda: solve(
-        lambda w, lam: -2.0 * w, InnerSolver(steps=2000, lr=1.0, w0=np.ones(1)), np.zeros((1, 1))
-    ),
     ("diverging inner solve", "oracle.evaluate"): lambda: evaluate(_DIVERGING, [2.0]),
+    ("diverging inner solve", "oracle.evaluate_batch"): lambda: evaluate_batch(
+        _DIVERGING, [[-1.0], [2.0]]
+    ),
     ("diverging inner solve", "zo_core.run_hozog"): lambda: run_hozog(
         _DIVERGING, [2.0], ZoConfig(q=1, mu=0.1, gamma=0.1, iterations=1)
     ),
@@ -227,17 +227,12 @@ _LAM40 = np.random.default_rng(0).standard_normal(40) * 1e5
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: solve(
-            lambda w, lam: -2.0 * w,
-            InnerSolver(steps=2000, lr=1.0, w0=np.ones(1)),
-            _LAM40[:, None],
-        ),
         lambda: evaluate(function_objective(lambda lam: np.inf, p=40), _LAM40),
         lambda: estimate_hyper_gradient(
             function_objective(lambda lam: np.nan, p=40), _LAM40, _ZO, np.eye(40)[:1]
         ),
     ],
-    ids=["inner_solvers.solve", "oracle.evaluate", "zo_core.estimate_hyper_gradient"],
+    ids=["oracle.evaluate", "zo_core.estimate_hyper_gradient"],
 )
 def test_a_long_lambda_is_summarised_on_one_line(call):
     with pytest.raises(NonFiniteObjective) as excinfo:

@@ -750,6 +750,47 @@ class TestCli:
         assert cli_main(["run", "--config", str(path)]) == 3
         assert "meta-iteration 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, stem", [(["run"], "trace"), (["sweep", "--axis", "mu", "--values", "0.001"],
+                                            "trace_mu0.001")], ids=["run", "sweep"],
+    )
+    def test_a_failed_rerun_leaves_its_partial_trace_and_no_manifest(
+        self, tmp_path, capsys, argv, stem
+    ):
+        inner = {"variant": "gd", "steps": 50, "lr": 0.1}
+        first = synthetic_config(tmp_path, inner=inner, hozog={"q": 1, "iterations": 2})
+        assert cli_main([*argv, "--config", str(write_config(tmp_path, first))]) == 0
+        assert (tmp_path / f"{stem}.manifest.json").exists()
+        diverging = dict(first, inner={**inner, "lr": 5.0, "steps": 400}, lambda0=2.0)
+        assert cli_main([*argv, "--config", str(write_config(tmp_path, diverging))]) == 3
+        assert read_trace(tmp_path / f"{stem}.csv") == []
+        assert not (tmp_path / f"{stem}.manifest.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "lipschitz-report"])
+    @pytest.mark.parametrize("level", ["section", "top"])
+    def test_a_repeated_key_is_a_config_error_and_writes_nothing(
+        self, tmp_path, capsys, command, level
+    ):
+        if command == "lipschitz-report":
+            cfg, section = lipschitz_report_config(tmp_path), ("inner", "steps")
+        else:
+            cfg = synthetic_config(tmp_path, inner={"variant": "gd", "steps": 5, "lr": 0.1})
+            section = ("hozog", "gamma")
+        where, key = (cfg[section[0]], section[1]) if level == "section" else (cfg, "output")
+        # JSON that holds the key twice, each value valid: json.dumps cannot write one
+        first, last = where[key], str(tmp_path / "other.csv") if key == "output" else 2
+        where[key] = "@"
+        text = json.dumps(cfg).replace(f'"{key}": "@"', f'"{key}": {json.dumps(first)}, '
+                                                        f'"{key}": {json.dumps(last)}')
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        extra = ["--axis", "mu", "--values", "0.001"] if command == "sweep" else []
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert cli_main([command, "--config", str(path), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: config field '{key}': appears more than once in one object\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
     def test_sweep_command(self, tmp_path, capsys):
         path = write_config(tmp_path, synthetic_config(tmp_path))
         assert cli_main(["sweep", "--config", str(path), "--axis", "mu", "--values", "0.001,0.01"]) == 0

@@ -9,7 +9,6 @@ from hozog import (
     DimensionMismatch,
     InnerSolver,
     InvalidConfig,
-    NonFiniteObjective,
     solve,
     trajectory,
 )
@@ -93,13 +92,6 @@ class TestGdSolve:
         losses = [0.5 * (w[0, 0] - 3.0) ** 2 for w in path]
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
-    def test_divergence_raises_with_step_index(self):
-        # lr = 3 on unit curvature: multiplier -2, exponential blow-up
-        alg = InnerSolver(steps=10_000, lr=3.0, w0=np.array([1.0]))
-        with pytest.raises(NonFiniteObjective) as excinfo:
-            solve(quad_grad, alg, LAM)
-        assert "after 10000 inner steps" in str(excinfo.value)
-
 
 class TestAdamSolve:
     def test_zero_steps_returns_w0(self):
@@ -149,18 +141,13 @@ class TestBlockSolve:
         for j in range(3):
             np.testing.assert_array_equal(block[:, [j]], solve(self.scaled_grad, alg, lam[:, [j]]))
 
-    def test_names_the_lowest_diverged_column(self):
+    def test_a_diverged_column_stays_non_finite_and_the_others_are_their_one_point_solves(self):
         alg = InnerSolver(steps=2000, lr=1.0, w0=np.zeros(1))
-        with pytest.raises(NonFiniteObjective) as excinfo:
-            solve(self.scaled_grad, alg, np.array([[0.5, 3.5, 1.0, 4.0]]))
-        np.testing.assert_array_equal(excinfo.value.hyperparams, [3.5])
-        assert str(excinfo.value).endswith("at lam=[3.5]")
-        # the whole final block goes with the error: finite columns are their one-point solves
-        models = excinfo.value.models
-        assert models.shape == (1, 4)
+        block = solve(self.scaled_grad, alg, np.array([[0.5, 3.5, 1.0, 4.0]]))
+        assert block.shape == (1, 4)
         for j, lam in [(0, 0.5), (2, 1.0)]:
-            np.testing.assert_array_equal(models[:, [j]], solve(self.scaled_grad, alg, np.array([[lam]])))
-        assert not np.isfinite(models[:, 1]).any() and not np.isfinite(models[:, 3]).any()
+            np.testing.assert_array_equal(block[:, [j]], solve(self.scaled_grad, alg, np.array([[lam]])))
+        assert not np.isfinite(block[:, 1]).any() and not np.isfinite(block[:, 3]).any()
 
 
 class TestTrajectory:
@@ -198,18 +185,14 @@ class TestTrajectory:
         w0=st.floats(-1e6, 1e6),
         variant=st.sampled_from(["gd", "adam"]),
     )
-    def test_solve_raises_iff_trajectory_leaves_finite_range(
-        self, curvature, lr, steps, w0, variant
-    ):
+    def test_solve_is_the_trajectory_end_byte_for_byte(self, curvature, lr, steps, w0, variant):
         # a quadratic that overflows for large enough lr * curvature
         def grad(w, lam):
             return curvature * (w - 3.0)
 
         alg = InnerSolver(steps=steps, lr=lr, variant=variant, w0=np.array([w0, -w0]))
         path = trajectory(grad, alg, LAM)
+        assert solve(grad, alg, LAM).tobytes() == path[-1].tobytes()
+        # an iterate that leaves the finite range never comes back
         diverged = any(not np.all(np.isfinite(w)) for w in path)
-        if diverged:
-            with pytest.raises(NonFiniteObjective):
-                solve(grad, alg, LAM)
-        else:
-            np.testing.assert_array_equal(solve(grad, alg, LAM), path[-1])
+        assert diverged == (not np.all(np.isfinite(path[-1])))

@@ -1,9 +1,12 @@
 """Oracle evaluation contract tests."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import hozog.oracle as oracle
 from hozog import (
@@ -115,31 +118,46 @@ class TestEvaluateBatch:
         np.testing.assert_array_equal(excinfo.value.hyperparams, [np.nan, 0.0])
         assert calls == []
 
-    @pytest.mark.parametrize(
-        "spec, points, named",
-        [
-            # two diverging points among finite ones: the lower index is named
-            (_LR5, [-3.0, 2.0, -4.0, 3.0], 2.0),
-            (_LR5, [-3.0, 3.0, -4.0, 2.0], 3.0),
-            # a finite iterate whose f overflows before a diverged solve, and after one
-            (_LR5, [-3.0, 0.0, 2.0], 0.0),
-            (_LR5, [-3.0, 2.0, 0.0], 2.0),
-            (_JUMPS, [0.0, 3.0, 1.0, 2.0], 3.0),
-            (_JUMPS, [0.0, 1.0, 2.0, 3.0], 2.0),
-        ],
+    # two diverging points among finite ones: the lower index is named
+    @example(case=(_LR5, [-3.0, 2.0, -4.0, 3.0]), width=oracle.BLOCK_WIDTH)
+    @example(case=(_LR5, [-3.0, 3.0, -4.0, 2.0]), width=oracle.BLOCK_WIDTH)
+    # a finite iterate whose f overflows before a diverged solve, and after one
+    @example(case=(_LR5, [-3.0, 0.0, 2.0]), width=oracle.BLOCK_WIDTH)
+    @example(case=(_LR5, [-3.0, 2.0, 0.0]), width=oracle.BLOCK_WIDTH)
+    @example(case=(_JUMPS, [0.0, 3.0, 1.0, 2.0]), width=oracle.BLOCK_WIDTH)
+    @example(case=(_JUMPS, [0.0, 1.0, 2.0, 3.0]), width=oracle.BLOCK_WIDTH)
+    @given(
+        case=st.one_of(
+            st.tuples(st.just(_LR5), st.lists(st.sampled_from([-4.0, -3.0, 0.0, 2.0, 3.0]),
+                                              min_size=1, max_size=6)),
+            st.tuples(st.just(_JUMPS), st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+                                                min_size=1, max_size=6)),
+        ),
+        width=st.integers(1, 4),
     )
-    def test_a_failure_names_the_point_a_sequential_loop_names(self, spec, points, named):
-        def sequential():
-            for lam in points:
+    def test_a_failure_names_the_point_a_sequential_loop_names(self, case, width):
+        spec, points = case
+        want = None
+        for lam in points:
+            try:
                 evaluate(spec, [lam])
-
-        with pytest.raises(NonFiniteObjective) as want:
-            sequential()
-        with pytest.raises(NonFiniteObjective) as got:
-            evaluate_batch(spec, points)
-        assert str(got.value) == str(want.value)
-        np.testing.assert_array_equal(got.value.hyperparams, [named])
-        np.testing.assert_array_equal(want.value.hyperparams, [named])
+            except NonFiniteObjective as err:
+                want = err
+                break
+        with mock.patch.object(oracle, "BLOCK_WIDTH", width):
+            try:
+                evaluate_batch(spec, points)
+                got = None
+            except NonFiniteObjective as err:
+                got = err
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert str(got) == str(want)
+            np.testing.assert_array_equal(got.hyperparams, want.hyperparams)
+            diverged = ~np.isfinite(got.models).all(axis=0)
+            if spec is _LR5:  # its finite models score finite or +inf, never NaN
+                assert np.isnan(got.values).tolist() == diverged.tolist()
+            assert np.isnan(got.values[diverged]).all()
 
     @pytest.mark.parametrize(
         "points, named", [([-3.0, 0.0, 2.0], 0.0), ([-3.0, 2.0, 0.0], 2.0)],

@@ -2,14 +2,17 @@
 
 Every run writes its trace CSV and, once it finishes, a manifest next to
 it recording the resolved config (what ran, every default filled in, the
-random-search box included) and the library versions.  The manifest's
+random-search box included), the library versions, and numpy's BLAS build,
+BLAS thread count and SIMD extensions.  The manifest's
 path is the output's with one trailing ``.csv`` removed, plus
 ``.manifest.json``.
 """
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import functools
 import json
 import platform
 from pathlib import Path
@@ -70,8 +73,51 @@ def build_objective(cfg: ExperimentConfig | LipschitzConfig) -> ObjectiveSpec:
     return hyperclean_objective(prob, cfg.inner)
 
 
+@functools.cache
+def _numpy_build() -> dict:
+    """numpy's BLAS name, version and thread count, and its SIMD extensions.
+
+    Looked up once per process; a field the build does not report is None,
+    as is every field on numpy before 1.25, whose ``show_config`` has no
+    ``mode``.
+    """
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:
+        config = {}
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        "blas_threads": _blas_threads(),
+        "simd": config.get("SIMD Extensions"),
+    }
+
+
+def _blas_threads() -> int | None:
+    """The thread count numpy's OpenBLAS runs with, None when no getter resolves."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy before 2.0
+        from numpy.core import _multiarray_umath
+    try:
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in (
+        "scipy_openblas_get_num_threads64_",
+        "openblas_get_num_threads64_",
+        "openblas_get_num_threads",
+    ):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            return int(getter())
+    return None
+
+
 def _write_manifest(path: str, cfg: ExperimentConfig, result: dict) -> None:
-    """Write the resolved config (what ran, defaults filled in) and the library versions.
+    """Write the resolved config (what ran, defaults filled in) and the library versions and build.
 
     A section the run did not use is left out, as a config file leaves it out.
     """
@@ -86,6 +132,7 @@ def _write_manifest(path: str, cfg: ExperimentConfig, result: dict) -> None:
             "numpy": np.__version__,
             "scipy": scipy.__version__,
             "hozog": __version__,
+            **_numpy_build(),
         },
     }
     with open(path, "w", encoding="utf-8") as fh:

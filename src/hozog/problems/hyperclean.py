@@ -13,7 +13,10 @@ hyperparameter search should discover.  Half the training labels (rounded
 up) are corrupted at construction time, matching the experimental rule
 this task is defined by.
 
-The kernels hold the logits of a (d, k) block of models class-major, as a
+The training products run on one operand, the training split in the
+storage :func:`~hozog.data_io.by_density` picks, whatever storage the split
+was given in; the validation and test splits are read as stored.  The
+kernels hold the logits of a (d, k) block of models class-major, as a
 (K, rows, k) array.  Softmax and cross-entropy then reduce over the leading
 class axis, which costs K - 1 elementwise operations over rows x k values;
 a reduction over a short last axis pays a cost per row instead.  The one
@@ -31,8 +34,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from ..data_io import SparseDataset, check_splits, draw_other_class
-from ..errors import DimensionMismatch, InsufficientData
+from ..data_io import SparseDataset, by_density, check_splits, draw_other_class
+from ..errors import DimensionMismatch, InsufficientData, InvalidConfig
 from ..inner_solvers import InnerSolver
 from ..oracle import ObjectiveSpec
 
@@ -50,10 +53,12 @@ class HyperCleanProblem:
 
     The kernels only use ``@``, so either storage works; :func:`make_hyperclean`
     builds CSR splits.  The splits meet :func:`~hozog.data_io.check_splits` over
-    ``range(n_classes)``.  The transposed training matrix and a class-major
-    one-hot mask of the training labels are built once per problem, on the
-    first gradient; the transpose of a CSR matrix is a CSC view over its
-    arrays, so no data is copied.
+    ``range(n_classes)``, and the labels and group ids are integer arrays.
+    The training operand (``x_train`` in the storage
+    :func:`~hozog.data_io.by_density` picks) and a class-major one-hot mask of
+    the training labels are built once per problem, on the first gradient.  The
+    transposed product reads the operand's ``.T``: a CSC view of CSR, or an
+    F-ordered view of a dense array that BLAS takes without a copy.
     """
 
     x_train: np.ndarray | sp.csr_matrix
@@ -68,6 +73,10 @@ class HyperCleanProblem:
     n_groups: int
 
     def __post_init__(self):
+        for name in ("y_train", "y_clean", "y_val", "y_test", "group_ids"):
+            dtype = getattr(self, name).dtype
+            if not np.issubdtype(dtype, np.integer):
+                raise InvalidConfig(f"{name} must be an integer array, got dtype {dtype}")
         check_splits(
             range(self.n_classes),
             train=(self.x_train, self.y_train),
@@ -102,9 +111,9 @@ class HyperCleanProblem:
         return self.n_classes * self.n_features + self.n_classes
 
     @cached_property
-    def _x_train_t(self):
-        """The transposed training matrix, a view (CSC over a CSR matrix's arrays)."""
-        return self.x_train.T
+    def _x_train_op(self):
+        """The training matrix the kernels read, in the storage ``by_density`` picks."""
+        return by_density(self.x_train)[0]
 
     @cached_property
     def _label_mask(self) -> np.ndarray:
@@ -134,14 +143,14 @@ class HyperCleanProblem:
         return np.log(np.exp(shifted).sum(axis=0)) - shifted[y, np.arange(len(y))]
 
     def inner_loss(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        losses = self._cross_entropy(self.x_train, self.y_train, w)
+        losses = self._cross_entropy(self._x_train_op, self.y_train, w)
         return (expit(lam)[self.group_ids] * losses).mean(axis=0)
 
     def inner_loss_grad(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
         n_cls, nf, k = self.n_classes, self.n_features, w.shape[1]
         n_tr = self.x_train.shape[0]
         # softmax in place over the leading class axis, then minus the one-hot label
-        resid = self._logits(self.x_train, w)
+        resid = self._logits(self._x_train_op, w)
         resid -= resid.max(axis=0)
         np.exp(resid, out=resid)
         resid /= resid.sum(axis=0)
@@ -151,7 +160,7 @@ class HyperCleanProblem:
         # row-major for the product; its column sums are the bias gradient, and
         # at k > 1 summing them is faster than summing the middle axis of resid
         rows = resid.transpose(1, 0, 2).reshape(n_tr, n_cls * k)
-        grad_w = (self._x_train_t @ rows).reshape(nf, n_cls, k).transpose(1, 0, 2)
+        grad_w = (self._x_train_op.T @ rows).reshape(nf, n_cls, k).transpose(1, 0, 2)
         return np.concatenate([grad_w.reshape(n_cls * nf, k), rows.sum(axis=0).reshape(n_cls, k)])
 
     def outer_value(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -189,7 +198,8 @@ def make_hyperclean(
     if classes.size < 2:
         raise InsufficientData("need at least two classes")
     # CSR even for dense data, unlike logreg's design_matrices: the check in
-    # bench/workloads.py calls toarray() on these splits (ROADMAP item 1)
+    # bench/workloads.py calls toarray() on these splits (ROADMAP item 1).
+    # The gradient's training operand follows by_density, not this storage.
     x_all = dataset.to_csr()
 
     rng = np.random.default_rng(corruption_seed)

@@ -28,8 +28,15 @@ def test_traced_run_passes_its_checks(workload):
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout.splitlines()[-1])
     assert result["correct"] is True
+    metrics = result["metrics"]
+    # one gradient per inner step of each evaluation, so a faster kernel shows
+    # in problems.grad_s, not as fewer calls: hyperclean_wide makes 72
+    # evaluations of 100 steps, logreg_traced 20 optimizer and 1 probe
+    # evaluations of 150 steps
+    steps = {"hyperclean_wide": 72 * 100, "logreg_traced": (20 + 1) * 150}
+    if workload in steps:
+        assert metrics["problems.grad_calls"]["value"] == steps[workload]
     if workload == "logreg_traced":
-        metrics = result["metrics"]
         # the metrics' one evaluation per run is the final iterate, new to the optimizer
         assert metrics["harness.metrics.probe_evals"]["value"] == 1
         assert metrics["harness.metrics.redundant_evals"]["value"] == 0

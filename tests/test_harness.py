@@ -244,7 +244,10 @@ class TestRunExperiment:
         assert summary["oracle_calls_optimizer"] == 20 * 3
         manifest = json.loads((tmp_path / "trace.manifest.json").read_text())
         assert manifest["config"]["method"] == "hozog"
-        assert "numpy" in manifest["versions"]
+        versions = manifest["versions"]
+        assert {"numpy", "blas", "blas_version", "blas_threads", "simd"} <= set(versions)
+        threads = versions["blas_threads"]
+        assert threads is None or (isinstance(threads, int) and threads >= 1)
 
     def test_manifest_records_resolved_config(self, tmp_path, logreg_file):
         raw = {

@@ -13,7 +13,9 @@ from scipy.special import expit
 from conftest import overflowing_logreg
 from hozog import InnerSolver, InvalidConfig, NonFiniteObjective, evaluate, evaluate_batch, solve
 from hozog.data_io import (
+    DENSE_MIN_DENSITY,
     SparseDataset,
+    by_density,
     design_matrices,
     random_classification_dataset,
     split_2_1_1,
@@ -290,6 +292,26 @@ class TestStorage:
             )
 
 
+class TestDensityRule:
+    """``by_density``, the one rule that picks dense or CSR storage."""
+
+    def test_a_full_csr_matrix_comes_back_dense(self):
+        x = sp.csr_matrix(np.arange(1.0, 13.0).reshape(3, 4))
+        (got,) = by_density(x)
+        assert isinstance(got, np.ndarray)
+        np.testing.assert_array_equal(got, x.toarray())
+
+    def test_a_csr_matrix_just_below_the_rule_comes_back_as_is(self):
+        dense = np.zeros(100)
+        dense[: math.ceil(DENSE_MIN_DENSITY * 100) - 1] = 1.0
+        x = sp.csr_matrix(dense.reshape(10, 10))
+        assert by_density(x)[0] is x
+
+    def test_a_dense_matrix_comes_back_as_is(self):
+        x = np.zeros((3, 4))  # density 0: dense stays dense
+        assert by_density(x)[0] is x
+
+
 class _ExpitLogReg(LogRegProblem):
     """Logreg with the gradient it had before the signed-matrix kernel: scipy's expit."""
 
@@ -525,6 +547,82 @@ class TestHypercleanObjective:
         np.testing.assert_array_equal(fracs[prob.group_ids], prob.corrupted)
         # this seed's permutation is not the identity, so row-indexed scoring fails
         assert not np.array_equal(fracs, prob.corrupted)
+
+
+class TestHypercleanValidation:
+    @pytest.mark.parametrize("field", ["y_train", "y_clean", "y_val", "y_test", "group_ids"])
+    def test_a_non_integer_label_or_group_array_is_rejected(self, field):
+        # float labels pass the membership check but cannot index the logits
+        prob = _hand_built(np.eye(4), np.array([0, 1, 2, 1]), 3, np.array([0, 0, 1, 1]))
+        bad = getattr(prob, field).astype(float)
+        with pytest.raises(InvalidConfig, match=field):
+            dataclasses.replace(prob, **{field: bad})
+
+
+class _CsrHyperClean(HyperCleanProblem):
+    """Hyper-cleaning with the gradient it had before its training operand:
+    both products run on ``x_train`` as stored."""
+
+    def inner_loss_grad(self, w, lam):
+        n_cls, nf, k = self.n_classes, self.n_features, w.shape[1]
+        n_tr = self.x_train.shape[0]
+        resid = self._logits(self.x_train, w)
+        resid -= resid.max(axis=0)
+        np.exp(resid, out=resid)
+        resid /= resid.sum(axis=0)
+        resid -= self._label_mask
+        resid *= (expit(lam) / n_tr)[self.group_ids]
+        rows = resid.transpose(1, 0, 2).reshape(n_tr, n_cls * k)
+        grad_w = (self.x_train.T @ rows).reshape(nf, n_cls, k).transpose(1, 0, 2)
+        return np.concatenate([grad_w.reshape(n_cls * nf, k), rows.sum(axis=0).reshape(n_cls, k)])
+
+
+class TestTrainingOperand:
+    """The gradient on the training operand ``by_density`` picks, against the CSR kernel.
+
+    A dense and a CSR product differ only in summation order.
+    """
+
+    RTOL = 1e-12
+
+    @pytest.fixture(scope="class")
+    def wide_problem(self):
+        # the benchmark's hyperclean_wide shape: 400 x 15, 3 classes, 100 groups
+        ds = _blob_dataset(800, 3, seed=21, n_features=15)
+        return make_hyperclean(ds, 400, 200, 200, 100, corruption_seed=1)
+
+    @pytest.mark.parametrize("width", [1, 9])
+    def test_evaluate_batch_matches_the_csr_kernel(self, wide_problem, width):
+        assert sp.issparse(wide_problem.x_train)
+        assert isinstance(by_density(wide_problem.x_train)[0], np.ndarray)
+        fields = {f.name: getattr(wide_problem, f.name) for f in dataclasses.fields(HyperCleanProblem)}
+        inner = InnerSolver(steps=100, lr=0.05)
+        lams = np.random.default_rng(2).standard_normal((9, 100)) * 3.0
+        f_values = []
+        for block in np.split(lams, len(lams) // width):
+            f_new, m_new = evaluate_batch(hyperclean_objective(wide_problem, inner), block)
+            f_old, m_old = evaluate_batch(hyperclean_objective(_CsrHyperClean(**fields), inner), block)
+            np.testing.assert_allclose(f_new, f_old, rtol=self.RTOL, atol=0.0)
+            gaps = np.linalg.norm(m_new - m_old, axis=0)
+            assert np.all(gaps <= self.RTOL * np.linalg.norm(m_old, axis=0))
+            f_values.extend(f_new)
+        assert np.ptp(f_values) > 0.01  # the points span values, not one constant
+
+    def test_a_sparse_training_split_keeps_the_csr_kernel(self):
+        rng = np.random.default_rng(5)
+        x = sp.random(40, 8, density=0.25, format="csr", random_state=rng) * 3.0
+        y = rng.integers(0, 3, size=40)
+        sparse = _hand_built(x, y, 3, group_ids=np.arange(40) % 4)
+        assert by_density(sparse.x_train)[0] is sparse.x_train
+        dense = dataclasses.replace(sparse, x_train=x.toarray())
+        w = rng.standard_normal((sparse.d, 3))
+        lam = rng.standard_normal((4, 3))
+        np.testing.assert_allclose(
+            sparse.inner_loss_grad(w, lam), dense.inner_loss_grad(w, lam), rtol=self.RTOL, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            sparse.inner_loss(w, lam), dense.inner_loss(w, lam), rtol=self.RTOL, atol=0.0
+        )
 
 
 class TestWeightedInnerLoss:

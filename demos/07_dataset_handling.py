@@ -26,13 +26,13 @@ text = """\
 
 dataset = parse_libsvm(text)
 print(f"parsed {len(dataset)} rows, {dataset.n_features} features")
-print("label counts:", dict(collections.Counter(label for label, _ in dataset.rows)))
+print("label counts:", dict(collections.Counter(dataset.labels.tolist())))
 
 # serialization round-trips exactly
 assert parse_libsvm(serialize_libsvm(dataset)) == dataset
 
 binary = binarize(dataset, seed=0)
-print("after binarization:", dict(collections.Counter(label for label, _ in binary.rows)))
+print("after binarization:", dict(collections.Counter(binary.labels.tolist())))
 
 train, val, test = split_2_1_1(binary, seed=0)
 print(f"2:1:1 split sizes: {len(train)}/{len(val)}/{len(test)}")

@@ -19,7 +19,6 @@ import gzip
 import io
 import math
 import zlib
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,48 +49,61 @@ __all__ = [
 DENSE_MIN_DENSITY = 0.5
 
 
-@dataclass(frozen=True)
 class SparseDataset:
-    """Rows of ``(label, [(index, value), ...])`` with 1-based sorted indices."""
+    """A float label per row and one CSR feature matrix ``x`` (0-based columns).
 
-    rows: tuple
-    n_features: int = 0
+    Built from LIBSVM rows ``(label, ((index, value), ...))`` with 1-based
+    sorted indices, in their order; every listed pair is a stored entry, an
+    explicit ``idx:0`` included.  ``n_features`` is at least the largest index.
+    """
 
-    def __post_init__(self):
-        n = self.n_features
-        for _, feats in self.rows:
-            if feats:
-                n = max(n, feats[-1][0])
-        object.__setattr__(self, "n_features", n)
+    def __init__(self, rows, n_features: int = 0):
+        check_count(n_features, "n_features", 0)
+        labels, values, indices, indptr = [], [], [], [0]
+        for label, feats in rows:
+            labels.append(label)
+            indices.extend(idx - 1 for idx, _ in feats)
+            values.extend(val for _, val in feats)
+            indptr.append(len(values))
+        if min(indices, default=0) < 0:  # scipy's products would read out of bounds
+            raise InvalidConfig(f"feature indices must be >= 1, got {min(indices) + 1}")
+        self.labels, self.x = _arrays(labels, values, indices, indptr, n_features)
 
     def __len__(self):
-        return len(self.rows)
+        return self.labels.shape[0]
+
+    def __eq__(self, other):
+        def fields(ds):
+            return ds.x.shape, ds.labels, ds.x.indptr, ds.x.indices, ds.x.data
+
+        return isinstance(other, SparseDataset) and all(map(np.array_equal, fields(self), fields(other)))
 
     @property
-    def labels(self) -> np.ndarray:
-        return np.array([label for label, _ in self.rows], dtype=float)
+    def n_features(self) -> int:
+        return self.x.shape[1]
 
     def subset(self, indices) -> "SparseDataset":
-        return SparseDataset(
-            rows=tuple(self.rows[i] for i in indices), n_features=self.n_features
-        )
+        return _dataset(self.labels[indices], self.x[indices])
 
     def to_csr(self, n_features: int | None = None) -> sp.csr_matrix:
-        """Feature matrix as CSR; columns are 0-based (libsvm index 1 -> column 0).
+        """The feature matrix ``x``, widened to ``n_features`` columns when that is given."""
+        widen = n_features not in (None, self.n_features)
+        return sp.csr_matrix(self.x, shape=(len(self), n_features)) if widen else self.x
 
-        Every listed pair is a stored entry, an explicit ``idx:0`` included.
-        """
-        n_cols = n_features if n_features is not None else self.n_features
-        data, indices, indptr = [], [], [0]
-        for _, feats in self.rows:
-            for idx, val in feats:
-                indices.append(idx - 1)
-                data.append(val)
-            indptr.append(len(data))
-        return sp.csr_matrix(
-            (np.asarray(data, dtype=float), indices, indptr),
-            shape=(len(self.rows), n_cols),
-        )
+
+def _arrays(labels, values, indices, indptr, n_features: int = 0) -> tuple:
+    """The label array and CSR matrix of rows that ``indptr`` cuts from flat 0-based
+    column ``indices`` and ``values``, ``n_features`` or more columns wide."""
+    columns = np.array(indices, dtype=np.int64)
+    width = max(n_features, int(columns.max(initial=-1)) + 1)
+    x = sp.csr_matrix((np.array(values, dtype=float), columns, indptr), shape=(len(indptr) - 1, width))
+    return np.array(labels, dtype=float), x
+
+
+def _dataset(labels: np.ndarray, x: sp.csr_matrix) -> SparseDataset:
+    ds = object.__new__(SparseDataset)
+    ds.labels, ds.x = labels, x
+    return ds
 
 
 def by_density(*mats) -> tuple:
@@ -151,9 +163,13 @@ def _parse_index(token: str, line_no: int, col: int) -> int:
     # '+2' or '²' are rejected even though int() variants could be coerced.
     if not (token.isascii() and token.isdigit()):
         raise ParseError(line_no, col, f"feature index is not an integer: {token!r}")
-    idx = int(token)
-    if idx <= 0:
-        raise ParseError(line_no, col, f"feature index must be >= 1: {token!r}")
+    try:
+        idx = int(token)
+    except ValueError:  # int() refuses a token of over 4300 digits
+        idx = 2**31
+    if not 0 < idx < 2**31:  # LIBSVM holds an index in a C int
+        reason = "must be >= 1" if idx <= 0 else "above 2^31 - 1"
+        raise ParseError(line_no, col, f"feature index {reason}: {token!r}")
     return idx
 
 
@@ -161,11 +177,11 @@ def parse_libsvm(stream) -> SparseDataset:
     """Parse LIBSVM-format text into a :class:`SparseDataset`.
 
     ``stream`` is an iterable of text lines (an open file, StringIO, or a
-    list of strings).  Rows are returned in file order.
+    list of strings).  Rows, and each row's entries, keep their file order.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    rows = []
+    labels, values, indices, indptr = [], [], [], [0]
     for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         hash_pos = line.find("#")
@@ -177,9 +193,8 @@ def parse_libsvm(stream) -> SparseDataset:
         tokens = line.split(" ")
         col = 1
         label_tok = tokens[0]
-        label = _parse_float(label_tok, line_no, col, "label")
+        labels.append(_parse_float(label_tok, line_no, col, "label"))
         col += len(label_tok) + 1
-        feats = []
         prev_idx = 0
         for tok in tokens[1:]:
             if tok == "":
@@ -189,15 +204,13 @@ def parse_libsvm(stream) -> SparseDataset:
             idx_tok, val_tok = tok.split(":")
             idx = _parse_index(idx_tok, line_no, col)
             if idx <= prev_idx:
-                raise ParseError(
-                    line_no, col, f"feature index {idx} not greater than {prev_idx}"
-                )
-            value = _parse_float(val_tok, line_no, col + len(idx_tok) + 1, "feature value")
-            feats.append((idx, value))
+                raise ParseError(line_no, col, f"feature index {idx} not greater than {prev_idx}")
+            values.append(_parse_float(val_tok, line_no, col + len(idx_tok) + 1, "feature value"))
+            indices.append(idx - 1)
             prev_idx = idx
             col += len(tok) + 1
-        rows.append((label, tuple(feats)))
-    return SparseDataset(rows=tuple(rows))
+        indptr.append(len(values))
+    return _dataset(*_arrays(labels, values, indices, indptr))
 
 
 def load_libsvm(path) -> SparseDataset:
@@ -219,11 +232,9 @@ def load_libsvm(path) -> SparseDataset:
 
 def serialize_libsvm(ds: SparseDataset) -> str:
     """Canonical text form; floats use shortest round-trip decimals."""
-    lines = []
-    for label, feats in ds.rows:
-        parts = [repr(label)] + [f"{idx}:{val!r}" for idx, val in feats]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + ("\n" if lines else "")
+    pairs = [f" {j + 1}:{v!r}" for j, v in zip(ds.x.indices.tolist(), ds.x.data.tolist())]
+    cuts = ds.x.indptr.tolist()
+    return "".join(repr(y) + "".join(pairs[a:b]) + "\n" for y, a, b in zip(ds.labels.tolist(), cuts, cuts[1:]))
 
 
 def binarize(ds: SparseDataset, seed: int) -> SparseDataset:
@@ -232,16 +243,13 @@ def binarize(ds: SparseDataset, seed: int) -> SparseDataset:
     The distinct label values are split into two halves (sizes differing by
     at most one) by a seeded shuffle; the first half maps to +1.
     """
-    distinct = sorted({label for label, _ in ds.rows})
+    check_count(seed, "seed", 0)
+    distinct = np.unique(ds.labels)
     if len(distinct) < 2:
         raise InsufficientData(f"need >= 2 distinct labels, found {len(distinct)}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(distinct))
-    positive = {distinct[i] for i in order[: len(distinct) // 2 + len(distinct) % 2]}
-    rows = tuple(
-        (1.0 if label in positive else -1.0, feats) for label, feats in ds.rows
-    )
-    return SparseDataset(rows=rows, n_features=ds.n_features)
+    order = np.random.default_rng(seed).permutation(len(distinct))
+    positive = distinct[order[: len(distinct) // 2 + len(distinct) % 2]]
+    return _dataset(np.where(np.isin(ds.labels, positive), 1.0, -1.0), ds.x)
 
 
 def split_2_1_1(ds: SparseDataset, seed: int):
@@ -250,29 +258,19 @@ def split_2_1_1(ds: SparseDataset, seed: int):
     Returns ``(train, val, test)``; the splits are disjoint and their union
     is the whole dataset.
     """
+    check_count(seed, "seed", 0)
     n = len(ds)
     if n < 4:
         raise InsufficientData(f"need >= 4 rows for a 2:1:1 split, got {n}")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    cut1, cut2 = n // 2, (3 * n) // 4
-    return (
-        ds.subset(order[:cut1]),
-        ds.subset(order[cut1:cut2]),
-        ds.subset(order[cut2:]),
-    )
+    order = np.random.default_rng(seed).permutation(n)
+    return tuple(ds.subset(part) for part in np.split(order, [n // 2, (3 * n) // 4]))
 
 
 def random_classification_dataset(
-    n: int,
-    n_features: int,
-    n_classes: int = 2,
-    *,
-    seed: int = 0,
-    class_sep: float = 1.0,
-    noise_flip: float = 0.0,
+    n: int, n_features: int, n_classes: int = 2, *,
+    seed: int = 0, class_sep: float = 1.0, noise_flip: float = 0.0,
 ) -> SparseDataset:
-    """Gaussian-blob classification data as a dense-row SparseDataset.
+    """Gaussian-blob classification data, every entry stored.
 
     Labels are 0..n_classes-1 for multi-class, or {-1, +1} when
     ``n_classes == 2``.  ``noise_flip`` relabels that fraction of rows to a
@@ -286,6 +284,7 @@ def random_classification_dataset(
     if n_classes < 2:
         raise InsufficientData(f"need >= 2 classes, got n_classes={n_classes}")
     check_count(n_features, "n_features", 1)
+    check_count(seed, "seed", 0)
     if not 0.0 <= noise_flip <= 1.0:
         raise InvalidConfig(f"noise_flip must be in [0, 1], got {noise_flip}")
     if not math.isfinite(class_sep):
@@ -298,8 +297,8 @@ def random_classification_dataset(
     flip_idx = rng.choice(n, size=int(round(noise_flip * n)), replace=False)
     y[flip_idx] = draw_other_class(y[flip_idx], n_classes, rng)
     labels = np.where(y == 1, 1.0, -1.0) if n_classes == 2 else y.astype(float)
-    rows = tuple((label, tuple(enumerate(row, 1))) for label, row in zip(labels.tolist(), x.tolist()))
-    return SparseDataset(rows=rows, n_features=n_features)
+    full = (x.ravel(), np.tile(np.arange(n_features), n), np.arange(0, x.size + 1, n_features))
+    return _dataset(labels, sp.csr_matrix(full, shape=x.shape))
 
 
 def draw_other_class(labels: np.ndarray, n_classes: int, rng: np.random.Generator) -> np.ndarray:

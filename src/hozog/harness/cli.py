@@ -89,11 +89,10 @@ def _cmd_parse_data(args) -> int:
 
     ds = load_libsvm(args.input)
     if args.summary:
-        nnz = sum(len(feats) for _, feats in ds.rows)
-        label_counts = Counter(label for label, _ in ds.rows)
+        label_counts = Counter(ds.labels.tolist())
         print(f"rows: {len(ds)}")
         print(f"n_features: {ds.n_features}")
-        print(f"nonzeros: {nnz}")
+        print(f"nonzeros: {ds.x.nnz}")  # stored entries, an explicit idx:0 included
         for label in sorted(label_counts):
             print(f"label {label:g}: {label_counts[label]}")
     else:

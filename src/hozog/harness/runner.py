@@ -51,10 +51,9 @@ def build_objective(cfg: ExperimentConfig | LipschitzConfig) -> ObjectiveSpec:
         return make_synthetic(cfg.problem["c"], cfg.problem["w_star"], inner=cfg.inner)
     ds = load_libsvm(cfg.problem["data"])
     if kind == "logreg":
-        labels = {label for label, _ in ds.rows}
         if "binarize_seed" in cfg.problem:
             ds = binarize(ds, cfg.problem["binarize_seed"])
-        elif not labels <= {-1.0, 1.0}:
+        elif not set(ds.labels.tolist()) <= {-1.0, 1.0}:
             raise ConfigError(
                 "problem.binarize_seed",
                 "labels are not {-1, +1}; set binarize_seed to map them",

@@ -35,7 +35,7 @@ import scipy.sparse as sp
 from scipy.special import expit
 
 from ..data_io import SparseDataset, by_density, check_splits, draw_other_class
-from ..errors import DimensionMismatch, InsufficientData, InvalidConfig
+from ..errors import DimensionMismatch, InsufficientData, InvalidConfig, check_count
 from ..inner_solvers import InnerSolver
 from ..oracle import ObjectiveSpec
 
@@ -73,6 +73,8 @@ class HyperCleanProblem:
     n_groups: int
 
     def __post_init__(self):
+        check_count(self.n_classes, "n_classes", 0)
+        check_count(self.n_groups, "n_groups", 0)
         for name in ("y_train", "y_clean", "y_val", "y_test", "group_ids"):
             dtype = getattr(self, name).dtype
             if not np.issubdtype(dtype, np.integer):
@@ -188,10 +190,11 @@ def make_hyperclean(
     equal size as possible; ceil(n_train/2) training rows get a label drawn
     uniformly from the other classes.
     """
+    for name, count in (("n_train", n_train), ("n_val", n_val), ("n_test", n_test),
+                        ("n_groups", n_groups), ("corruption_seed", corruption_seed)):
+        check_count(count, name, 0)
     if len(dataset) < n_train + n_val + n_test:
-        raise InsufficientData(
-            f"dataset has {len(dataset)} rows, need {n_train + n_val + n_test}"
-        )
+        raise InsufficientData(f"dataset has {len(dataset)} rows, need {n_train + n_val + n_test}")
     if not (1 <= n_groups <= n_train):
         raise InsufficientData(f"need 1 <= n_groups <= n_train, got {n_groups}")
     classes, y_all = np.unique(dataset.labels, return_inverse=True)
@@ -200,7 +203,7 @@ def make_hyperclean(
     # CSR even for dense data, unlike logreg's design_matrices: the check in
     # bench/workloads.py calls toarray() on these splits (ROADMAP item 1).
     # The gradient's training operand follows by_density, not this storage.
-    x_all = dataset.to_csr()
+    x_all = dataset.x
 
     rng = np.random.default_rng(corruption_seed)
     order = rng.permutation(len(dataset))

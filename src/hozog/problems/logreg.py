@@ -64,14 +64,7 @@ class LogRegProblem:
         cls, train: SparseDataset, val: SparseDataset, test: SparseDataset
     ) -> "LogRegProblem":
         x_train, x_val, x_test = design_matrices(train, val, test)
-        return cls(
-            x_train=x_train,
-            y_train=train.labels,
-            x_val=x_val,
-            y_val=val.labels,
-            x_test=x_test,
-            y_test=test.labels,
-        )
+        return cls(x_train, train.labels, x_val, val.labels, x_test, test.labels)
 
     @property
     def d(self) -> int:

@@ -1,10 +1,11 @@
 """LIBSVM parsing, serialization round-trips, binarization, and splitting."""
 
 import gzip
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hozog.data_io import (
@@ -26,24 +27,29 @@ class TestParse:
     def test_basic_line(self):
         ds = parse_libsvm("+1 1:0.5 3:2.0\n")
         assert len(ds) == 1
-        label, feats = ds.rows[0]
-        assert label == 1.0
-        assert feats == ((1, 0.5), (3, 2.0))
+        assert ds.labels.tolist() == [1.0]
+        assert ds.x.indices.tolist() == [0, 2] and ds.x.data.tolist() == [0.5, 2.0]
         assert ds.n_features == 3
 
     def test_label_only_row(self):
         ds = parse_libsvm("-1\n")
-        assert ds.rows[0] == (-1.0, ())
+        assert ds.labels.tolist() == [-1.0] and ds.x.shape == (1, 0)
 
     def test_blank_lines_and_comments_ignored(self):
         text = "# full comment line\n\n1 1:1.0 # trailing comment\n\n"
         ds = parse_libsvm(text)
         assert len(ds) == 1
-        assert ds.rows[0] == (1.0, ((1, 1.0),))
+        assert ds.labels.tolist() == [1.0]
+        assert ds.x.indices.tolist() == [0] and ds.x.data.tolist() == [1.0]
 
     def test_rows_in_file_order(self):
         ds = parse_libsvm("1 1:1\n2 1:2\n3 1:3\n")
-        assert [label for label, _ in ds.rows] == [1.0, 2.0, 3.0]
+        assert ds.labels.tolist() == [1.0, 2.0, 3.0]
+        assert ds.x.data.tolist() == [1.0, 2.0, 3.0]
+
+    def test_a_c_int_is_the_largest_index(self):
+        assert parse_libsvm("1 2147483647:1.0\n").n_features == 2**31 - 1
+        assert parse_libsvm("1 00000000000000001:1.0\n").n_features == 1
 
     def test_bad_value_reports_position(self):
         with pytest.raises(ParseError) as excinfo:
@@ -85,6 +91,10 @@ LOOSE_NUMBERS = [
     ("superscript index", "1 \u00b2:1.0", 3),
     ("fullwidth value", "1 1:\uff12", 5),
     ("trailing tab", "1 1:1.0\t", 5),
+    # an index must fit LIBSVM's C int, and int() refuses over 4300 digits
+    ("index above a C int", "1 2147483648:1.0", 3),
+    ("index of 20 digits", "1 1:1.0 99999999999999999999:1.0", 9),
+    ("index of 5000 digits", "1 " + "9" * 5000 + ":1.0", 3),
 ]
 MALFORMED += [(name, line) for name, line, _ in LOOSE_NUMBERS]
 
@@ -183,21 +193,21 @@ class TestRandomClassification:
     def test_a_flip_of_one_relabels_every_row(self):
         clean = random_classification_dataset(30, 3, n_classes=3, seed=4)
         flipped = random_classification_dataset(30, 3, n_classes=3, seed=4, noise_flip=1.0)
-        assert all(a[0] != b[0] for a, b in zip(clean.rows, flipped.rows))
+        assert np.all(clean.labels != flipped.labels)
 
 
 class TestBinarize:
     def test_two_classes(self):
         ds = parse_libsvm("0 1:1\n1 1:2\n0 1:3\n")
         out = binarize(ds, seed=0)
-        labels = [label for label, _ in out.rows]
+        labels = out.labels.tolist()
         assert set(labels) <= {-1.0, 1.0}
         assert labels[0] == labels[2] != labels[1]
 
     def test_ten_classes_split_five_five(self):
         rows = tuple((float(i % 10), ((1, 1.0),)) for i in range(50))
         out = binarize(SparseDataset(rows=rows), seed=3)
-        labels = np.array([label for label, _ in out.rows])
+        labels = out.labels
         assert set(labels) == {-1.0, 1.0}
         # 5 classes of 5 rows each on both sides
         assert int((labels == 1.0).sum()) == 25
@@ -205,7 +215,7 @@ class TestBinarize:
     def test_already_binary_codomain(self):
         ds = parse_libsvm("-1 1:1\n+1 1:2\n")
         out = binarize(ds, seed=1)
-        assert {label for label, _ in out.rows} == {-1.0, 1.0}
+        assert set(out.labels.tolist()) == {-1.0, 1.0}
 
     def test_single_class_rejected(self):
         with pytest.raises(InsufficientData):
@@ -230,7 +240,7 @@ class TestSplit:
         ds = SparseDataset(rows=rows)
         train, val, test = split_2_1_1(ds, seed=seed)
         assert len(train) + len(val) + len(test) == n
-        values = sorted(feats[0][1] for part in (train, val, test) for _, feats in part.rows)
+        values = sorted(np.concatenate([part.x.data for part in (train, val, test)]).tolist())
         assert values == [float(i) for i in range(n)]
 
     def test_too_small(self):
@@ -269,3 +279,67 @@ class TestGrammarProperty:
         except ParseError:
             return
         assert text.isascii() and "_" not in text
+
+
+@st.composite
+def libsvm_rows(draw):
+    """LIBSVM rows ``(label, ((index, value), ...))`` over 40 features, labels from a few classes."""
+    values = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
+    row = st.tuples(
+        st.sampled_from([-1.0, 0.0, 1.0, 2.5, 7.0]),
+        st.lists(st.integers(1, 40), unique=True, max_size=6).map(sorted),
+    )
+    return [(label, tuple((i, draw(values)) for i in idx)) for label, idx in draw(st.lists(row, max_size=12))]
+
+
+class TestOneRepresentation:
+    """Every producer of a dataset gives the one ``SparseDataset(rows)`` builds
+    from the same rows: its labels, and its CSR arrays entry for entry."""
+
+    @given(libsvm_rows(), st.data())
+    @settings(max_examples=60)
+    def test_subset(self, rows, data):
+        picks = data.draw(st.lists(st.integers(0, len(rows) - 1) if rows else st.nothing()))
+        got = SparseDataset(rows, n_features=40).subset(np.array(picks, dtype=int))
+        assert got == SparseDataset([rows[i] for i in picks], n_features=40)
+
+    @given(libsvm_rows(), st.integers(0, 2**32))
+    @settings(max_examples=60)
+    def test_binarize(self, rows, seed):
+        distinct = sorted({label for label, _ in rows})
+        assume(len(distinct) >= 2)
+        order = np.random.default_rng(seed).permutation(len(distinct))
+        positive = {distinct[i] for i in order[: (len(distinct) + 1) // 2]}
+        mapped = [(1.0 if label in positive else -1.0, feats) for label, feats in rows]
+        assert binarize(SparseDataset(rows), seed) == SparseDataset(mapped)
+
+    @given(libsvm_rows())
+    @settings(max_examples=60)
+    def test_parse(self, rows):
+        text = "".join(repr(y) + "".join(f" {i}:{v!r}" for i, v in feats) + "\n" for y, feats in rows)
+        assert parse_libsvm(text) == SparseDataset(rows)
+
+    @given(st.integers(0, 12), st.integers(1, 5), st.integers(2, 4), st.integers(0, 100))
+    @settings(max_examples=30)
+    def test_generator_stores_every_entry(self, n, n_features, n_classes, seed):
+        ds = random_classification_dataset(n, n_features, n_classes, seed=seed, noise_flip=0.25)
+        rows = [(y, tuple(enumerate(r, 1))) for y, r in zip(ds.labels.tolist(), ds.x.toarray().tolist())]
+        assert ds == SparseDataset(rows, n_features=n_features)
+
+    @pytest.mark.parametrize("index", [0, -3])
+    def test_an_index_below_one_is_refused(self, index):
+        with pytest.raises(InvalidConfig, match=rf"^feature indices must be >= 1, got {index}$"):
+            SparseDataset([(1.0, ((1, 1.0),)), (-1.0, ((index, 2.0), (2, 1.0)))])
+
+    def test_a_parsed_dense_file_holds_under_twice_its_dense_size(self):
+        # the benchmark's file shape: 2000 rows, every one of 40 features stored
+        text = serialize_libsvm(random_classification_dataset(2000, 40, seed=0))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            ds = parse_libsvm(text)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert ds.x.nnz == 2000 * 40
+        assert held < 2 * ds.x.nnz * 8, held

@@ -169,6 +169,34 @@ SITES = {
     ("a count that is not an integer", "lipschitz.synthetic_step_jacobians"): lambda: (
         synthetic_step_jacobians(3.0, 1.0, eta=0.1, t_inner=2.5, lambda_box=(0.0, 1.0))
     ),
+    ("a count that is not an integer", "SparseDataset n_features"): lambda: SparseDataset(
+        (), n_features=2.5
+    ),
+    ("a count that is not an integer", "data_io.split_2_1_1 seed"): lambda: split_2_1_1(
+        _rows([1, -1, 1, -1]), seed=True
+    ),
+    ("a count that is not an integer", "data_io.binarize seed"): lambda: binarize(_BINARY, 1.0),
+    ("a count that is not an integer", "data_io.random_classification_dataset seed"): lambda: (
+        random_classification_dataset(10, 2, seed=2.5)
+    ),
+    ("a count that is not an integer", "data_io.random_classification_dataset negative seed"): (
+        lambda: random_classification_dataset(10, 2, seed=-1)
+    ),
+    ("a count that is not an integer", "make_hyperclean n_train"): lambda: make_hyperclean(
+        _rows([0, 1] * 5), 4.0, 2, 2, n_groups=2, corruption_seed=0
+    ),
+    ("a count that is not an integer", "make_hyperclean n_groups"): lambda: make_hyperclean(
+        _rows([0, 1] * 5), 4, 2, 2, n_groups=True, corruption_seed=0
+    ),
+    ("a count that is not an integer", "make_hyperclean corruption_seed"): lambda: make_hyperclean(
+        _rows([0, 1] * 5), 4, 2, 2, n_groups=2, corruption_seed=-1
+    ),
+    ("a count that is not an integer", "HyperCleanProblem n_classes"): lambda: _hyperclean(
+        n_classes=2.0
+    ),
+    ("a count that is not an integer", "HyperCleanProblem n_groups"): lambda: _hyperclean(
+        n_groups=True
+    ),
     ("a setting that is not finite", "ZoConfig mu"): lambda: ZoConfig(
         q=1, mu=np.inf, gamma=0.1, iterations=1
     ),

@@ -869,6 +869,26 @@ class TestCli:
         assert cli_main(["parse-data", "--input", str(bad)]) == 1
         assert capsys.readouterr().err.startswith("parse error: line 1, column 3:")
 
+    @pytest.mark.parametrize("command", ["run", "parse-data"])
+    def test_an_index_above_a_c_int_is_one_parse_error_line(self, tmp_path, capsys, command):
+        # LIBSVM holds a feature index in a C int; a wider one is refused where it stands
+        data = tmp_path / "wide.libsvm"
+        data.write_text("1 1:1.0\n-1 99999999999999999999:1.0\n", encoding="utf-8")
+        config = write_config(
+            tmp_path,
+            {
+                "method": "hozog",
+                "problem": {"kind": "logreg", "data": str(data)},
+                "hozog": {"iterations": 1},
+                "output": str(tmp_path / "trace.csv"),
+            },
+        )
+        argv = {"run": ["run", "--config", str(config)], "parse-data": ["parse-data", "--input", str(data)]}
+        assert cli_main(argv[command]) == 1
+        assert capsys.readouterr().err == (
+            "parse error: line 2, column 4: feature index above 2^31 - 1: '99999999999999999999'\n"
+        )
+
     def test_lipschitz_report_writes_the_configs_box(self, tmp_path, capsys):
         cfg = lipschitz_report_config(tmp_path)
         cfg["box"] = [[-2, 1.5]]

@@ -136,11 +136,9 @@ class TestLogReg:
         ds = random_classification_dataset(80, 6, seed=4)
         train, val, test = split_2_1_1(ds, seed=3)
         rng = np.random.default_rng(0)
-        shuffled = tuple(train.rows[i] for i in rng.permutation(len(train)))
+        shuffled = train.subset(rng.permutation(len(train)))
         prob_a = LogRegProblem.from_datasets(train, val, test)
-        prob_b = LogRegProblem.from_datasets(
-            SparseDataset(rows=shuffled, n_features=train.n_features), val, test
-        )
+        prob_b = LogRegProblem.from_datasets(shuffled, val, test)
         w = np.linspace(-0.3, 0.3, prob_a.d)[:, None]
         lam = np.array([[0.1]])
         assert prob_a.inner_loss(w, lam) == pytest.approx(prob_b.inner_loss(w, lam), rel=1e-12)
@@ -282,7 +280,7 @@ class TestStorage:
     def test_splits_share_one_storage_and_keep_their_values(self, splits):
         mats = design_matrices(*splits)
         assert len({type(m) for m in mats}) == 1
-        stored = sum(len(feats) for ds in splits for _, feats in ds.rows)
+        stored = sum(ds.x.nnz for ds in splits)
         entries = sum(len(ds) for ds in splits) * splits[0].n_features
         assert isinstance(mats[0], np.ndarray) == (2 * stored >= entries)
         for ds, m in zip(splits, mats):

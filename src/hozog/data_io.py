@@ -52,9 +52,11 @@ DENSE_MIN_DENSITY = 0.5
 class SparseDataset:
     """A float label per row and one CSR feature matrix ``x`` (0-based columns).
 
-    Built from LIBSVM rows ``(label, ((index, value), ...))`` with 1-based
-    sorted indices, in their order; every listed pair is a stored entry, an
-    explicit ``idx:0`` included.  ``n_features`` is at least the largest index.
+    Built from LIBSVM rows ``(label, ((index, value), ...))`` in their order;
+    every listed pair is a stored entry, an explicit ``idx:0`` included.
+    ``n_features`` is at least the largest index.  Rows the parser would
+    refuse (an index outside 1 .. 2^31 - 1 or out of order within its row, a
+    label or value that is not finite) raise InvalidConfig.
     """
 
     def __init__(self, rows, n_features: int = 0):
@@ -65,9 +67,16 @@ class SparseDataset:
             indices.extend(idx - 1 for idx, _ in feats)
             values.extend(val for _, val in feats)
             indptr.append(len(values))
-        if min(indices, default=0) < 0:  # scipy's products would read out of bounds
-            raise InvalidConfig(f"feature indices must be >= 1, got {min(indices) + 1}")
+        low, high = min(indices, default=0) + 1, max(indices, default=0) + 1
+        if low < 1:  # scipy's products would read out of bounds
+            raise InvalidConfig(f"feature indices must be >= 1, got {low}")
+        if high >= 2**31:  # LIBSVM holds an index in a C int
+            raise InvalidConfig(f"feature indices must be <= 2^31 - 1, got {high}")
         self.labels, self.x = _arrays(labels, values, indices, indptr, n_features)
+        if not self.x.has_canonical_format:
+            raise InvalidConfig("feature indices must increase strictly within a row")
+        if not (np.isfinite(self.labels).all() and np.isfinite(self.x.data).all()):
+            raise InvalidConfig("labels and feature values must be finite")
 
     def __len__(self):
         return self.labels.shape[0]

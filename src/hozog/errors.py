@@ -62,7 +62,7 @@ class ConfigError(HozogError):
     """An experiment config file failed validation; names the field."""
 
     def __init__(self, field, reason):
-        super().__init__(f"config field '{field}': {reason}")
+        super().__init__(f"config field {field!r}: {reason}")  # repr keeps a key's newline on one line
         self.field = field
         self.reason = reason
 

@@ -1,32 +1,33 @@
-"""The one parser for every config file the CLI reads.
+"""The one reader of every config file the CLI reads.
 
 :func:`config_from_dict` reads an experiment config (``hozog run`` and
-``hozog sweep``) and :func:`lipschitz_config` a ``hozog lipschitz-report``
-config.  Both are JSON with nested sections, strictly validated: unknown
-keys anywhere in the tree are errors (a typo silently ignored is a wrong
-experiment), every data path must name an existing file, and a key
-that is present must hold a value of its type (``null`` included).  Every
+``hozog sweep``), :func:`lipschitz_config` a ``hozog lipschitz-report``
+config.  :func:`_leaf` reads every value in them as its kind (an integer
+with a minimum, a number, a choice among strings, a string, a box of
+``[lo, hi]`` pairs, an existing data file or an output path), checking
+the type first: a list never reaches a choice lookup, an integer past the
+double range never reaches a float conversion, a NUL byte never reaches
+``open``.  :func:`_read` reads every section against a table of its keys'
+kinds, required keys and defaults: one per config's top level and one per
+problem kind.  A key the table lacks is an error (a typo silently ignored
+is a wrong experiment), and so is ``null`` where a value is due.  Every
 failure is a :class:`~hozog.errors.ConfigError` naming ``section.key``.
 
-A section that configures a runtime object becomes that object at load
-time, over the defaults below, which are the only copy of them in the
-harness: ``inner`` an :class:`~hozog.inner_solvers.InnerSolver`,
-``hozog`` a :class:`~hozog.zo_core.ZoConfig` and ``random_search`` a
+A section that configures a runtime object becomes it, over the defaults
+below (the harness's only copy): ``inner`` an
+:class:`~hozog.inner_solvers.InnerSolver`, ``hozog`` a
+:class:`~hozog.zo_core.ZoConfig`, ``random_search`` a
 :class:`~hozog.baselines.RandomSearchConfig` (its box defaults to the
-logreg bounds for logreg, else to [-5, 5] per coordinate).  The loader
-checks JSON numbers and boxes itself (a float field takes an int, no
-number may be NaN or infinite, a box goes through
-:func:`~hozog.oracle.check_box`) and leaves counts, positive numbers and
-choices to the class's own check on each key, so each rule is written
-once.  The rest is checked here too: problem sizes and seeds,
-``metric_every``, the report's ``n_pairs`` and seed, ``0 < w_star < c``,
-``n_groups <= n_train``, and each length set by the problem's p
-(:func:`problem_p`), that of a list ``lambda0`` and both boxes' row
-counts.  So a bad value is a config error before any data is read.  A
-run takes only its method's section.  A synthetic problem runs its
-``inner`` solver when the section is present and its exact inner
-solution otherwise.  ``max_workers`` is still accepted and checked (an
-integer >= 1) so that existing configs load, but it has no effect.
+logreg bounds for logreg, else to [-5, 5] per coordinate).  Its table is
+its class's field annotations; its ranges are the class's own checks, run
+with one key replaced so that a failure names its key.  Relations between
+keys are checked here, before any data is read: ``0 < w_star < c``,
+``n_groups <= n_train``, the lengths the problem's p sets
+(:func:`problem_p`: a list ``lambda0``, both boxes' rows) and a finite
+hozog scale p/(mu*q).  A run takes only its method's section.  A
+synthetic problem runs its ``inner`` solver when the section is present,
+else its exact inner solution.  ``max_workers`` is checked (an integer
+>= 1) so that existing configs load, but it has no effect.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -48,14 +50,23 @@ from ..zo_core import ZoConfig
 
 __all__ = ["ExperimentConfig", "LipschitzConfig", "load_config", "problem_p"]
 
-_TOP_KEYS = {"method", "problem", "inner", "hozog", "random_search", "lambda0", "output",
-             "metric_every", "max_workers"}
-_LIPSCHITZ_KEYS = {"problem", "inner", "box", "n_pairs", "seed", "output", "max_workers"}
-_PROBLEM_KEYS = {
-    "synthetic": {"kind", "c", "w_star"},
-    "logreg": {"kind", "data", "split_seed", "binarize_seed"},
-    "hyperclean": {"kind", "data", "n_train", "n_val", "n_test", "n_groups", "corruption_seed"},
+# Tables: each key's kind (see _leaf); None marks a section or lambda0, read on its own
+_TOP = {"method": ("hozog", "random_search"), "problem": None, "inner": None, "hozog": None,
+        "random_search": None, "lambda0": None, "output": "output", "metric_every": 1,
+        "max_workers": 1}
+_LIPSCHITZ = {"problem": None, "inner": None, "box": "box", "n_pairs": 1, "seed": 0,
+              "output": "output", "max_workers": 1}
+# per problem kind: the kinds of its keys, the keys it requires and the defaults of the rest
+_PROBLEMS = {
+    "synthetic": ({"kind": str, "c": float, "w_star": float}, ("c", "w_star"), {}),
+    "logreg": ({"kind": str, "data": "data", "split_seed": 0, "binarize_seed": 0},
+               ("data",), {"split_seed": 0}),
+    "hyperclean": ({"kind": str, "data": "data", "n_train": 1, "n_val": 1, "n_test": 1,
+                    "n_groups": 1, "corruption_seed": 0},
+                   ("data", "n_train", "n_val", "n_test", "n_groups"), {"corruption_seed": 0}),
 }
+# a field annotation (a string under postponed evaluation) -> its kind
+_ANNOTATED = {"int": int, "float": float, "str": str, "tuple": "box"}
 
 # keys an inner section leaves out
 _INNER_DEFAULTS = {
@@ -93,32 +104,6 @@ class LipschitzConfig:
     output: str | None
 
 
-def _int(value, name: str, minimum: int) -> int:
-    with config_field(name):
-        check_count(value, name.rsplit(".", 1)[-1], minimum)
-    return value
-
-
-def _number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(name, f"must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise ConfigError(name, f"must be finite, got {value!r}")
-    return float(value)
-
-
-def _box(value, name: str) -> list:
-    if not isinstance(value, list) or not all(
-        isinstance(pair, list) and len(pair) == 2 for pair in value
-    ):
-        raise ConfigError(name, "must be a list of [lo, hi] pairs")
-    return [[_number(lo, name), _number(hi, name)] for lo, hi in value]
-
-
-# field annotation (a string under postponed evaluation) -> the loader's check, if any
-_TYPE_CHECKS = {"float": _number, "tuple": _box}
-
-
 @contextmanager
 def config_field(name: str):
     """Turn a library range check's InvalidConfig into a ConfigError naming ``name``."""
@@ -128,81 +113,105 @@ def config_field(name: str):
         raise ConfigError(name, str(err)) from None
 
 
-def _section(section, where: str, base):
-    """``base`` with the keys of config section ``where`` replaced.
-
-    A float or box value is checked by the loader, then every value by the
-    class's own ``__post_init__`` with that one key replaced, so a failure
-    names its key.
-    """
-    if not isinstance(section, dict):
-        raise ConfigError(where, "must be a section")
-    # InnerSolver.w0 is for library callers: a config's inner solve starts at zero
-    types = {f.name: f.type for f in fields(base) if f.name != "w0"}
-    values = {}
-    for key, value in section.items():
-        name = f"{where}.{key}"
-        if key not in types:
-            raise ConfigError(name, "unknown key")
-        check = _TYPE_CHECKS.get(types[key])
-        values[key] = value if check is None else check(value, name)
+def _leaf(value, name: str, kind):
+    """Config leaf ``name`` read as ``kind``, which is an int m (an integer >= m),
+    ``int`` (an integer its class range-checks), ``float`` (a finite number, as a
+    float), ``str``, a tuple of strings (one of them), ``"box"`` (a list of [lo, hi]
+    numbers), ``"data"`` (an existing file), ``"output"`` (a path a file can be
+    created at) or None (returned as it is, for its own reader)."""
+    if kind is None:
+        return value
+    if isinstance(value, int) and abs(value) > sys.float_info.max:
+        raise ConfigError(name, "is an integer past the double range")
+    if kind is int or isinstance(kind, int):
         with config_field(name):
-            replace(base, **{key: values[key]})
+            check_count(value, name.rsplit(".", 1)[-1], -math.inf if kind is int else kind)
+        return value
+    if kind is float:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number and math.isfinite(value)):
+            raise ConfigError(name, f"must be a finite number, got {value!r}")
+        return float(value)
+    if kind == "box":
+        if not (isinstance(value, list) and all(isinstance(r, list) and len(r) == 2 for r in value)):
+            raise ConfigError(name, "must be a list of [lo, hi] pairs")
+        return [[_leaf(lo, name, float), _leaf(hi, name, float)] for lo, hi in value]
+    if not isinstance(value, str):
+        raise ConfigError(name, f"must be a string, got {value!r}")
+    if isinstance(kind, tuple) and value not in kind:
+        raise ConfigError(name, f"must be one of {kind}, got {value!r}")
+    if kind not in ("data", "output"):
+        return value
+    try:
+        usable = bool(value) and "\0" not in value and bool(os.fsencode(value))
+    except UnicodeEncodeError:  # a lone surrogate, which no file name holds
+        usable = False
+    if not usable:
+        raise ConfigError(name, "must be a non-empty path string with no NUL")
+    path = Path(value)
+    if kind == "data" and not path.is_file():
+        raise ConfigError(name, f"not an existing file: {value!r}")
+    if kind == "output" and not path.parent.is_dir():
+        raise ConfigError(name, f"no such directory: {str(path.parent)!r}")
+    if kind == "output" and path.is_dir():
+        raise ConfigError(name, f"is a directory: {value!r}")
+    return value
+
+
+def _read(raw, where: str, kinds: dict, required=(), defaults=None) -> dict:
+    """Config section ``where`` ("" for the top level), each value read as its kind in
+    ``kinds``; the ``required`` keys must be present, ``defaults`` fill in the rest."""
+    if not isinstance(raw, dict):
+        raise ConfigError(where or "config", "must be an object")
+    prefix = f"{where}." if where else ""
+    for key in raw:
+        if key not in kinds:
+            raise ConfigError(prefix + key, "unknown key")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(prefix + key, "missing required key")
+    values = {**(defaults or {}), **raw}
+    return {key: _leaf(value, prefix + key, kinds[key]) for key, value in values.items()}
+
+
+def _section(raw, where: str, base, required=()):
+    """``base`` with the keys of config section ``where`` replaced, each read as its
+    field's annotation, then checked by the class with that one key replaced."""
+    # InnerSolver.w0 is for library callers: a config's inner solve starts at zero
+    kinds = {f.name: _ANNOTATED[f.type] for f in fields(base) if f.name != "w0"}
+    values = _read(raw, where, kinds, required)
+    for key, value in values.items():
+        with config_field(f"{where}.{key}"):
+            replace(base, **{key: value})
     return replace(base, **values)
+
+
+def _hozog(raw, problem: dict, base: ZoConfig) -> ZoConfig:
+    """A hozog section over ``base``, whose estimate's scale p/(mu*q) must be finite."""
+    hozog = _section(raw, "hozog", base)
+    p = problem_p(problem)
+    if not math.isfinite(p / (hozog.mu * hozog.q)):  # zo_core.combine_differences' scale
+        raise ConfigError("hozog.mu", f"is too small: p/(mu*q) overflows at p={p}, q={hozog.q}")
+    return hozog
 
 
 def with_hozog(cfg: ExperimentConfig, **values) -> ExperimentConfig:
     """``cfg`` with some hozog keys replaced, checked as a hozog section's are."""
-    return replace(cfg, hozog=_section(values, "hozog", cfg.hozog))
+    return replace(cfg, hozog=_hozog(values, cfg.problem, cfg.hozog))
 
 
-def _reject_unknown(section: dict, allowed: set, where: str) -> None:
-    for key in section:
-        if key not in allowed:
-            raise ConfigError(f"{where}.{key}" if where else key, "unknown key")
-
-
-def _require(section: dict, key: str, where: str):
-    if key not in section:
-        raise ConfigError(f"{where}.{key}" if where else key, "missing required key")
-    return section[key]
-
-
-def _top_level(raw, allowed: set) -> None:
+def _problem(raw) -> dict:
+    """The problem section, read against its kind's table, and the relations of its keys."""
     if not isinstance(raw, dict):
-        raise ConfigError("config", "top level must be an object")
-    _reject_unknown(raw, allowed, "")
-    _int(raw.get("max_workers", 1), "max_workers", minimum=1)
-
-
-def _problem(problem) -> dict:
-    if not isinstance(problem, dict):
-        raise ConfigError("problem", "must be a section")
-    kind = _require(problem, "kind", "problem")
-    if kind not in _PROBLEM_KEYS:
-        raise ConfigError("problem.kind", f"unknown problem kind {kind!r}")
-    _reject_unknown(problem, _PROBLEM_KEYS[kind], "problem")
-    if kind == "synthetic":
-        if "c" not in problem or "w_star" not in problem:
-            raise ConfigError("problem", "synthetic needs both c and w_star")
-        c = _number(problem["c"], "problem.c")
-        w_star = _number(problem["w_star"], "problem.w_star")
+        raise ConfigError("problem", "must be an object")
+    if "kind" not in raw:
+        raise ConfigError("problem.kind", "missing required key")
+    kinds, required, defaults = _PROBLEMS[_leaf(raw["kind"], "problem.kind", tuple(_PROBLEMS))]
+    problem = _read(raw, "problem", kinds, required, defaults)
+    if problem["kind"] == "synthetic":
         with config_field("problem"):
-            SyntheticBilevel(c=c, w_star=w_star)
-        return {"kind": kind, "c": c, "w_star": w_star}
-    data = _require(problem, "data", "problem")
-    if not isinstance(data, str) or not os.path.isfile(data):
-        raise ConfigError("problem.data", f"not an existing file: {data!r}")
-    if kind == "logreg":
-        problem = {"split_seed": 0, **problem}
-    else:
-        for key in ("n_train", "n_val", "n_test", "n_groups"):
-            _require(problem, key, "problem")
-        problem = {"corruption_seed": 0, **problem}
-    for key, value in problem.items():
-        if key not in ("kind", "data"):
-            _int(value, f"problem.{key}", minimum=0 if key.endswith("seed") else 1)
-    if kind == "hyperclean" and problem["n_groups"] > problem["n_train"]:
+            SyntheticBilevel(c=problem["c"], w_star=problem["w_star"])
+    elif problem["kind"] == "hyperclean" and problem["n_groups"] > problem["n_train"]:
         raise ConfigError("problem", f"need n_groups <= n_train, got {problem['n_groups']}")
     return problem
 
@@ -212,31 +221,20 @@ def problem_p(problem: dict) -> int:
     return problem["n_groups"] if problem["kind"] == "hyperclean" else 1
 
 
-def _inner(section, kind: str) -> InnerSolver | None:
-    if section is None and kind == "synthetic":
+def _inner(top: dict, kind: str) -> InnerSolver | None:
+    if "inner" not in top and kind == "synthetic":
         return None
-    return _section({} if section is None else section, "inner", _INNER_DEFAULTS[kind])
+    return _section(top.get("inner", {}), "inner", _INNER_DEFAULTS[kind])
 
 
-def _random_search(section, kind: str, p: int) -> RandomSearchConfig:
-    box = LOGREG_BOUNDS if kind == "logreg" else [(-5.0, 5.0)] * p
-    # budget has no default: a section without one fails _require below
-    rs = _section(section, "random_search", RandomSearchConfig(budget=1, box=box))
-    _require(section, "budget", "random_search")
+def _random_search(raw, problem: dict) -> RandomSearchConfig:
+    p = problem_p(problem)
+    box = LOGREG_BOUNDS if problem["kind"] == "logreg" else [(-5.0, 5.0)] * p
+    # budget has no default: the placeholder 1 is replaced by the required key
+    rs = _section(raw, "random_search", RandomSearchConfig(budget=1, box=box), ("budget",))
     with config_field("random_search.box"):
         check_box(rs.box, p)
     return rs
-
-
-def _output(value, name: str) -> str:
-    if not isinstance(value, str) or not value:
-        raise ConfigError(name, "must be a non-empty path string")
-    path = Path(value)
-    if not path.parent.is_dir():
-        raise ConfigError(name, f"no such directory: {path.parent}")
-    if path.is_dir():
-        raise ConfigError(name, f"is a directory: {value}")
-    return value
 
 
 def read_json(path):
@@ -268,58 +266,37 @@ def load_config(path) -> ExperimentConfig:
 
 def config_from_dict(raw) -> ExperimentConfig:
     """Validate an experiment config; sections become the objects that run them."""
-    _top_level(raw, _TOP_KEYS)
-    method = _require(raw, "method", "")
-    if method not in ("hozog", "random_search"):
-        raise ConfigError("method", f"must be 'hozog' or 'random_search', got {method!r}")
-    problem = _problem(_require(raw, "problem", ""))
-    p = problem_p(problem)
-    inner = _inner(raw.get("inner"), problem["kind"])
-    hozog = random_search = None
-    if method == "hozog":
-        hozog = _section(_require(raw, "hozog", ""), "hozog", HOZOG_DEFAULTS)
-    else:
-        random_search = _random_search(_require(raw, "random_search", ""), problem["kind"], p)
+    top = _read(raw, "", _TOP, ("method", "problem"),
+                {"lambda0": 0.0, "output": "trace.csv", "metric_every": 1})
+    method = top["method"]
+    problem = _problem(top["problem"])
+    inner = _inner(top, problem["kind"])
+    if method not in top:
+        raise ConfigError(method, "missing required key")
     other = "random_search" if method == "hozog" else "hozog"
-    if other in raw:
+    if other in top:
         raise ConfigError(other, f"only a {other} run takes this section")
+    hozog = _hozog(top["hozog"], problem, HOZOG_DEFAULTS) if method == "hozog" else None
+    random_search = _random_search(top["random_search"], problem) if hozog is None else None
 
-    lambda0 = raw.get("lambda0", 0.0)
+    lambda0, p = top["lambda0"], problem_p(problem)
     if isinstance(lambda0, list):
-        lambda0 = [_number(v, "lambda0") for v in lambda0]
+        lambda0 = [_leaf(v, "lambda0", float) for v in lambda0]
         if len(lambda0) != p:
             raise ConfigError("lambda0", f"has {len(lambda0)} entries, problem has p={p}")
     else:
-        lambda0 = _number(lambda0, "lambda0")
-    return ExperimentConfig(
-        method=method,
-        problem=problem,
-        inner=inner,
-        hozog=hozog,
-        random_search=random_search,
-        lambda0=lambda0,
-        output=_output(raw.get("output", "trace.csv"), "output"),
-        metric_every=_int(raw.get("metric_every", 1), "metric_every", minimum=1),
-    )
+        lambda0 = _leaf(lambda0, "lambda0", float)
+    return ExperimentConfig(method=method, problem=problem, inner=inner, hozog=hozog,
+                            random_search=random_search, lambda0=lambda0, output=top["output"],
+                            metric_every=top["metric_every"])
 
 
 def lipschitz_config(raw) -> LipschitzConfig:
-    """Validate a ``lipschitz-report`` config with the experiment config's section checks.
-
-    ``n_pairs >= 1``, lo < hi in each box row and one row per
-    hyperparameter are checked here, before the objective is built.
-    """
-    _top_level(raw, _LIPSCHITZ_KEYS)
-    problem = _problem(_require(raw, "problem", ""))
-    inner = _inner(_require(raw, "inner", ""), problem["kind"])
-    box = _box(_require(raw, "box", ""), "box")
+    """Validate a ``lipschitz-report`` config with the experiment config's section checks."""
+    top = _read(raw, "", _LIPSCHITZ, ("problem", "inner", "box"), {"n_pairs": 1000, "seed": 0})
+    problem = _problem(top["problem"])
+    inner = _inner(top, problem["kind"])  # required: the report always solves iteratively
     with config_field("box"):
-        check_box(box, problem_p(problem))
-    return LipschitzConfig(
-        problem=problem,
-        inner=inner,
-        box=box,
-        n_pairs=_int(raw.get("n_pairs", 1000), "n_pairs", minimum=1),
-        seed=_int(raw.get("seed", 0), "seed", minimum=0),
-        output=_output(raw["output"], "output") if "output" in raw else None,
-    )
+        check_box(top["box"], problem_p(problem))
+    return LipschitzConfig(problem=problem, inner=inner, box=top["box"], n_pairs=top["n_pairs"],
+                           seed=top["seed"], output=top.get("output"))

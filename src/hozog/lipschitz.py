@@ -66,13 +66,14 @@ def lipschitz_product_bound(jacs: StepJacobians) -> float:
     """The sum-of-suffix-products bound, accumulated right to left in O(T).
 
     The suffix product multiplying ``b[t]`` runs over ``a[t+1:]``; the empty
-    product for the last term is 1.
+    product for the last term is 1.  The sum runs in Python floats, so one
+    that overflows is inf without numpy's warning.
     """
     total = 0.0
     suffix = 1.0
-    for t in range(jacs.a.shape[0] - 1, -1, -1):
-        total += jacs.b[t] * suffix
-        suffix *= jacs.a[t]
+    for a, b in zip(reversed(jacs.a.tolist()), reversed(jacs.b.tolist())):
+        total += b * suffix
+        suffix *= a
     return total
 
 
@@ -99,7 +100,7 @@ def synthetic_step_jacobians(
         raise InvalidConfig(f"eta must be >= 0, got {eta}")
     check_count(t_inner, "t_inner", 0)
     # e^lam as the solver's step map takes it, through the synthetic exp cap
-    e_lo, e_hi = capped_exp(np.array([lo, hi]))
+    e_lo, e_hi = capped_exp(np.array([lo, hi])).tolist()  # Python floats overflow to inf silently
     if eta * (1.0 + 2.0 * e_hi) > 2.0:
         raise InvalidConfig(
             f"step map is expansive over the box: eta*(1+2e^hi) = "
@@ -140,7 +141,8 @@ def empirical_lipschitz(
     second = lo + (hi - lo) * rng.random((n_pairs, spec.p))
     points = np.stack([first, second], axis=1).reshape(2 * n_pairs, spec.p)
     values, _ = evaluate_batch(spec, points)
-    gaps = np.linalg.norm(first - second, axis=1)
+    with np.errstate(over="ignore"):  # a gap past the double range is inf, its ratio 0
+        gaps = np.linalg.norm(first - second, axis=1)
     moved = gaps > 0
     max_ratio = np.max(np.abs(values[0::2] - values[1::2])[moved] / gaps[moved], initial=0.0)
     return LipschitzReport(empirical_max_ratio=float(max_ratio), samples=n_pairs)

@@ -42,15 +42,17 @@ BLOCK_WIDTH = 1024
 
 
 def check_box(box, p: int | None = None) -> np.ndarray:
-    """``box`` as a float array of ``p`` [lo, hi] rows, finite lo < hi in each.
+    """``box`` as a float array of ``p`` [lo, hi] rows, lo < hi and a finite width in each.
 
     ``p`` None accepts any number of rows.  Raises InvalidConfig.
     """
     arr = np.atleast_2d(np.asarray(box, dtype=float))
     rows = arr.shape[0] if p is None else p
-    if arr.shape != (rows, 2) or not (np.all(arr[:, 0] < arr[:, 1]) and np.isfinite(arr).all()):
+    with np.errstate(over="ignore", invalid="ignore"):  # a bound that is not finite gives no width
+        ok = arr.shape == (rows, 2) and np.all((arr[:, 0] < arr[:, 1]) & np.isfinite(arr[:, 1] - arr[:, 0]))
+    if not ok:
         got = array_text(arr)
-        raise InvalidConfig(f"box must be ({rows}, 2) with finite lo < hi in each row, got {got}")
+        raise InvalidConfig(f"box must be ({rows}, 2) with lo < hi and a finite width in each row, got {got}")
     return arr
 
 

@@ -10,8 +10,8 @@ hyperparameters whose column j goes with model j.
   or a list of k Python floats, which the oracle converts to one (k,)
   array.  Where a finite model can overflow the score, the overflow gives
   inf without numpy's warning, so the oracle reports a non-finite
-  objective: logreg scores under ``np.errstate``, the synthetic problem in
-  Python floats;
+  objective: logreg and hyper-cleaning score under ``np.errstate``, the
+  synthetic problem in Python floats;
 - ``exact_solution(lam)``: the (d, k) closed-form inner solutions, on a
   problem that has them (the synthetic one); the others are solved by an
   :class:`~hozog.inner_solvers.InnerSolver`;

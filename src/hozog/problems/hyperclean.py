@@ -166,13 +166,17 @@ class HyperCleanProblem:
         return np.concatenate([grad_w.reshape(n_cls * nf, k), rows.sum(axis=0).reshape(n_cls, k)])
 
     def outer_value(self, w: np.ndarray, lam: np.ndarray) -> np.ndarray:
-        return self._cross_entropy(self.x_val, self.y_val, w).mean(axis=0)
+        # a finite but huge model can overflow its logits or their mean: the
+        # value is then inf or NaN, which the oracle reports as non-finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self._cross_entropy(self.x_val, self.y_val, w).mean(axis=0)
 
     def test_metric(self, w: np.ndarray) -> float:
         w = np.asarray(w, dtype=float)
         if w.shape != (self.d,):
             raise DimensionMismatch(f"model has shape {w.shape}, expected ({self.d},)")
-        return float(self._cross_entropy(self.x_test, self.y_test, w[:, None]).mean(axis=0)[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(self._cross_entropy(self.x_test, self.y_test, w[:, None]).mean(axis=0)[0])
 
 
 def make_hyperclean(

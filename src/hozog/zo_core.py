@@ -134,7 +134,8 @@ def combine_differences(
     """
     dim_scale = directions.shape[1] if cfg.direction_scheme == "sphere" else 1
     scale = dim_scale / (cfg.mu * cfg.q)
-    return ((np.asarray(values) - f_base)[:, None] * directions).sum(axis=0) * scale
+    with np.errstate(over="ignore", invalid="ignore"):  # past the double range: inf or NaN
+        return ((np.asarray(values) - f_base)[:, None] * directions).sum(axis=0) * scale
 
 
 def estimate_hyper_gradient(
@@ -154,7 +155,9 @@ def estimate_hyper_gradient(
             f"direction set has shape {directions.shape}, expected ({cfg.q}, {spec.p})"
         )
     base = evaluate(spec, lam)
-    values = np.array([evaluate(spec, point).f_value for point in lam + cfg.mu * directions])
+    with np.errstate(over="ignore"):  # a point past the double range fails its evaluation
+        points = lam + cfg.mu * directions
+    values = np.array([evaluate(spec, point).f_value for point in points])
     return base, combine_differences(base.f_value, values, directions, cfg)
 
 
@@ -166,7 +169,8 @@ def hozog_step(lam: np.ndarray, grad: np.ndarray, gamma: float) -> np.ndarray:
         raise InvalidConfig(
             f"gradient shape {grad.shape} does not match lambda shape {lam.shape}"
         )
-    return lam - gamma * grad
+    with np.errstate(over="ignore", invalid="ignore"):  # the next evaluation reports inf or NaN
+        return lam - gamma * grad
 
 
 def run_hozog(

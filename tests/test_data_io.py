@@ -292,6 +292,21 @@ def libsvm_rows(draw):
     return [(label, tuple((i, draw(values)) for i in idx)) for label, idx in draw(st.lists(row, max_size=12))]
 
 
+@st.composite
+def odd_libsvm_rows(draw):
+    """LIBSVM rows, some of which the parser refuses: an index out of range,
+    out of order or repeated, a label or value that is not finite."""
+    numbers = st.floats() | st.sampled_from([0.0, -1.0, 2.5])
+    index = st.integers(1, 40) | st.sampled_from([-1, 0, 2**31 - 1, 2**31])
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        indices = draw(st.lists(index, max_size=4))
+        if draw(st.booleans()):
+            indices = sorted(indices)
+        rows.append((draw(numbers), tuple((i, draw(numbers)) for i in indices)))
+    return rows
+
+
 class TestOneRepresentation:
     """Every producer of a dataset gives the one ``SparseDataset(rows)`` builds
     from the same rows: its labels, and its CSR arrays entry for entry."""
@@ -325,6 +340,35 @@ class TestOneRepresentation:
         ds = random_classification_dataset(n, n_features, n_classes, seed=seed, noise_flip=0.25)
         rows = [(y, tuple(enumerate(r, 1))) for y, r in zip(ds.labels.tolist(), ds.x.toarray().tolist())]
         assert ds == SparseDataset(rows, n_features=n_features)
+
+    @pytest.mark.parametrize(
+        "rows, reason",
+        [
+            # serialize_libsvm would write "1.0 3:1.0 2:3.0", which the parser refuses
+            ([(1.0, ((3, 1.0), (2, 3.0)))], "feature indices must increase strictly within a row"),
+            ([(1.0, ((2, 1.0), (2, 3.0)))], "feature indices must increase strictly within a row"),
+            ([(1.0, ((2**31, 1.0),))], r"feature indices must be <= 2\^31 - 1, got 2147483648"),
+            ([(float("nan"), ((1, 1.0),))], "labels and feature values must be finite"),
+            ([(1.0, ((1, float("inf")),))], "labels and feature values must be finite"),
+        ],
+        ids=["descending", "repeated", "past a C int", "NaN label", "infinite value"],
+    )
+    def test_what_the_parser_refuses_is_refused(self, rows, reason):
+        with pytest.raises(InvalidConfig, match=f"^{reason}$"):
+            SparseDataset(rows)
+
+    @given(odd_libsvm_rows())
+    @settings(max_examples=150)
+    def test_rows_are_refused_exactly_when_their_text_is(self, rows):
+        text = "".join(repr(float(y)) + "".join(f" {i}:{v!r}" for i, v in feats) + "\n" for y, feats in rows)
+        try:
+            ds = SparseDataset(rows)
+        except InvalidConfig:
+            with pytest.raises(ParseError):
+                parse_libsvm(text)
+            return
+        assert serialize_libsvm(ds) == text
+        assert parse_libsvm(serialize_libsvm(ds)) == ds
 
     @pytest.mark.parametrize("index", [0, -3])
     def test_an_index_below_one_is_refused(self, index):

@@ -580,6 +580,12 @@ class TestSweep:
         assert "hozog.q" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    def test_a_mu_whose_estimate_scale_overflows_is_refused_before_the_first_run(self, tmp_path):
+        cfg = config_from_dict(synthetic_config(tmp_path))
+        with pytest.raises(ConfigError, match=r"^config field 'hozog.mu': is too small: p/\(mu\*q\)"):
+            sweep(cfg, "mu", [0.01, 5e-324])
+        assert sorted(p.name for p in tmp_path.iterdir()) == []
+
     def test_bad_axis_rejected(self, tmp_path):
         cfg = config_from_dict(synthetic_config(tmp_path))
         with pytest.raises(ConfigError):
@@ -685,6 +691,16 @@ class TestConfigValidation:
             # e^800 is past the double range; the bound takes it through the
             # exp cap, as the solver does, and the step map is expansive
             ("lipschitz-report", {"box": [[-2.0, 800.0]]}, "inner.lr"),
+            # values whose type no check looked at first: an integer float()
+            # cannot take, a list as a choice, a NUL byte in a path
+            ("problem", {"c": 10**400}, "problem.c"),
+            ("problem", {"kind": ["synthetic"]}, "problem.kind"),
+            ("", {"output": "\u0000"}, "output"),
+            ("lipschitz-report", {"output": "\u0000"}, "output"),
+            # the estimate's scale p/(mu*q) overflows
+            ("hozog", {"mu": 5e-324}, "hozog.mu"),
+            # a key is named as repr writes it, on one line
+            ("", {"typo\nkey": 1}, "typo\\nkey"),
         ],
     )
     def test_bad_section_value_names_its_field(self, tmp_path, capsys, section, value, field):
@@ -752,6 +768,30 @@ class TestCli:
         path = write_config(tmp_path, cfg)
         assert cli_main(["run", "--config", str(path)]) == 3
         assert "meta-iteration 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, change, code, err",
+        [
+            # the product bound's sum overflows to inf, then the solve diverges
+            ("lipschitz-report", {"problem": {"kind": "synthetic", "c": 1e308, "w_star": 1.0}}, 3,
+             "non-finite objective: objective is not finite at lam=[0.54784675]\n"),
+            # one step at lr 1e308 leaves finite models whose validation score
+            # overflows for some samples, which the search skips
+            ("run", {"method": "random_search", "inner": {"steps": 1, "lr": 1e308},
+                     "random_search": {"budget": 4}}, 0, ""),
+        ],
+        ids=["bound", "hyperclean"],
+    )
+    def test_an_overflow_prints_one_line_or_none(
+        self, tmp_path, capsys, multiclass_file, command, change, code, err
+    ):
+        if command == "lipschitz-report":
+            cfg = {**lipschitz_report_config(tmp_path), **change}
+        else:
+            cfg = {**hyperclean_config(tmp_path, multiclass_file, 0.0), **change}
+            del cfg["hozog"]
+        assert cli_main([command, "--config", str(write_config(tmp_path, cfg))]) == code
+        assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize(
         "argv, stem", [(["run"], "trace"), (["sweep", "--axis", "mu", "--values", "0.001"],

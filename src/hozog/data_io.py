@@ -11,6 +11,12 @@ starts a comment running to the end of the line.  Malformed tokens raise
 :class:`~hozog.errors.ParseError` with the 1-based line and column of the
 offending token; rows are never silently skipped, since dropped rows would
 change experiment semantics.
+
+Parsing has two paths.  The accept path takes a valid line in a few
+C-level calls (a regular expression for its shape, ``float`` over all its
+numbers) and checks ranges and index order in bulk.  Whatever it refuses
+goes to the strict token scan, which reads token by token and names the
+first bad one in file order.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ from __future__ import annotations
 import gzip
 import io
 import math
+import re
 import zlib
+from array import array
 
 import numpy as np
 import scipy.sparse as sp
@@ -103,10 +111,10 @@ class SparseDataset:
 def _arrays(labels, values, indices, indptr, n_features: int = 0) -> tuple:
     """The label array and CSR matrix of rows that ``indptr`` cuts from flat 0-based
     column ``indices`` and ``values``, ``n_features`` or more columns wide."""
-    columns = np.array(indices, dtype=np.int64)
+    columns = np.asarray(indices, dtype=np.int64)
     width = max(n_features, int(columns.max(initial=-1)) + 1)
-    x = sp.csr_matrix((np.array(values, dtype=float), columns, indptr), shape=(len(indptr) - 1, width))
-    return np.array(labels, dtype=float), x
+    x = sp.csr_matrix((np.asarray(values, dtype=float), columns, indptr), shape=(len(indptr) - 1, width))
+    return np.asarray(labels, dtype=float), x
 
 
 def _dataset(labels: np.ndarray, x: sp.csr_matrix) -> SparseDataset:
@@ -182,15 +190,49 @@ def _parse_index(token: str, line_no: int, col: int) -> int:
     return idx
 
 
-def parse_libsvm(stream) -> SparseDataset:
-    """Parse LIBSVM-format text into a :class:`SparseDataset`.
+def _scan_line(line: str, line_no: int) -> None:
+    """The strict token scan of one content line: raises ParseError at its first bad token."""
+    tokens = line.split(" ")
+    col = 1
+    label_tok = tokens[0]
+    _parse_float(label_tok, line_no, col, "label")
+    col += len(label_tok) + 1
+    prev_idx = 0
+    for tok in tokens[1:]:
+        if tok == "":
+            raise ParseError(line_no, col, "empty token (stray space)")
+        if tok.count(":") != 1:
+            raise ParseError(line_no, col, f"expected idx:val pair, got {tok!r}")
+        idx_tok, val_tok = tok.split(":")
+        idx = _parse_index(idx_tok, line_no, col)
+        if idx <= prev_idx:
+            raise ParseError(line_no, col, f"feature index {idx} not greater than {prev_idx}")
+        _parse_float(val_tok, line_no, col + len(idx_tok) + 1, "feature value")
+        prev_idx = idx
+        col += len(tok) + 1
 
-    ``stream`` is an iterable of text lines (an open file, StringIO, or a
-    list of strings).  Rows, and each row's entries, keep their file order.
+
+# A superset of the line grammar: a number, then pairs of ASCII digits, a
+# colon and a number, one space apart.  A number here holds only characters
+# a finite ASCII decimal may hold, so float() reads it as the token scan
+# does or refuses it.  Each space ends a token, so a failed match backtracks
+# in linear time.
+_LINE = re.compile(r"[-+.0-9eE]+(?: [0-9]+:[-+.0-9eE]+)*")
+# The accept path checks the numbers it holds in bulk once there are this many.
+_CHUNK_NUMBERS = 2**15
+
+
+def _runs(stream):
+    """The content lines of ``stream`` in runs of about ``_CHUNK_NUMBERS`` numbers.
+
+    Yields each run's ``(line_no, line)`` pairs, its numbers (each line's
+    label, then its pairs' index and value in turn) and where each line's
+    numbers end among them.  The last run may be empty.  A line that does
+    not fit ``_LINE``, or holds a number ``float`` refuses, goes to
+    :func:`_refuse`.
     """
-    if isinstance(stream, str):
-        stream = io.StringIO(stream)
-    labels, values, indices, indptr = [], [], [], [0]
+    fits = _LINE.fullmatch
+    kept, numbers, ends = [], array("d"), [0]
     for line_no, raw in enumerate(stream, start=1):
         line = raw.rstrip("\n").rstrip("\r")
         hash_pos = line.find("#")
@@ -199,27 +241,66 @@ def parse_libsvm(stream) -> SparseDataset:
             line = line[:hash_pos].rstrip(" ")
         if not line.strip():
             continue
-        tokens = line.split(" ")
-        col = 1
-        label_tok = tokens[0]
-        labels.append(_parse_float(label_tok, line_no, col, "label"))
-        col += len(label_tok) + 1
-        prev_idx = 0
-        for tok in tokens[1:]:
-            if tok == "":
-                raise ParseError(line_no, col, "empty token (stray space)")
-            if tok.count(":") != 1:
-                raise ParseError(line_no, col, f"expected idx:val pair, got {tok!r}")
-            idx_tok, val_tok = tok.split(":")
-            idx = _parse_index(idx_tok, line_no, col)
-            if idx <= prev_idx:
-                raise ParseError(line_no, col, f"feature index {idx} not greater than {prev_idx}")
-            values.append(_parse_float(val_tok, line_no, col + len(idx_tok) + 1, "feature value"))
-            indices.append(idx - 1)
-            prev_idx = idx
-            col += len(tok) + 1
-        indptr.append(len(values))
-    return _dataset(*_arrays(labels, values, indices, indptr))
+        kept.append((line_no, line))
+        try:
+            if not fits(line):
+                raise ValueError
+            numbers.extend(map(float, line.replace(":", " ").split(" ")))
+        except ValueError:
+            _refuse(kept)
+        ends.append(len(numbers))
+        if len(numbers) >= _CHUNK_NUMBERS:
+            yield kept, numbers, ends
+            kept, numbers, ends = [], array("d"), [0]
+    yield kept, numbers, ends
+
+
+def _checked_rows(numbers: array, ends: list):
+    """The labels, 0-based column indices, values and pair counts of a run's
+    rows; None if a label or value is not finite, or an index is outside
+    1 .. 2^31 - 1 or not above the one before it in its row."""
+    nums, ends = np.frombuffer(numbers), np.array(ends)
+    is_label = np.zeros(nums.shape, dtype=bool)
+    is_label[ends[:-1]] = True
+    labels, pairs = nums[is_label], nums[~is_label]
+    indices, values = pairs[0::2], pairs[1::2]
+    first_in_row = is_label[np.flatnonzero(~is_label)[0::2] - 1]
+    ok = (
+        np.isfinite(labels).all() and np.isfinite(values).all()
+        and (indices >= 1).all() and (indices < 2**31).all()
+        and (first_in_row[1:] | (indices[1:] > indices[:-1])).all()
+    )
+    return (labels, (indices - 1).astype(np.int64), values, np.diff(ends) // 2) if ok else None
+
+
+def _refuse(kept: list):
+    """Raise the token scan's ParseError at the first bad token of ``kept``,
+    the ``(line_no, line)`` pairs since the last bulk check, among which the
+    accept path refused a line or a bulk check failed."""
+    for line_no, line in kept:
+        _scan_line(line, line_no)
+    # every line the token scan takes, the accept path must take too
+    raise RuntimeError(f"lines {kept[0][0]}..{kept[-1][0]}: the accept path refused valid LIBSVM")
+
+
+def parse_libsvm(stream) -> SparseDataset:
+    """Parse LIBSVM-format text into a :class:`SparseDataset`.
+
+    ``stream`` is an iterable of text lines (an open file, StringIO, or a
+    list of strings).  Rows, and each row's entries, keep their file order.
+
+    A valid line costs a few C-level calls: ``_LINE`` checks its shape and
+    ``float`` converts all its numbers.  Finiteness, index ranges and index
+    order are checked in bulk every ``_CHUNK_NUMBERS`` numbers.  When a
+    check fails, the strict token scan rereads the lines since the last bulk
+    check, the only ones kept, and raises ParseError at the first bad token
+    in file order.
+    """
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    runs = [_checked_rows(numbers, ends) or _refuse(kept) for kept, numbers, ends in _runs(stream)]
+    labels, columns, values, counts = map(np.concatenate, zip(*runs))
+    return _dataset(*_arrays(labels, values, columns, np.concatenate(([0], np.cumsum(counts)))))
 
 
 def load_libsvm(path) -> SparseDataset:

@@ -9,10 +9,11 @@ Subcommands:
 Every config file is read and checked by :mod:`hozog.harness.config`
 before anything runs, as are the ``sweep --values``.
 
-Exit codes: 0 success, 1 data/runtime error (an unreadable file included),
-2 config error (naming the offending field), 3 non-finite objective (diverging
-inner solve).  Every failure prints one line, never a traceback; ``sweep``
-prints ``run``'s line for each failed value and exits with their highest code.
+Exit codes: 0 success, 1 data/runtime error (an unreadable file and a count
+too large for memory included), 2 config error (naming the offending field),
+3 non-finite objective (diverging inner solve).  Every failure prints one
+line, never a traceback; ``sweep`` prints ``run``'s line for each failed
+value and exits with their highest code.
 """
 
 from __future__ import annotations
@@ -132,7 +133,7 @@ def _cmd_lipschitz(args) -> int:
     return 0
 
 
-def _failure(err: HozogError | OSError) -> tuple[int, str]:
+def _failure(err: HozogError | OSError | MemoryError) -> tuple[int, str]:
     """The exit code of a failure and the one line that reports it."""
     if isinstance(err, NonFiniteObjective):
         where = f" at meta-iteration {err.meta_iter}" if err.meta_iter is not None else ""
@@ -142,8 +143,20 @@ def _failure(err: HozogError | OSError) -> tuple[int, str]:
     return 1, f"parse error: {err}" if isinstance(err, ParseError) else f"error: {err}"
 
 
+def _joined_values(argv: list) -> list:
+    """``argv`` with ``--values -1,2`` as ``--values=-1,2``: argparse takes a
+    token that starts with a minus and is not one number for an option."""
+    out = []
+    for tok in argv:
+        if out and out[-1] == "--values" and not tok.startswith("--"):
+            out[-1] = f"--values={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
     handlers = {
         "run": _cmd_run,
         "sweep": _cmd_sweep,
@@ -152,7 +165,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (HozogError, OSError) as err:
+    except (HozogError, OSError, MemoryError) as err:
         code, line = _failure(err)
         print(line, file=sys.stderr)
         return code

@@ -115,8 +115,9 @@ def invocations(draw):
     argv = [command, "--config", "config.json"]
     if command == "sweep":
         tokens = draw(st.lists(VALUE_TOKENS, min_size=1, max_size=3))
-        # "--values=" keeps argparse from reading a leading "-1" as an option
-        argv += ["--axis", draw(st.sampled_from(["q", "mu", "gamma"])), "--values=" + ",".join(tokens)]
+        # both forms, since argparse reads a token with a leading "-1" as an option
+        values = draw(st.sampled_from([lambda v: ["--values=" + v], lambda v: ["--values", v]]))
+        argv += ["--axis", draw(st.sampled_from(["q", "mu", "gamma"])), *values(",".join(tokens))]
     return argv, {"config.json": json.dumps(cfg), "data.libsvm": text}
 
 

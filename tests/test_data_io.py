@@ -1,15 +1,22 @@
 """LIBSVM parsing, serialization round-trips, binarization, and splitting."""
 
 import gzip
+import io
+import math
+import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from hozog import data_io
 from hozog.data_io import (
     SparseDataset,
+    _arrays,
+    _dataset,
     binarize,
     load_libsvm,
     parse_libsvm,
@@ -292,6 +299,171 @@ def libsvm_rows(draw):
     return [(label, tuple((i, draw(values)) for i in idx)) for label, idx in draw(st.lists(row, max_size=12))]
 
 
+# The parser as it was before its accept path, a token loop kept unchanged as
+# the reference: every text parses to its dataset bit for bit, or fails with
+# its ParseError at the same line and column, for the same reason.
+def _parse_float(token: str, line_no: int, col: int, what: str) -> float:
+    # float() also takes underscores, surrounding whitespace and non-ASCII digits
+    try:
+        if not token.isascii() or "_" in token or token.strip() != token:
+            raise ValueError
+        value = float(token)
+    except ValueError:
+        raise ParseError(line_no, col, f"{what} is not a number: {token!r}") from None
+    if math.isnan(value) or math.isinf(value):
+        raise ParseError(line_no, col, f"{what} is not finite: {token!r}")
+    return value
+
+
+def _parse_index(token: str, line_no: int, col: int) -> int:
+    # An index must be a plain positive decimal integer of ASCII digits; '1.5',
+    # '+2' or '²' are rejected even though int() variants could be coerced.
+    if not (token.isascii() and token.isdigit()):
+        raise ParseError(line_no, col, f"feature index is not an integer: {token!r}")
+    try:
+        idx = int(token)
+    except ValueError:  # int() refuses a token of over 4300 digits
+        idx = 2**31
+    if not 0 < idx < 2**31:  # LIBSVM holds an index in a C int
+        reason = "must be >= 1" if idx <= 0 else "above 2^31 - 1"
+        raise ParseError(line_no, col, f"feature index {reason}: {token!r}")
+    return idx
+
+
+def token_loop_parse(stream) -> SparseDataset:
+    """Parse LIBSVM-format text into a :class:`SparseDataset`.
+
+    ``stream`` is an iterable of text lines (an open file, StringIO, or a
+    list of strings).  Rows, and each row's entries, keep their file order.
+    """
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    labels, values, indices, indptr = [], [], [], [0]
+    for line_no, raw in enumerate(stream, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        hash_pos = line.find("#")
+        if hash_pos >= 0:
+            # Comment removal may legitimately leave trailing padding.
+            line = line[:hash_pos].rstrip(" ")
+        if not line.strip():
+            continue
+        tokens = line.split(" ")
+        col = 1
+        label_tok = tokens[0]
+        labels.append(_parse_float(label_tok, line_no, col, "label"))
+        col += len(label_tok) + 1
+        prev_idx = 0
+        for tok in tokens[1:]:
+            if tok == "":
+                raise ParseError(line_no, col, "empty token (stray space)")
+            if tok.count(":") != 1:
+                raise ParseError(line_no, col, f"expected idx:val pair, got {tok!r}")
+            idx_tok, val_tok = tok.split(":")
+            idx = _parse_index(idx_tok, line_no, col)
+            if idx <= prev_idx:
+                raise ParseError(line_no, col, f"feature index {idx} not greater than {prev_idx}")
+            values.append(_parse_float(val_tok, line_no, col + len(idx_tok) + 1, "feature value"))
+            indices.append(idx - 1)
+            prev_idx = idx
+            col += len(tok) + 1
+        indptr.append(len(values))
+    return _dataset(*_arrays(labels, values, indices, indptr))
+
+
+def bits(ds: SparseDataset) -> list:
+    return [ds.x.shape] + [(a.dtype.str, a.tobytes()) for a in (ds.labels, ds.x.indptr, ds.x.indices, ds.x.data)]
+
+
+def assert_parses_as_the_token_loop(text):
+    """The token loop's ParseError for ``text`` (a string or a list of lines),
+    which parse_libsvm raises too, or None."""
+    try:
+        want = token_loop_parse(text)
+    except ParseError as err:
+        with pytest.raises(ParseError) as got:
+            parse_libsvm(text)
+        assert (got.value.line, got.value.column, got.value.reason) == (err.line, err.column, err.reason)
+        return err
+    assert bits(parse_libsvm(text)) == bits(want)
+    return None
+
+
+# what the mutations insert or put in place of what they cut
+PIECES = [":", " ", "e", ".", "+", "-", "_", "\t", "\r", "#", "inf", "nan", "1e999", "0", "9" * 20, "\u00b2", "\u0661"]
+
+
+@st.composite
+def mutated_files(draw):
+    """LIBSVM text of valid rows, then up to four insertions, deletions and replacements."""
+    rows = draw(libsvm_rows())
+    text = "".join(repr(y) + "".join(f" {i}:{v!r}" for i, v in feats) + "\n" for y, feats in rows)
+    for _ in range(draw(st.integers(0, 4))):
+        at, cut = draw(st.integers(0, len(text))), draw(st.integers(0, 2))
+        text = text[:at] + draw(st.sampled_from(["", *PIECES])) + text[at + cut:]
+    return text
+
+
+# (name, text, line, column): the first bad token in file order is named, be
+# it refused by the line's shape, by float() or by a bulk check
+FIRST_ERRORS = [
+    ("label not a number", "1 1:1\nx 1:1\n1 1:1e999\n", 2, 1),
+    ("label not a number to float", "1 1:1\n1e 1:1\n1 0:1\n", 2, 1),
+    ("label not finite", "1 1:1\n1e999 1:1\n1 1:2:3\n", 2, 1),
+    ("index not an integer", "1 1:1\n1 x:1\n1 2:1 1:1\n", 2, 3),
+    ("index below one", "1 1:1\n1 0:1\n1 x:1\n", 2, 3),
+    ("index above a C int", "1 1:1\n1 2147483648:1\n1 1:val\n", 2, 3),
+    ("index of 20 digits", "1 1:1\n1 99999999999999999999:1\n1  1:1\n", 2, 3),
+    ("index not greater", "1 1:1\n1 3:1 2:1\n1 1:1\n1 1:1\nx 1:1\n", 2, 7),
+    ("index repeated", "1 1:1 1:1\n1 1:\n", 1, 7),
+    ("value not a number", "1 1:1\n1 1:val\n1 1:nan\n", 2, 5),
+    ("value not a number to float", "1 1:1\n1 1:--1\n1 1:1e999\n", 2, 5),
+    ("value not finite", "1 1:1\n1 1:1e999\n1 1:2:3\n", 2, 5),
+    ("empty value", "1 1:\n1e999\n", 1, 5),
+    ("empty token", "1 1:1\n1  1:1\n1 0:1\n", 2, 3),
+    ("missing colon", "1 12\n1 0:1\n", 1, 3),
+    ("extra colon", "1 1:1\n1 1:2:3\n1 1:1e999\n", 2, 3),
+]
+
+
+class TestTokenLoopEquivalence:
+    @pytest.mark.parametrize("chunk", [3, data_io._CHUNK_NUMBERS], ids=["runs of a line", "default runs"])
+    @given(mutated_files())
+    @settings(max_examples=300)
+    def test_a_file_parses_as_the_token_loop_parses_it(self, chunk, text):
+        with mock.patch.object(data_io, "_CHUNK_NUMBERS", chunk):
+            assert_parses_as_the_token_loop(text)
+
+    @pytest.mark.parametrize("name,text,line,column", FIRST_ERRORS, ids=[e[0] for e in FIRST_ERRORS])
+    def test_the_first_error_in_the_file_is_named(self, name, text, line, column):
+        err = assert_parses_as_the_token_loop(text)
+        assert (err.line, err.column) == (line, column)
+
+    @pytest.mark.parametrize("name,line", MALFORMED, ids=[m[0] for m in MALFORMED])
+    def test_a_malformed_line_is_named_as_the_token_loop_names_it(self, name, line):
+        assert assert_parses_as_the_token_loop(f"1 1:1.0\n{line}\n").line == 2
+
+    @pytest.mark.parametrize("bad, column", [("1 2:1 1:1", 7), ("1 1:1:1", 3)], ids=["bulk", "shape"])
+    def test_a_bad_line_past_the_first_run_is_named(self, bad, column):
+        good = ["1 1:1 2:1"] * (data_io._CHUNK_NUMBERS // 5 + 10)  # five numbers a line
+        err = assert_parses_as_the_token_loop("\n".join([*good, bad, "x"]))
+        assert (err.line, err.column) == (len(good) + 1, column)
+
+    def test_a_list_of_lines_parses_as_the_token_loop_parses_it(self):
+        lines = ["1 1:1\r\n", "\t\n", "2 1:1 # c\n", "3 1:1\n4 1:1\n"]
+        err = assert_parses_as_the_token_loop(lines)
+        assert (err.line, err.column) == (4, 5)  # the value '1\n4'
+        assert bits(parse_libsvm(lines[:3])) == bits(token_loop_parse(io.StringIO("".join(lines[:3]))))
+
+    @pytest.mark.parametrize(
+        "name, value", [("_LINE", re.compile("(?!)")), ("_checked_rows", lambda numbers, ends: None)],
+        ids=["shape", "bulk"],
+    )
+    def test_a_valid_line_the_accept_path_refuses_is_a_bug(self, monkeypatch, name, value):
+        monkeypatch.setattr(data_io, name, value)
+        with pytest.raises(RuntimeError, match=r"^lines 1\.\.[13]: the accept path refused valid LIBSVM$"):
+            parse_libsvm("1 1:1\n\n-1 2:1\n")
+
+
 @st.composite
 def odd_libsvm_rows(draw):
     """LIBSVM rows, some of which the parser refuses: an index out of range,
@@ -387,3 +559,17 @@ class TestOneRepresentation:
             tracemalloc.stop()
         assert ds.x.nnz == 2000 * 40
         assert held < 2 * ds.x.nnz * 8, held
+
+    def test_loading_a_dense_file_peaks_under_the_token_loop(self, tmp_path):
+        # the token loop peaked at 5.11 MB here; the accept path, at 3.65 MB,
+        # would exceed the bound if it also kept the whole 1.85 MB file
+        path = tmp_path / "data.libsvm"
+        path.write_text(serialize_libsvm(random_classification_dataset(2000, 40, seed=0)))
+        tracemalloc.start()
+        try:
+            ds = load_libsvm(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.x.nnz == 2000 * 40
+        assert peak < 5.25e6, peak

@@ -794,6 +794,34 @@ class TestCli:
         assert capsys.readouterr().err == err
 
     @pytest.mark.parametrize(
+        "argv, change, code, err",
+        [
+            # argparse alone would take "-1,2" for an option
+            (["sweep", "--axis", "gamma", "--values", "-1,2"], {}, 2,
+             "config error: config field 'hozog.gamma': gamma must be a finite number > 0, got -1.0\n"),
+            (["sweep", "--axis", "gamma", "--values=-1,2"], {}, 2,
+             "config error: config field 'hozog.gamma': gamma must be a finite number > 0, got -1.0\n"),
+            (["sweep", "--axis", "gamma", "--values", "-inf"], {}, 2,
+             "config error: config field 'values': not comma-separated numbers: '-inf'\n"),
+            # numpy refuses the draws of a count past memory before allocating anything
+            (["run"], {"method": "random_search", "random_search": {"budget": 10**18}}, 1,
+             "error: Unable to allocate "),
+            (["lipschitz-report"], {"n_pairs": 10**18}, 1, "error: Unable to allocate "),
+        ],
+        ids=["negative sweep values", "negative sweep values after =", "a sweep value not a number", "budget", "n_pairs"],
+    )
+    def test_a_bad_count_or_value_prints_one_line(self, tmp_path, capsys, argv, change, code, err):
+        if argv == ["lipschitz-report"]:
+            cfg = {**lipschitz_report_config(tmp_path), **change}
+        else:
+            cfg = {**synthetic_config(tmp_path), **change}
+            if "random_search" in change:
+                del cfg["hozog"]
+        assert cli_main([argv[0], "--config", str(write_config(tmp_path, cfg)), *argv[1:]]) == code
+        out = capsys.readouterr().err
+        assert out.startswith(err) and out.count("\n") == 1, out
+
+    @pytest.mark.parametrize(
         "argv, stem", [(["run"], "trace"), (["sweep", "--axis", "mu", "--values", "0.001"],
                                             "trace_mu0.001")], ids=["run", "sweep"],
     )

@@ -63,8 +63,8 @@ class SparseDataset:
     Built from LIBSVM rows ``(label, ((index, value), ...))`` in their order;
     every listed pair is a stored entry, an explicit ``idx:0`` included.
     ``n_features`` is at least the largest index.  Rows the parser would
-    refuse (an index outside 1 .. 2^31 - 1 or out of order within its row, a
-    label or value that is not finite) raise InvalidConfig.
+    refuse (an index not an integer in 1 .. 2^31 - 1 or out of order within
+    its row, a label or value that is not finite) raise InvalidConfig.
     """
 
     def __init__(self, rows, n_features: int = 0):
@@ -72,12 +72,12 @@ class SparseDataset:
         labels, values, indices, indptr = [], [], [], [0]
         for label, feats in rows:
             labels.append(label)
-            indices.extend(idx - 1 for idx, _ in feats)
-            values.extend(val for _, val in feats)
+            for idx, val in feats:
+                check_count(idx, "feature indices", 1)  # int64 would truncate a float or bool
+                indices.append(idx - 1)
+                values.append(val)
             indptr.append(len(values))
-        low, high = min(indices, default=0) + 1, max(indices, default=0) + 1
-        if low < 1:  # scipy's products would read out of bounds
-            raise InvalidConfig(f"feature indices must be >= 1, got {low}")
+        high = max(indices, default=0) + 1
         if high >= 2**31:  # LIBSVM holds an index in a C int
             raise InvalidConfig(f"feature indices must be <= 2^31 - 1, got {high}")
         self.labels, self.x = _arrays(labels, values, indices, indptr, n_features)
@@ -102,11 +102,6 @@ class SparseDataset:
     def subset(self, indices) -> "SparseDataset":
         return _dataset(self.labels[indices], self.x[indices])
 
-    def to_csr(self, n_features: int | None = None) -> sp.csr_matrix:
-        """The feature matrix ``x``, widened to ``n_features`` columns when that is given."""
-        widen = n_features not in (None, self.n_features)
-        return sp.csr_matrix(self.x, shape=(len(self), n_features)) if widen else self.x
-
 
 def _arrays(labels, values, indices, indptr, n_features: int = 0) -> tuple:
     """The label array and CSR matrix of rows that ``indptr`` cuts from flat 0-based
@@ -126,25 +121,24 @@ def _dataset(labels: np.ndarray, x: sp.csr_matrix) -> SparseDataset:
 def by_density(*mats) -> tuple:
     """The matrices in the storage the density rule picks, one decision for all.
 
-    Dense matrices come back as they are.  The CSR matrices come back dense
-    when together they store at least ``DENSE_MIN_DENSITY`` of their
-    entries, else as the same objects.
+    When every matrix is CSR and together they store at least
+    ``DENSE_MIN_DENSITY`` of their entries, they come back dense; otherwise
+    the same objects come back.
     """
-    sparse = [m for m in mats if sp.issparse(m)]
-    stored = sum(m.nnz for m in sparse)
-    entries = sum(m.shape[0] * m.shape[1] for m in sparse)
-    if sparse and stored >= DENSE_MIN_DENSITY * entries:
-        return tuple(m.toarray() if sp.issparse(m) else m for m in mats)
+    if all(sp.issparse(m) and m.format == "csr" for m in mats):
+        if sum(m.nnz for m in mats) >= DENSE_MIN_DENSITY * sum(m.shape[0] * m.shape[1] for m in mats):
+            return tuple(m.toarray() for m in mats)
     return mats
 
 
 def design_matrices(*splits: SparseDataset) -> tuple:
     """The splits' feature matrices, all dense ``ndarray`` or all CSR, as
     :func:`by_density` stores them.  Every matrix has the widest split's
-    feature count.
+    feature count; a narrower split's CSR arrays are shared, not copied.
     """
-    n_features = max(ds.n_features for ds in splits)
-    return by_density(*(ds.to_csr(n_features) for ds in splits))
+    width = max(ds.n_features for ds in splits)
+    return by_density(*(ds.x if ds.n_features == width else sp.csr_matrix(ds.x, shape=(len(ds), width))
+                        for ds in splits))
 
 
 def check_splits(labels, **splits) -> None:

@@ -10,10 +10,10 @@ Every config file is read and checked by :mod:`hozog.harness.config`
 before anything runs, as are the ``sweep --values``.
 
 Exit codes: 0 success, 1 data/runtime error (an unreadable file and a count
-too large for memory included), 2 config error (naming the offending field),
-3 non-finite objective (diverging inner solve).  Every failure prints one
-line, never a traceback; ``sweep`` prints ``run``'s line for each failed
-value and exits with their highest code.
+too large for memory included), 2 config error (naming the offending field)
+or usage error, 3 non-finite objective (diverging inner solve).  Every
+failure prints one line, never a traceback; ``sweep`` prints ``run``'s line
+for each failed value and exits with their highest code.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import sys
 from collections import Counter
 
+from .. import data_io
 from ..errors import ConfigError, HozogError, NonFiniteObjective, ParseError
 from ..lipschitz import empirical_lipschitz, lipschitz_product_bound, synthetic_step_jacobians
 from .config import config_field, lipschitz_config, load_config, read_json
@@ -32,8 +33,13 @@ from .runner import SWEEP_AXES, build_objective, run_experiment, sweep
 __all__ = ["main"]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line; argparse's own prints the usage line first
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hozog",
         description="Hyperparameter optimization with zeroth-order hyper-gradients",
     )
@@ -41,18 +47,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run one experiment")
     p_run.add_argument("--config", required=True, help="path to a JSON experiment config")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="parameter-sensitivity sweep over q, mu, or gamma")
     p_sweep.add_argument("--config", required=True)
     p_sweep.add_argument("--axis", required=True, choices=SWEEP_AXES)
     p_sweep.add_argument("--values", required=True, help="comma-separated values")
+    p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_parse = sub.add_parser("parse-data", help="validate a LIBSVM file")
     p_parse.add_argument("--input", required=True)
     p_parse.add_argument("--summary", action="store_true", help="print dataset statistics")
+    p_parse.set_defaults(handler=_cmd_parse_data)
 
     p_lip = sub.add_parser("lipschitz-report", help="Lipschitz bound and empirical ratio")
     p_lip.add_argument("--config", required=True, help="path to a JSON report config")
+    p_lip.set_defaults(handler=_cmd_lipschitz)
     return parser
 
 
@@ -86,9 +96,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_parse_data(args) -> int:
-    from ..data_io import load_libsvm
-
-    ds = load_libsvm(args.input)
+    ds = data_io.load_libsvm(args.input)
     if args.summary:
         label_counts = Counter(ds.labels.tolist())
         print(f"rows: {len(ds)}")
@@ -144,27 +152,24 @@ def _failure(err: HozogError | OSError | MemoryError) -> tuple[int, str]:
 
 
 def _joined_values(argv: list) -> list:
-    """``argv`` with ``--values -1,2`` as ``--values=-1,2``: argparse takes a
-    token that starts with a minus and is not one number for an option."""
+    """``argv`` with ``--values -1,2`` as ``--values=-1,2``, in any spelling argparse takes (``--v`` on):
+    argparse takes a token that starts with a minus and is not one number for an option."""
     out = []
     for tok in argv:
-        if out and out[-1] == "--values" and not tok.startswith("--"):
-            out[-1] = f"--values={tok}"
+        if out and len(out[-1]) >= 3 and "--values".startswith(out[-1]) and not tok.startswith("--"):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
-    handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "parse-data": _cmd_parse_data,
-        "lipschitz-report": _cmd_lipschitz,
-    }
     try:
-        return handlers[args.command](args)
+        args = _build_parser().parse_args(_joined_values(sys.argv[1:] if argv is None else argv))
+    except SystemExit as done:  # argparse exits after --help and after a usage error
+        return done.code
+    try:
+        return args.handler(args)
     except (HozogError, OSError, MemoryError) as err:
         code, line = _failure(err)
         print(line, file=sys.stderr)

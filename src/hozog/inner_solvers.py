@@ -40,8 +40,8 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 class InnerSolver:
     """Configuration of an iterative inner algorithm.
 
-    ``steps`` applications of the variant's update rule starting from ``w0``
-    (the zero vector when ``w0`` is None), with fixed learning rate ``lr``.
+    ``steps`` applications of the variant's update rule from ``w0`` at fixed learning rate
+    ``lr``; ``solve`` refuses a None ``w0``, which ``ObjectiveSpec.solver`` sets to zeros.
     Adam uses bias-corrected first/second moments with the usual constants.
     A given finite 1-D ``w0`` is held as a tuple of floats: solvers compare by value.
     """

@@ -115,8 +115,10 @@ def invocations(draw):
     argv = [command, "--config", "config.json"]
     if command == "sweep":
         tokens = draw(st.lists(VALUE_TOKENS, min_size=1, max_size=3))
-        # both forms, since argparse reads a token with a leading "-1" as an option
-        values = draw(st.sampled_from([lambda v: ["--values=" + v], lambda v: ["--values", v]]))
+        # both forms, since argparse reads a token with a leading "-1" as an option,
+        # and any abbreviation of --values argparse takes
+        option = draw(st.sampled_from(["--v", "--va", "--val", "--valu", "--value", "--values"]))
+        values = draw(st.sampled_from([lambda v: [f"{option}={v}"], lambda v: [option, v]]))
         argv += ["--axis", draw(st.sampled_from(["q", "mu", "gamma"])), *values(",".join(tokens))]
     return argv, {"config.json": json.dumps(cfg), "data.libsvm": text}
 

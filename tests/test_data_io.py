@@ -160,7 +160,7 @@ class TestRoundTrip:
 
     def test_csr_shape_and_values(self):
         ds = parse_libsvm("1 1:0.5 3:2.0\n-1 2:1.0\n")
-        mat = ds.to_csr()
+        mat = ds.x
         assert mat.shape == (2, 3)
         np.testing.assert_allclose(mat.toarray(), [[0.5, 0.0, 2.0], [0.0, 1.0, 0.0]])
 
@@ -466,10 +466,11 @@ class TestTokenLoopEquivalence:
 
 @st.composite
 def odd_libsvm_rows(draw):
-    """LIBSVM rows, some of which the parser refuses: an index out of range,
-    out of order or repeated, a label or value that is not finite."""
+    """LIBSVM rows, some of which the parser refuses: an index that is not an
+    integer, out of range, out of order or repeated, a label or value that is
+    not finite."""
     numbers = st.floats() | st.sampled_from([0.0, -1.0, 2.5])
-    index = st.integers(1, 40) | st.sampled_from([-1, 0, 2**31 - 1, 2**31])
+    index = st.integers(1, 40) | st.sampled_from([-1, 0, 2**31 - 1, 2**31, 1.5, 2.0, True])
     rows = []
     for _ in range(draw(st.integers(0, 4))):
         indices = draw(st.lists(index, max_size=4))
@@ -522,8 +523,12 @@ class TestOneRepresentation:
             ([(1.0, ((2**31, 1.0),))], r"feature indices must be <= 2\^31 - 1, got 2147483648"),
             ([(float("nan"), ((1, 1.0),))], "labels and feature values must be finite"),
             ([(1.0, ((1, float("inf")),))], "labels and feature values must be finite"),
+            # the parser refuses the text "1.5:2.0"; int64 columns would truncate these to column 0 or 1
+            ([(1.0, ((1.5, 2.0),))], r"feature indices must be an integer, got 1\.5"),
+            ([(1.0, ((2.0, 2.0),))], r"feature indices must be an integer, got 2\.0"),
+            ([(1.0, ((True, 2.0),))], "feature indices must be an integer, got True"),
         ],
-        ids=["descending", "repeated", "past a C int", "NaN label", "infinite value"],
+        ids=["descending", "repeated", "past a C int", "NaN label", "infinite value", "1.5", "2.0", "True"],
     )
     def test_what_the_parser_refuses_is_refused(self, rows, reason):
         with pytest.raises(InvalidConfig, match=f"^{reason}$"):

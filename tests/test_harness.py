@@ -801,23 +801,29 @@ class TestCli:
              "config error: config field 'hozog.gamma': gamma must be a finite number > 0, got -1.0\n"),
             (["sweep", "--axis", "gamma", "--values=-1,2"], {}, 2,
              "config error: config field 'hozog.gamma': gamma must be a finite number > 0, got -1.0\n"),
+            (["sweep", "--axis", "gamma", "--val", "-1,2"], {}, 2,
+             "config error: config field 'hozog.gamma': gamma must be a finite number > 0, got -1.0\n"),
             (["sweep", "--axis", "gamma", "--values", "-inf"], {}, 2,
              "config error: config field 'values': not comma-separated numbers: '-inf'\n"),
+            # no config file: argparse's own error line, without its usage line
+            (["run"], None, 2, "hozog run: error: the following arguments are required: --config\n"),
             # numpy refuses the draws of a count past memory before allocating anything
             (["run"], {"method": "random_search", "random_search": {"budget": 10**18}}, 1,
              "error: Unable to allocate "),
             (["lipschitz-report"], {"n_pairs": 10**18}, 1, "error: Unable to allocate "),
         ],
-        ids=["negative sweep values", "negative sweep values after =", "a sweep value not a number", "budget", "n_pairs"],
+        ids=["negative sweep values", "negative sweep values after =", "negative sweep values after --val",
+             "a sweep value not a number", "no --config", "budget", "n_pairs"],
     )
     def test_a_bad_count_or_value_prints_one_line(self, tmp_path, capsys, argv, change, code, err):
         if argv == ["lipschitz-report"]:
             cfg = {**lipschitz_report_config(tmp_path), **change}
         else:
-            cfg = {**synthetic_config(tmp_path), **change}
-            if "random_search" in change:
+            cfg = {**synthetic_config(tmp_path), **(change or {})}
+            if "random_search" in cfg:
                 del cfg["hozog"]
-        assert cli_main([argv[0], "--config", str(write_config(tmp_path, cfg)), *argv[1:]]) == code
+        config = [] if change is None else ["--config", str(write_config(tmp_path, cfg))]
+        assert cli_main([argv[0], *config, *argv[1:]]) == code
         out = capsys.readouterr().err
         assert out.startswith(err) and out.count("\n") == 1, out
 

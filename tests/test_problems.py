@@ -286,7 +286,7 @@ class TestStorage:
         for ds, m in zip(splits, mats):
             assert m.shape == (len(ds), ds.n_features)
             np.testing.assert_array_equal(
-                m if isinstance(m, np.ndarray) else m.toarray(), ds.to_csr().toarray()
+                m if isinstance(m, np.ndarray) else m.toarray(), ds.x.toarray()
             )
 
 
@@ -308,6 +308,11 @@ class TestDensityRule:
     def test_a_dense_matrix_comes_back_as_is(self):
         x = np.zeros((3, 4))  # density 0: dense stays dense
         assert by_density(x)[0] is x
+
+    def test_a_dense_matrix_beside_a_full_csr_matrix_leaves_both_as_they_are(self):
+        dense, full = np.zeros((3, 4)), sp.csr_matrix(np.ones((3, 4)))
+        got = by_density(dense, full)
+        assert got[0] is dense and got[1] is full
 
 
 class _ExpitLogReg(LogRegProblem):
